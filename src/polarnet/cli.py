@@ -13,7 +13,7 @@ from pathlib import Path
 from .config import RunConfig, parse_config
 from .errors import ConfigError, PolarnetError
 from .experiment import SUBPOPS, compare_scenarios, run_ensemble
-from .generators import GENERATOR_KINDS, GeneratorSpec
+from .generators import GENERATOR_KINDS, GENERATOR_PARAMS, GeneratorSpec
 from .graph import Opinion, load_edge_list, save_edge_list, subgraph_by_opinion
 from .metrics import metrics_report
 from .output import CurveGroup, emit_svg_plot, write_curves_csv, write_metrics_csv, write_summary_csv
@@ -42,19 +42,11 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
 
 def _load_run_config(args) -> RunConfig:
     cfg = parse_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    if args.edges is not None:
-        overrides["edges"] = args.edges
-    if args.attrs is not None:
-        overrides["attrs"] = args.attrs
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.threads is not None:
-        if args.threads < 0:
-            raise ConfigError("--threads must be >= 0 (0 = auto)")
-        overrides["threads"] = args.threads
+    flags = {"edges": args.edges, "attrs": args.attrs, "master_seed": args.seed,
+             "out_dir": args.out, "threads": args.threads}
+    overrides = {key: value for key, value in flags.items() if value is not None}
+    if overrides.get("threads", 0) < 0:
+        raise ConfigError("--threads must be >= 0 (0 = auto)")
     return cfg.with_overrides(**overrides) if overrides else cfg
 
 
@@ -71,20 +63,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    spec = GeneratorSpec(
-        kind=args.kind,
-        seed=args.seed,
-        n=args.n,
-        p=args.p,
-        k_ring=args.k_ring,
-        p_rewire=args.p_rewire,
-        m=args.m,
-        n_pro=args.n_pro,
-        n_anti=args.n_anti,
-        p_in=args.p_in,
-        p_out=args.p_out,
-    )
-    g = spec.build()
+    params = {key: getattr(args, key) for key in GENERATOR_PARAMS}
+    g = GeneratorSpec(kind=args.kind, seed=args.seed, **params).build()
     save_edge_list(g, args.out_edges, args.out_attrs)
     print(f"wrote {args.out_edges} ({g.n} nodes, {g.edge_count} edges) and {args.out_attrs}")
     return 0
@@ -169,15 +149,8 @@ def build_parser() -> _Parser:
 
     p_gen = sub.add_parser("generate", help="write a synthetic graph in the load format")
     p_gen.add_argument("--kind", required=True, choices=list(GENERATOR_KINDS))
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--p", type=float)
-    p_gen.add_argument("--k-ring", type=int)
-    p_gen.add_argument("--p-rewire", type=float)
-    p_gen.add_argument("--m", type=int)
-    p_gen.add_argument("--n-pro", type=int)
-    p_gen.add_argument("--n-anti", type=int)
-    p_gen.add_argument("--p-in", type=float)
-    p_gen.add_argument("--p-out", type=float)
+    for key, kind in GENERATOR_PARAMS.items():
+        p_gen.add_argument(f"--{key.replace('_', '-')}", type=kind)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out-edges", required=True)
     p_gen.add_argument("--out-attrs", required=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 from .epidemic import SEED_POOLS, VET_MODES, EpidemicParams, Seeding
 from .errors import ConfigError
 from .experiment import AllocationStrategy
-from .generators import GENERATOR_KINDS, GeneratorSpec
+from .generators import GENERATOR_KINDS, GENERATOR_PARAMS, GeneratorSpec
 from .graph import AnnotatedGraph, load_edge_list
 
 # config key -> (RunConfig attribute or EpidemicParams attribute, type)
@@ -21,15 +21,7 @@ _GRAPH_KEYS = {
     "edges": ("edges", str),
     "attrs": ("attrs", str),
     "generator": ("generator", str),
-    "n": ("n", int),
-    "p": ("p", float),
-    "k_ring": ("k_ring", int),
-    "p_rewire": ("p_rewire", float),
-    "m": ("m", int),
-    "n_pro": ("n_pro", int),
-    "n_anti": ("n_anti", int),
-    "p_in": ("p_in", float),
-    "p_out": ("p_out", float),
+    **{key: (key, kind) for key, kind in GENERATOR_PARAMS.items()},
     "graph_seed": ("graph_seed", int),
 }
 _EPIDEMIC_KEYS = {
@@ -104,19 +96,8 @@ class RunConfig:
             return load_edge_list(self.edges, self.attrs)
         if self.generator is None:
             raise ConfigError("no graph source configured (edges/attrs or generator)")
-        return GeneratorSpec(
-            kind=self.generator,
-            seed=self.graph_seed,
-            n=self.n,
-            p=self.p,
-            k_ring=self.k_ring,
-            p_rewire=self.p_rewire,
-            m=self.m,
-            n_pro=self.n_pro,
-            n_anti=self.n_anti,
-            p_in=self.p_in,
-            p_out=self.p_out,
-        ).build()
+        params = {key: getattr(self, key) for key in GENERATOR_PARAMS}
+        return GeneratorSpec(kind=self.generator, seed=self.graph_seed, **params).build()
 
     def with_overrides(self, **kwargs) -> "RunConfig":
         return replace(self, **kwargs)

@@ -49,7 +49,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import DataError
 from .graph import AnnotatedGraph, gather_rows
@@ -118,6 +117,8 @@ def infectiousness_integral(t: int, curve_mean: float, curve_sd: float) -> float
         raise ValueError("curve mean and sd must be positive")
     if t <= 0:
         return 0.0
+    from scipy.special import gammainc  # only the simulations need scipy.special
+
     shape = (curve_mean / curve_sd) ** 2
     scale = curve_sd**2 / curve_mean
     hi = gammainc(shape, t / scale)

@@ -155,6 +155,12 @@ def two_community(
 
 
 GENERATOR_KINDS = ("er", "ws", "ba", "two-community")
+# size and probability fields of GeneratorSpec, with their types; RunConfig
+# attributes, config keys and `generate` options share these names
+GENERATOR_PARAMS = {
+    "n": int, "p": float, "k_ring": int, "p_rewire": float, "m": int,
+    "n_pro": int, "n_anti": int, "p_in": float, "p_out": float,
+}
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ across concurrent simulation workers.
 
 from __future__ import annotations
 
+import functools
 import logging
+import re
 from dataclasses import dataclass, field
 from enum import IntEnum
-from pathlib import Path
 
 import numpy as np
 
@@ -81,11 +82,6 @@ class AnnotatedGraph:
             raise IndexError(f"node id {i} out of range [0, {self.n})")
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
-    def has_edge(self, i: int, j: int) -> bool:
-        row = self.neighbors(i)
-        pos = np.searchsorted(row, j)
-        return pos < row.size and row[pos] == j
-
     def edges(self) -> np.ndarray:
         """All edges as an (edge_count, 2) array with src < dst."""
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
@@ -131,15 +127,13 @@ class AnnotatedGraph:
 
         lo = np.minimum(edges[:, 0], edges[:, 1])
         hi = np.maximum(edges[:, 0], edges[:, 1])
-        keys = np.unique(lo * np.int64(n) + hi)
-        lo, hi = keys // n, keys % n
-
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        order = np.lexsort((dst, src))
-        indices = dst[order]
+        keys = np.sort(lo * np.int64(n) + hi)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        # both arcs of every edge as src * n + dst, sorted: the CSR order
+        arcs = np.sort(np.concatenate([keys, keys % n * n + keys // n]))
+        indices = arcs % n
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        np.cumsum(np.bincount(arcs // n, minlength=n), out=indptr[1:])
 
         g = cls(
             n=n,
@@ -166,15 +160,12 @@ class AnnotatedGraph:
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         if np.any(src == self.indices):
             raise DataError("self-loop present")
-        # strictly increasing rows <=> sorted and duplicate-free
-        if self.indices.size > 1:
-            same_row = src[1:] == src[:-1]
-            if np.any(same_row & (np.diff(self.indices) <= 0)):
-                raise DataError("adjacency rows must be strictly increasing")
-        # symmetry: the reversed arc set must equal the arc set
+        # arcs as src * n + dst strictly increase <=> rows sorted and duplicate-free
         fwd = src * np.int64(self.n) + self.indices
-        rev = self.indices * np.int64(self.n) + src
-        if not np.array_equal(np.sort(fwd), np.sort(rev)):
+        if np.any(np.diff(fwd) <= 0):
+            raise DataError("adjacency rows must be strictly increasing")
+        # symmetry: the reversed arc set must equal the arc set
+        if not np.array_equal(fwd, np.sort(self.indices * np.int64(self.n) + src)):
             raise DataError("adjacency is not symmetric")
 
 
@@ -200,11 +191,7 @@ def subgraph_by_opinion(g: AnnotatedGraph, opinion: Opinion) -> AnnotatedGraph:
     remap = np.full(g.n, -1, dtype=np.int64)
     remap[keep] = np.arange(keep.size)
     e = g.edges()
-    if e.size:
-        mask = (remap[e[:, 0]] >= 0) & (remap[e[:, 1]] >= 0)
-        e = remap[e[mask]]
-    else:
-        e = e.reshape(0, 2)
+    e = remap[e[(remap[e[:, 0]] >= 0) & (remap[e[:, 1]] >= 0)]]
     return AnnotatedGraph.from_edge_array(
         n=int(keep.size),
         edges=e,
@@ -215,9 +202,16 @@ def subgraph_by_opinion(g: AnnotatedGraph, opinion: Opinion) -> AnnotatedGraph:
 
 # -- file formats ---------------------------------------------------------
 #
-# Edge file: UTF-8 CSV, one `src,dst` pair of integer labels per line.
+# Edge file: UTF-8 CSV, one `src,dst` pair of node labels per line.
 # Attribute file: `node,opinion` with opinion in {pro, anti}, case-insensitive.
-# An optional header is detected by a non-numeric first field.
+# A node label is an ASCII decimal integer in the int64 range with an
+# optional sign. Spaces around fields and blank lines are ignored; there is
+# no comment syntax. An optional header is detected by a non-numeric first
+# field on the first non-blank line.
+
+_LABEL = re.compile(r"[+-]?[0-9]+")
+_INT64 = np.iinfo(np.int64)
+_SAVE_BLOCK = 1 << 16  # edge rows formatted per write
 
 
 def _is_int(text: str) -> bool:
@@ -228,12 +222,29 @@ def _is_int(text: str) -> bool:
         return False
 
 
-def _parse_csv_pairs(path, n_fields: int, n_int_fields: int):
-    """Yield (line_number, fields) for each data line of a 2-column CSV.
+def _label(text: str) -> int:
+    """The node label a stripped field spells; ValueError outside the rule.
 
-    The first ``n_int_fields`` fields of every data row must be integers;
-    a non-numeric first field on the first row is treated as a header.
+    numpy's int64 field parser, which reads the labels of the bulk parse,
+    accepts the same fields.
     """
+    if _LABEL.fullmatch(text) and _INT64.min <= int(text) <= _INT64.max:
+        return int(text)
+    raise ValueError(f"node label {text!r} is not a decimal integer in the int64 range")
+
+
+@functools.lru_cache(maxsize=64)
+def _opinion_code(text: str) -> int:
+    return int(Opinion.parse(text))
+
+
+# structured row type and per-field parsers of each file
+_EDGE_ROWS = (np.dtype([("src", np.int64), ("dst", np.int64)]), (_label, _label))
+_ATTR_ROWS = (np.dtype([("node", np.int64), ("opinion", np.uint8)]), (_label, _opinion_code))
+
+
+def _data_lines(path):
+    """Yield (line_number, stripped fields) for each data line of a 2-column CSV."""
     first = True
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -241,19 +252,44 @@ def _parse_csv_pairs(path, n_fields: int, n_int_fields: int):
             if not line:
                 continue
             fields = [f.strip() for f in line.split(",")]
-            if len(fields) != n_fields:
+            if len(fields) != 2:
                 raise GraphFormatError(
-                    f"expected {n_fields} comma-separated fields, got {len(fields)}",
-                    line=lineno,
+                    f"expected 2 comma-separated fields, got {len(fields)}", line=lineno
                 )
             if first:
                 first = False
                 if not _is_int(fields[0]):  # header row
                     continue
-            for f in fields[:n_int_fields]:
-                if not _is_int(f):
-                    raise GraphFormatError(f"non-integer node label {f!r}", line=lineno)
             yield lineno, fields
+
+
+def _read_rows(path, dtype: np.dtype, parsers) -> np.ndarray:
+    """Data rows of a 2-column CSV as a structured array of ``dtype``.
+
+    numpy's C parser reads the whole file from its first data line on,
+    labels included. Only when it refuses the file does the line parser
+    read it again: it raises a GraphFormatError naming the first bad line,
+    or returns the rows of a file the format allows and numpy does not
+    (lines of only whitespace).
+    """
+    first = next(_data_lines(path), None)
+    if first is None:  # no data lines: numpy would warn
+        return np.empty(0, dtype=dtype)
+    converters = {i: parse for i, parse in enumerate(parsers) if parse is not _label}
+    try:
+        return np.loadtxt(
+            path, dtype=dtype, delimiter=",", comments=None, converters=converters,
+            skiprows=first[0] - 1, ndmin=1, encoding="utf-8",
+        )
+    except ValueError:
+        pass
+    rows = []
+    for lineno, fields in _data_lines(path):
+        try:
+            rows.append(tuple(parse(f) for parse, f in zip(parsers, fields)))
+        except ValueError as exc:
+            raise GraphFormatError(str(exc), line=lineno) from None
+    return np.array(rows, dtype=dtype)
 
 
 def load_edge_list(path, attr_path) -> AnnotatedGraph:
@@ -264,60 +300,46 @@ def load_edge_list(path, attr_path) -> AnnotatedGraph:
     a log warning. Nodes present only in the attribute file are kept as
     isolated nodes. Every node appearing in an edge must be annotated.
     """
-    raw_edges = []
-    self_loops = 0
-    for lineno, (a, b) in _parse_csv_pairs(path, 2, n_int_fields=2):
-        u, v = int(a), int(b)
-        if u == v:
-            self_loops += 1
-            continue
-        raw_edges.append((u, v))
-    if self_loops:
-        log.warning("dropped %d self-loop(s) while loading %s", self_loops, path)
+    edges = _read_rows(path, *_EDGE_ROWS)
+    loops = edges["src"] == edges["dst"]
+    if loops.any():
+        log.warning("dropped %d self-loop(s) while loading %s", int(loops.sum()), path)
+        edges = edges[~loops]
 
-    opinion_of: dict[int, int] = {}
-    for lineno, (a, b) in _parse_csv_pairs(attr_path, 2, n_int_fields=1):
-        node = int(a)
-        try:
-            op = int(Opinion.parse(b))
-        except ValueError as exc:
-            raise GraphFormatError(str(exc), line=lineno) from None
-        if node in opinion_of and opinion_of[node] != op:
-            raise AnnotationError(
-                f"conflicting opinions for node {node}", offenders=[node]
-            )
-        opinion_of[node] = op
+    attrs = _read_rows(attr_path, *_ATTR_ROWS)
+    labels, first, inverse = np.unique(attrs["node"], return_index=True, return_inverse=True)
+    opinions = attrs["opinion"][first]
+    clash = np.flatnonzero(attrs["opinion"] != opinions[inverse])
+    if clash.size:
+        node = int(attrs["node"][clash[0]])
+        raise AnnotationError(f"conflicting opinions for node {node}", offenders=[node])
 
-    edge_arr = np.array(raw_edges, dtype=np.int64).reshape(-1, 2)
-    edge_labels = np.unique(edge_arr) if edge_arr.size else np.empty(0, dtype=np.int64)
-    missing = sorted(set(edge_labels.tolist()) - set(opinion_of))
-    if missing:
+    ends, arc_end = np.unique(np.concatenate([edges["src"], edges["dst"]]), return_inverse=True)
+    dense = np.searchsorted(labels, ends)
+    known = dense < labels.size
+    known[known] = labels[dense[known]] == ends[known]
+    if not known.all():
+        missing = ends[~known].tolist()
         shown = ", ".join(str(m) for m in missing[:_MAX_REPORTED_OFFENDERS])
         more = "" if len(missing) <= _MAX_REPORTED_OFFENDERS else f" (+{len(missing) - _MAX_REPORTED_OFFENDERS} more)"
         raise AnnotationError(
             f"{len(missing)} node(s) in edges lack an opinion: {shown}{more}",
             offenders=missing,
         )
-
-    labels = np.array(sorted(set(edge_labels.tolist()) | set(opinion_of)), dtype=np.int64)
-    dense = {int(lab): i for i, lab in enumerate(labels)}
-    opinions = np.array([opinion_of[int(lab)] for lab in labels], dtype=np.uint8)
-    if edge_arr.size:
-        remap = np.vectorize(dense.__getitem__, otypes=[np.int64])
-        edge_arr = remap(edge_arr)
     return AnnotatedGraph.from_edge_array(
-        n=labels.size, edges=edge_arr, opinions=opinions, labels=labels
+        n=labels.size, edges=dense[arc_end].reshape(2, -1).T, opinions=opinions, labels=labels
     )
 
 
 def save_edge_list(g: AnnotatedGraph, path, attr_path) -> None:
     """Write a graph back out in the load format (external labels)."""
-    path, attr_path = Path(path), Path(attr_path)
+    edges = g.edges()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("src,dst\n")
-        for u, v in g.edges():
-            fh.write(f"{g.labels[u]},{g.labels[v]}\n")
+        for lo in range(0, len(edges), _SAVE_BLOCK):
+            block = g.labels[edges[lo : lo + _SAVE_BLOCK]].tolist()
+            fh.write("".join(f"{a},{b}\n" for a, b in block))
+    name = {int(op): str(op) for op in Opinion}
+    rows = zip(g.labels.tolist(), g.opinions.tolist())
     with open(attr_path, "w", encoding="utf-8") as fh:
-        fh.write("node,opinion\n")
-        for i in range(g.n):
-            fh.write(f"{g.labels[i]},{Opinion(g.opinions[i])}\n")
+        fh.write("node,opinion\n" + "".join(f"{label},{name[op]}\n" for label, op in rows))

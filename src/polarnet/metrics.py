@@ -14,9 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, FitError, SingleGroupError
-from .graph import AnnotatedGraph, gather_rows
+from .graph import AnnotatedGraph
 
 _DEGENERATE_EPS = 1e-12
+# neighbour-of-neighbour visits per row block of the triangle count; bounds
+# the memory of the sparse product on dense graphs
+_BLOCK_WORK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -110,36 +113,46 @@ def fit_power_law(
     return PowerLawFit(gamma=gamma, k_min=k_min, r2=r2)
 
 
+def _adjacency(g: AnnotatedGraph):
+    from scipy.sparse import csr_array  # only the metrics need scipy.sparse
+
+    index = np.int32 if max(g.n, g.indices.size) < 2**31 else np.int64  # int32 runs faster
+    indptr, indices = g.indptr.astype(index), g.indices.astype(index)
+    return csr_array((np.ones(indices.size), indices, indptr), shape=(g.n, g.n))
+
+
+def _linked_pairs(adj, lo: int, hi: int) -> np.ndarray:
+    """Ordered pairs of linked neighbours of each node in [lo, hi).
+
+    That is twice each node's triangle count, an exact integer in float64.
+    """
+    rows = adj[lo:hi]
+    return (rows @ adj).multiply(rows).sum(axis=1)
+
+
 def local_clustering(g: AnnotatedGraph, i: int) -> float:
     """Fraction of existing links among i's neighbors; 0 when degree < 2."""
-    nbrs = g.neighbors(i)
-    k = nbrs.size
+    k = g.degree(i)
     if k < 2:
         return 0.0
-    mark = np.zeros(g.n, dtype=bool)
-    mark[nbrs] = True
-    nn, _ = gather_rows(g.indptr, g.indices, nbrs)
-    # each neighbor-neighbor link is seen from both endpoints
-    return float(mark[nn].sum()) / (k * (k - 1))
+    return float(_linked_pairs(_adjacency(g), i, i + 1)[0]) / (k * (k - 1))
 
 
 def clustering_coefficients(g: AnnotatedGraph) -> np.ndarray:
     """Local clustering coefficient of every node."""
     if g.n < 1:
         raise DataError("clustering is undefined for the empty graph")
-    cc = np.zeros(g.n, dtype=np.float64)
-    mark = np.zeros(g.n, dtype=bool)
-    indptr, indices = g.indptr, g.indices
-    for i in range(g.n):
-        nbrs = indices[indptr[i] : indptr[i + 1]]
-        k = nbrs.size
-        if k < 2:
-            continue
-        mark[nbrs] = True
-        nn, _ = gather_rows(indptr, indices, nbrs)
-        cc[i] = float(mark[nn].sum()) / (k * (k - 1))
-        mark[nbrs] = False
-    return cc
+    adj = _adjacency(g)
+    deg = g.degrees
+    # work[i]: neighbour-of-neighbour visits of the rows before i
+    work = np.concatenate(([0], np.cumsum(deg[g.indices])))[g.indptr]
+    pairs = np.empty(g.n, dtype=np.float64)
+    lo = 0
+    while lo < g.n:
+        hi = max(lo + 1, int(np.searchsorted(work, work[lo] + _BLOCK_WORK, side="right")) - 1)
+        pairs[lo:hi] = _linked_pairs(adj, lo, hi)
+        lo = hi
+    return np.divide(pairs, deg * (deg - 1), out=np.zeros(g.n), where=deg >= 2)
 
 
 def average_clustering(g: AnnotatedGraph) -> float:

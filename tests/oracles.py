@@ -70,6 +70,49 @@ def brute_cross_connection(m) -> float:
     return 2.0 * m[1][0] / (m[0][0] + m[1][1])
 
 
+def loop_clustering(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Local clustering of every node of a CSR graph, one node at a time.
+
+    For node i it marks i's neighbours, gathers the neighbour rows of those
+    neighbours and counts the marked entries: each link between two
+    neighbours is seen from both ends, so the count is twice i's triangles.
+    """
+    n = indptr.size - 1
+    cc = np.zeros(n, dtype=np.float64)
+    mark = np.zeros(n, dtype=bool)
+    for i in range(n):
+        nbrs = indices[indptr[i] : indptr[i + 1]]
+        k = nbrs.size
+        if k < 2:
+            continue
+        mark[nbrs] = True
+        starts = indptr[nbrs]
+        lengths = indptr[nbrs + 1] - starts
+        ends = np.cumsum(lengths)
+        pos = np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
+        cc[i] = float(mark[indices[pos]].sum()) / (k * (k - 1))
+        mark[nbrs] = False
+    return cc
+
+
+# -- graph files -------------------------------------------------------------
+
+
+def reference_edge_files(edges, labels, opinions) -> tuple[str, str]:
+    """Edge and attribute file texts, one f-string per written line.
+
+    ``edges`` are node-id pairs (duplicates and either orientation allowed,
+    no self-loops), ``labels`` the external label of each node id and
+    ``opinions`` 1 (pro) or 0 (anti) per node id.
+    """
+    pairs = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    edge_text = "src,dst\n" + "".join(f"{labels[u]},{labels[v]}\n" for u, v in pairs)
+    attr_text = "node,opinion\n" + "".join(
+        f"{label},{'pro' if op else 'anti'}\n" for label, op in zip(labels, opinions)
+    )
+    return edge_text, attr_text
+
+
 # -- gamma curve quadrature ------------------------------------------------
 
 

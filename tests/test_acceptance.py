@@ -20,11 +20,11 @@ from polarnet.epidemic import (
     SUSCEPTIBLE,
     EpidemicParams,
     Seeding,
+    exposure_table,
     initial_state,
     infectiousness_integral,
     seed_infections,
     step_day,
-    transmission_table,
 )
 from polarnet.errors import SingleGroupError
 from polarnet.experiment import compare_scenarios
@@ -340,7 +340,7 @@ def test_criterion_10_conservation_invariants():
         vaccinated = rng.random(n) < float(rng.uniform(0.0, 0.8))
         state = initial_state(n, vaccinated, rng=int(rng.integers(0, 2**31)))
         seed_infections(state, 1, "all", params.vet_mode, params.vet)
-        ptable = transmission_table(params)
+        ptable = exposure_table(g, params)
         ever = set(np.flatnonzero(state.status == INFECTED).tolist())
         cumulative = 1
         while state.day < params.horizon and state.infected_count > 0:

@@ -1,5 +1,12 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import polarnet
 from polarnet.cli import main
 
 
@@ -146,3 +153,62 @@ def test_missing_file_exit_code_2(tmp_path):
         "metrics", "--edges", str(tmp_path / "nope.csv"),
         "--attrs", str(tmp_path / "nope2.csv"), "--out", str(tmp_path / "r.csv"),
     ) == 2
+
+
+def test_metrics_label_beyond_int64_exit_code_2(tmp_path, capsys):
+    edges, attrs = tmp_path / "e.csv", tmp_path / "a.csv"
+    edges.write_text("src,dst\n0,99999999999999999999\n")
+    attrs.write_text("node,opinion\n0,pro\n99999999999999999999,anti\n")
+    assert run_cli("metrics", "--edges", str(edges), "--attrs", str(attrs), "--out", str(tmp_path / "r.csv")) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_import_cli_leaves_scipy_unloaded():
+    src = str(Path(polarnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, polarnet.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+# SHA-256 of every file the commands below write, pinned so that changes to
+# the graph layer and to import order keep the outputs byte for byte
+PINNED_OUTPUTS = {
+    "simulate/curves.csv": "a7d62c4a39f31a5cc87ed78cc66f4bb44d31777eedebe6024e18dbaee24cc2af",
+    "compare/curves_all.svg": "048c0b7c19492f69cd3cf74b7138610d72382a61b6cb452ffbb9bf8bee241b1b",
+    "compare/curves_homogeneous.csv": "cf9b0340b3f67ba477a88766511e5071137ff9780e7510e92aab61afc386715f",
+    "compare/curves_polarized.csv": "c180028ab9a25911618a4fd9fa2df26eab9b8de1825355e46a52fb3f26d305b5",
+    "compare/curves_unvaccinated.svg": "239e960f9cc5b5622757b99254c09ce830366512639a3eeed4f2bd4bd6140e61",
+    "compare/curves_vaccinated.svg": "687c4b49c0c30864b41f8c5900bb3c50783c25191419409e42e14f7d1f3ff8d3",
+    "compare/summary.csv": "15d7ec2e3236e53a5f054cb00069f28b720759c1a611e65f995eaa304b54df88",
+    "metrics/attrs.csv": "cf5dcf13037dac55da46103428f29d7673e6f3c01d35cf4d28af3127e11ada81",
+    "metrics/edges.csv": "7cbf021915146a64b2a3ee3f305e6fa3002cfb06ffd8c93301c9812e1286dec8",
+    "metrics/report_all.csv": "cc4fe1db7ca270c1c8a7ec22ba5254121d3622c33b52251eb780331af7ba0b20",
+    "metrics/report_pro.csv": "993d939d4b6e7020aa0efd4f8760d00ba2fff7db96cc5c719cc059279ec7ba83",
+}
+
+
+def test_cli_outputs_pinned(tmp_path):
+    cfg = _write_config(tmp_path)
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "simulate")) == 0
+    assert run_cli("compare", "--config", str(cfg), "--out", str(tmp_path / "compare")) == 0
+    met = tmp_path / "metrics"
+    met.mkdir()
+    edges, attrs = str(met / "edges.csv"), str(met / "attrs.csv")
+    assert run_cli(
+        "generate", "--kind", "two-community", "--n-pro", "300", "--n-anti", "200",
+        "--p-in", "0.02", "--p-out", "0.001", "--seed", "4", "--out-edges", edges, "--out-attrs", attrs,
+    ) == 0
+    assert run_cli("metrics", "--edges", edges, "--attrs", attrs, "--out", str(met / "report_all.csv")) == 0
+    assert run_cli(
+        "metrics", "--edges", edges, "--attrs", attrs, "--subgraph", "pro", "--out", str(met / "report_pro.csv")
+    ) == 0
+    digests = {
+        f"{d}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
+        for d in ("simulate", "compare", "metrics")
+        for f in (tmp_path / d).iterdir()
+    }
+    assert digests == PINNED_OUTPUTS

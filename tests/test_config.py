@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from polarnet.config import RunConfig, parse_config, serialize_config
 from polarnet.epidemic import EpidemicParams
 from polarnet.errors import ConfigError
+from polarnet.generators import GENERATOR_PARAMS, GeneratorSpec
 
 
 def write(tmp_path, text):
@@ -112,3 +115,9 @@ def test_seeding_and_strategy_accessors():
     assert cfg.seeding().count == 7
     assert cfg.seeding().pool == "unvaccinated"
     assert cfg.strategy_enum().value == "homogeneous"
+
+
+def test_generator_params_cover_spec_and_config_fields():
+    spec_fields = {f.name for f in fields(GeneratorSpec)} - {"kind", "seed"}
+    assert set(GENERATOR_PARAMS) == spec_fields
+    assert spec_fields <= {f.name for f in fields(RunConfig)}

@@ -268,7 +268,7 @@ def test_conservation_and_single_infection():
     params = EpidemicParams(max_infectious_days=5, horizon=50)
     state = initial_state(30, rng.random(30) < 0.3, rng=8)
     seed_infections(state, 3, "all")
-    ptable = transmission_table(params)
+    ptable = exposure_table(g, params)
     ever_infected = set(np.flatnonzero(state.status == INFECTED).tolist())
     cumulative = 3
     while state.day < params.horizon and state.infected_count > 0:

@@ -1,13 +1,26 @@
 import logging
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from helpers import complete_edges, graph_from_edges, random_edges, star_edges
 from polarnet.errors import AnnotationError, DataError, GraphFormatError
-from polarnet.graph import Opinion, load_edge_list, save_edge_list, subgraph_by_opinion
+from polarnet.graph import (
+    AnnotatedGraph,
+    Opinion,
+    load_edge_list,
+    save_edge_list,
+    subgraph_by_opinion,
+)
+
+PRO, ANTI = int(Opinion.PRO), int(Opinion.ANTI)
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 def write_files(tmp_path, edge_lines, attr_lines):
@@ -15,6 +28,15 @@ def write_files(tmp_path, edge_lines, attr_lines):
     attrs = tmp_path / "attrs.csv"
     edges.write_text("\n".join(edge_lines) + "\n")
     attrs.write_text("\n".join(attr_lines) + "\n")
+    return edges, attrs
+
+
+def write_raw(tmp_path, edge_text, attr_text):
+    """Files holding exactly these characters (no newline translation)."""
+    edges = tmp_path / "edges.csv"
+    attrs = tmp_path / "attrs.csv"
+    edges.write_bytes(edge_text.encode("utf-8"))
+    attrs.write_bytes(attr_text.encode("utf-8"))
     return edges, attrs
 
 
@@ -99,6 +121,196 @@ def test_load_is_idempotent(tmp_path):
     g2 = load_edge_list(tmp_path / "e2.csv", tmp_path / "a2.csv")
     assert g1.structurally_equal(g2)
     assert np.array_equal(g1.labels, g2.labels)
+
+
+# -- loader contract: what the file format accepts and rejects --------------
+
+
+@pytest.mark.parametrize("edge_text", ["", "src,dst\n", "\n\nsrc,dst\n\n", "src,dst"])
+def test_load_without_edges_gives_isolated_nodes(tmp_path, edge_text):
+    edges, attrs = write_raw(tmp_path, edge_text, "node,opinion\n3,pro\n1,anti\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "input contained no data" warning
+        g = load_edge_list(edges, attrs)
+    assert g.n == 2 and g.edge_count == 0
+    assert g.labels.tolist() == [1, 3]
+    assert g.opinions.tolist() == [ANTI, PRO]
+
+
+def test_load_tolerates_blank_lines_spaces_and_crlf(tmp_path):
+    edges, attrs = write_raw(
+        tmp_path,
+        "\r\nsrc , dst\r\n\r\n 10 , 20 \r\n   \r\n20,\t30\r\n\r\n",
+        "node,opinion\r\n10, pro\r\n\r\n 20 ,ANTI \r\n30,Pro",
+    )
+    g = load_edge_list(edges, attrs)
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    clean_edges, clean_attrs = write_files(
+        clean, ["10,20", "20,30"], ["10,pro", "20,anti", "30,pro"]
+    )
+    assert g.structurally_equal(load_edge_list(clean_edges, clean_attrs))
+    assert g.labels.tolist() == [10, 20, 30]
+    assert g.opinions.tolist() == [PRO, ANTI, PRO]
+
+
+@pytest.mark.parametrize("line", ["# comment", "0,1 # note", "#0,1", "0,#1", "0,1#"])
+def test_load_has_no_comment_syntax_in_edges(tmp_path, line):
+    edges, attrs = write_files(tmp_path, ["0,1", line], ["0,pro", "1,anti"])
+    with pytest.raises(GraphFormatError) as err:
+        load_edge_list(edges, attrs)
+    assert err.value.line == 2
+
+
+def test_load_leading_comment_line_rejected(tmp_path):
+    edges, attrs = write_files(tmp_path, ["# edge list", "0,1"], ["0,pro", "1,anti"])
+    with pytest.raises(GraphFormatError) as err:
+        load_edge_list(edges, attrs)
+    assert err.value.line == 1
+
+
+@pytest.mark.parametrize("line", ["1,pro # note", "1,anti#", "#1,anti"])
+def test_load_has_no_comment_syntax_in_attributes(tmp_path, line):
+    edges, attrs = write_files(tmp_path, ["0,1"], ["0,pro", line])
+    with pytest.raises(GraphFormatError) as err:
+        load_edge_list(edges, attrs)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "opinion",
+    ["antii", "pro x", "pr", "pro\x00", "anti\x00\x00", "pro" * 40, "anti" + "i" * 300, ""],
+)
+def test_load_rejects_opinions_that_only_start_right(tmp_path, opinion):
+    # short and long values, NUL padding: nothing truncates or pads a field
+    edges, attrs = write_raw(tmp_path, "0,1\n", f"0,pro\n1,{opinion}\n2,anti\n")
+    with pytest.raises(GraphFormatError) as err:
+        load_edge_list(edges, attrs)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("line", ["0,1,2", "0", "0,", ",1", "0;1"])
+def test_load_rejects_wrong_field_count_or_empty_field(tmp_path, line):
+    edges, attrs = write_files(tmp_path, ["src,dst", "0,1", line], ["0,pro", "1,anti"])
+    with pytest.raises(GraphFormatError) as err:
+        load_edge_list(edges, attrs)
+    assert err.value.line == 3
+
+
+def test_load_counts_every_dropped_self_loop(tmp_path, caplog):
+    # label 2 occurs only in a self-loop: it is no node and needs no opinion
+    edges, attrs = write_files(
+        tmp_path, ["0,0", "0,1", "1,1", "1,1", "2,2"], ["0,pro", "1,anti"]
+    )
+    with caplog.at_level(logging.WARNING):
+        g = load_edge_list(edges, attrs)
+    assert "dropped 4 self-loop(s)" in caplog.text
+    assert g.labels.tolist() == [0, 1] and g.edge_count == 1
+
+
+def test_load_accepts_repeated_equal_annotations(tmp_path):
+    edges, attrs = write_files(
+        tmp_path, ["0,1"], ["0,pro", "1,anti", "0,PRO", "1, anti", "0,pro"]
+    )
+    g = load_edge_list(edges, attrs)
+    assert g.n == 2
+    assert g.opinions.tolist() == [PRO, ANTI]
+
+
+def test_load_conflict_reports_first_conflicting_row(tmp_path):
+    edges, attrs = write_files(
+        tmp_path, ["5,7"], ["5,pro", "7,anti", "9,pro", "9,pro", "7,pro", "5,anti"]
+    )
+    with pytest.raises(AnnotationError) as err:
+        load_edge_list(edges, attrs)
+    assert err.value.offenders == [7]
+    assert "node 7" in str(err.value)
+
+
+def test_load_missing_opinions_sorted_and_truncated(tmp_path):
+    edges, attrs = write_files(
+        tmp_path, [f"{30 - i},0" for i in range(25)], ["0,pro", "30,anti", "2,pro"]
+    )
+    with pytest.raises(AnnotationError) as err:
+        load_edge_list(edges, attrs)
+    missing = sorted(set(range(6, 31)) - {30})
+    assert err.value.offenders == missing
+    assert f"{len(missing)} node(s)" in str(err.value)
+    assert f"(+{len(missing) - 20} more)" in str(err.value)
+
+
+# labels int() reads but that are not ASCII decimal int64, and labels no
+# integer syntax reads (these make a first row a header)
+LOOSE_INT_LABELS = [
+    "99999999999999999999", "9223372036854775808", "-9223372036854775809",
+    "1_000", "\u0661\u0662", "\uff15",
+]
+NON_INT_LABELS = ["0x1f", "1e3", "5.0", "+-5", "- 5"]
+
+
+@pytest.mark.parametrize("label", LOOSE_INT_LABELS + NON_INT_LABELS)
+@pytest.mark.parametrize("where", ["edge", "attribute"])
+def test_load_rejects_labels_outside_decimal_int64(tmp_path, label, where):
+    edges, attrs = write_raw(
+        tmp_path,
+        f"0,1\n1,{label}\n" if where == "edge" else "0,1\n",
+        f"0,pro\n1,anti\n{label},pro\n",
+    )
+    with pytest.raises(GraphFormatError) as err:
+        load_edge_list(edges, attrs)
+    assert err.value.line == (2 if where == "edge" else 3)
+
+
+@pytest.mark.parametrize("label", LOOSE_INT_LABELS)
+def test_load_first_row_with_loose_integer_is_data_not_header(tmp_path, label):
+    edges, attrs = write_raw(tmp_path, f"{label},0\n", f"0,pro\n{label},anti\n")
+    with pytest.raises(GraphFormatError) as err:
+        load_edge_list(edges, attrs)
+    assert err.value.line == 1
+
+
+def test_load_accepts_int64_extremes_signs_and_zeros(tmp_path):
+    edges, attrs = write_files(
+        tmp_path,
+        [f"{INT64_MIN},{INT64_MAX}", "+5,007", f"{INT64_MAX},-0"],
+        [f"{INT64_MAX},pro", f"{INT64_MIN},anti", "5,pro", "7,anti", "0,pro"],
+    )
+    g = load_edge_list(edges, attrs)
+    assert g.labels.tolist() == [INT64_MIN, 0, 5, 7, INT64_MAX]
+    assert g.edge_count == 3
+    assert g.opinions.tolist() == [ANTI, PRO, PRO, ANTI, PRO]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_save_load_round_trip_property(data):
+    n = data.draw(st.integers(min_value=1, max_value=30))
+    labels = sorted(
+        data.draw(
+            st.lists(
+                st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
+                min_size=n, max_size=n, unique=True,
+            )
+        )
+    )
+    pairs = st.tuples(
+        st.integers(min_value=0, max_value=n - 1), st.integers(min_value=0, max_value=n - 1)
+    )
+    edges = [e for e in data.draw(st.lists(pairs, max_size=80)) if e[0] != e[1]]
+    opinions = data.draw(st.lists(st.sampled_from([ANTI, PRO]), min_size=n, max_size=n))
+    g = AnnotatedGraph.from_edge_array(
+        n, np.array(edges, dtype=np.int64).reshape(-1, 2),
+        opinions=np.array(opinions, dtype=np.uint8), labels=np.array(labels, dtype=np.int64),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        e_path, a_path = Path(tmp) / "e.csv", Path(tmp) / "a.csv"
+        save_edge_list(g, e_path, a_path)
+        edge_text, attr_text = oracles.reference_edge_files(edges, labels, opinions)
+        assert e_path.read_bytes() == edge_text.encode("utf-8")
+        assert a_path.read_bytes() == attr_text.encode("utf-8")
+        g2 = load_edge_list(e_path, a_path)
+    assert g.structurally_equal(g2)
+    assert np.array_equal(g.labels, g2.labels)
 
 
 def test_degree_star_and_isolated():

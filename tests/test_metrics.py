@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import complete_edges, graph_from_edges, random_annotated, random_edges, star_edges
+from polarnet import metrics
 from polarnet.errors import DataError, FitError, SingleGroupError
 from polarnet.generators import barabasi_albert, erdos_renyi
 from polarnet.metrics import (
@@ -86,6 +87,43 @@ def test_clustering_matches_brute_force():
     assert average_clustering(g) == pytest.approx(
         oracles.brute_average_clustering(30, edges), abs=1e-12
     )
+
+
+def _clustering_graph(name):
+    rng = np.random.default_rng(12)
+    if name == "complete":
+        return graph_from_edges(9, complete_edges(9))
+    if name == "star":
+        return graph_from_edges(12, star_edges(11))
+    if name == "ba-hubs":
+        return barabasi_albert(3000, 3, seed=2)
+    # isolated nodes inside and after the edges (the last 15 nodes)
+    return graph_from_edges(60, random_edges(rng, 45, 0.08))
+
+
+@pytest.mark.parametrize("block_work", [None, 1, 40])
+@pytest.mark.parametrize("name", ["complete", "star", "ba-hubs", "isolated-tail"])
+def test_clustering_equals_loop_oracle(monkeypatch, name, block_work):
+    if block_work is not None:  # force many row blocks
+        monkeypatch.setattr(metrics, "_BLOCK_WORK", block_work)
+    g = _clustering_graph(name)
+    cc = clustering_coefficients(g)
+    expected = oracles.loop_clustering(g.indptr, g.indices)
+    assert np.array_equal(cc, expected)
+    assert all(local_clustering(g, i) == expected[i] for i in range(min(g.n, 200)))
+
+
+def test_clustering_dense_graph_equals_loop_oracle():
+    g = erdos_renyi(2000, 0.2, seed=5)
+    assert np.array_equal(
+        clustering_coefficients(g), oracles.loop_clustering(g.indptr, g.indices)
+    )
+
+
+def test_local_clustering_out_of_range():
+    g = graph_from_edges(3, complete_edges(3))
+    with pytest.raises(IndexError):
+        local_clustering(g, 3)
 
 
 def test_average_clustering_complete():
