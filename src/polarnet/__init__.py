@@ -7,6 +7,7 @@ from .epidemic import (
     Seeding,
     SimulationState,
     contact_probability,
+    delay_table,
     exposure_table,
     infectiousness_integral,
     initial_state,

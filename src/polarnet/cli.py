@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .config import RunConfig, parse_config
 from .errors import ConfigError, PolarnetError
-from .experiment import SUBPOPS, compare_scenarios, run_ensemble
+from .experiment import SUBPOPS, compare_scenarios, daily_series, run_ensemble
 from .generators import GENERATOR_KINDS, GENERATOR_PARAMS, GeneratorSpec
 from .graph import Opinion, load_edge_list, save_edge_list, subgraph_by_opinion
 from .metrics import metrics_report
@@ -50,6 +50,10 @@ def _load_run_config(args) -> RunConfig:
     return cfg.with_overrides(**overrides) if overrides else cfg
 
 
+def _ensemble_options(cfg: RunConfig) -> dict:
+    return {"seeding": cfg.seeding(), "threads": cfg.threads, "homogeneous_redraw": cfg.homogeneous_redraw}
+
+
 def cmd_metrics(args) -> int:
     if args.kmin < 1:
         raise ConfigError("--kmin must be >= 1")
@@ -74,14 +78,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_run_config(args)
     g = cfg.resolve_graph()
     summary = run_ensemble(
-        g,
-        cfg.params,
-        cfg.strategy_enum(),
-        cfg.n_runs,
-        cfg.master_seed,
-        seeding=cfg.seeding(),
-        threads=cfg.threads,
-        homogeneous_redraw=cfg.homogeneous_redraw,
+        g, cfg.params, cfg.strategy_enum(), cfg.n_runs, cfg.master_seed, **_ensemble_options(cfg)
     )
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -94,36 +91,19 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load_run_config(args)
     g = cfg.resolve_graph()
-    comparison = compare_scenarios(
-        g,
-        cfg.params,
-        cfg.n_runs,
-        cfg.master_seed,
-        seeding=cfg.seeding(),
-        threads=cfg.threads,
-        homogeneous_redraw=cfg.homogeneous_redraw,
-    )
+    comparison = compare_scenarios(g, cfg.params, cfg.n_runs, cfg.master_seed, **_ensemble_options(cfg))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_curves_csv(comparison.polarized, out_dir / "curves_polarized.csv")
     write_curves_csv(comparison.homogeneous, out_dir / "curves_homogeneous.csv")
     write_summary_csv(comparison, out_dir / "summary.csv")
-    series_of = {
-        "unvaccinated": lambda r: r.daily_frac_unvacc,
-        "vaccinated": lambda r: r.daily_frac_vacc,
-        "all": lambda r: r.daily_frac_all,
-    }
     for subpop in SUBPOPS:
-        pick = series_of[subpop]
         groups = [
-            CurveGroup(
-                "polarized", _POLARIZED_COLOR, [pick(r) for r in comparison.polarized.runs]
-            ),
-            CurveGroup(
-                "homogeneous",
-                _HOMOGENEOUS_COLOR,
-                [pick(r) for r in comparison.homogeneous.runs],
-            ),
+            CurveGroup(name, color, [daily_series(r, subpop) for r in ensemble.runs])
+            for name, color, ensemble in (
+                ("polarized", _POLARIZED_COLOR, comparison.polarized),
+                ("homogeneous", _HOMOGENEOUS_COLOR, comparison.homogeneous),
+            )
         ]
         emit_svg_plot(
             groups,

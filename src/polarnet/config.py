@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-from .epidemic import SEED_POOLS, VET_MODES, EpidemicParams, Seeding
+from .epidemic import SEED_POOLS, EpidemicParams, Seeding
 from .errors import ConfigError
 from .experiment import AllocationStrategy
 from .generators import GENERATOR_KINDS, GENERATOR_PARAMS, GeneratorSpec
@@ -137,8 +137,6 @@ def _check_constraints(cfg: RunConfig) -> None:
         raise ConfigError("key 'n_runs' must be >= 1")
     if cfg.threads < 0:
         raise ConfigError("key 'threads' must be >= 0 (0 = auto)")
-    if cfg.params.vet_mode not in VET_MODES:
-        raise ConfigError(f"key 'vet_mode' must be one of {VET_MODES}")
 
 
 def parse_config(path) -> RunConfig:

@@ -1,4 +1,4 @@
-"""Daily-step agent-based virus transmission over a contact graph.
+"""Agent-based virus transmission over a contact graph, run as first passage.
 
 Per interaction, an infector who was infected t days ago transmits with
 probability ``P(t) = 1 - exp(-lambda(t))`` where lambda scales the mass of a gamma
@@ -14,39 +14,49 @@ interactions, the hazard is about ``infection_rate * age_scale *
 asymptomatic_scale * network_scale`` times the curve mass, as in
 OpenABM-Covid19 (Hinch et al. 2021), on any graph with ``<k> >= I_bar``.
 
-Vaccination acts on both sides: an infected vaccinated agent transmits at
-all only if a uniform draw u exceeds ``vet`` (by default decided once, at
-infection time), and an exposure of a vaccinated susceptible proceeds only
-if a uniform draw v exceeds ``vei``.
+Vaccination acts on both sides: an infected vaccinated agent transmits
+only if a uniform draw exceeds ``vet`` (once, at infection, or with
+``vet_mode="daily"`` anew for each infectious day), and exposures of a
+vaccinated susceptible infect with ``1 - vei`` times the probability above.
+
+Exposures are independent daily trials, recovery is absorbing and updates
+are synchronous, so the process is first-passage percolation (Kenah &
+Robins 2007): a node is infected on the least day d + k over its infected
+neighbours, d a neighbour's infection day and k its arc's delay, the first
+day of the window 1..T (T = ``max_infectious_days``) on which the arc's
+trial succeeds; ``P(k <= j) = F_s(j) = 1 - prod_{t<=j} (1 - c_s q P(t))``
+for a target of status s, ``c_s`` = 1 unvaccinated and 1 - vei vaccinated.
 
 Determinism contract (fixed so optimized and reference implementations can
 share one random stream):
 
 1. Seeding: one ``rng.choice(pool, size=count, replace=False)`` call, then
    one uniform per *vaccinated* index case in ascending node order for the
-   transmitter flag (skipped in ``vet_mode="daily"``).
-2. Each day, in order:
-   a. ``vet_mode="daily"`` only: one uniform per active vaccinated infector,
-      ascending node order; the agent transmits today only if u > vet.
-   b. Exposures are the (infector, susceptible neighbor) pairs, infectors
-      ascending, neighbors in adjacency order, filtered against the
-      start-of-day state. One array of gate draws v (used only for
-      vaccinated targets), then one array of transmission draws x, both in
-      exposure order. An exposure infects iff x < q * P(t) and, for
-      vaccinated targets, v > vei; the one draw x decides both whether the
-      edge is active today and whether it transmits.
-   c. Newly infected nodes, ascending: one uniform per vaccinated one for
-      its transmitter flag (``vet_mode="once"``; "daily" sets it True).
+   transmitter flag u > vet (skipped in ``vet_mode="daily"``).
+2. A step from day d draws for the cohort infected on day d:
+   a. ``vet_mode="daily"`` only: one (m, T) uniform array for its m
+      vaccinated members, ascending; a member is active on day t of its
+      window iff its row's entry t exceeds vet.
+   b. One uniform u per arc from a transmitter of the cohort to a node
+      susceptible at the start of the step, transmitters ascending, arcs in
+      adjacency order. The arc's delay is the least k with u < F_s(k) (in
+      daily mode through the source's active days), none if u >= F_s(T);
+      the target's tentative day becomes the least of its own and d + k.
+   c. The step moves to the least tentative day, else to the first
+      recovery day (infection day + T + 1), else to d + 1; never past
+      ``horizon`` unless d is there. Agents past their window recover; the
+      nodes whose tentative day it is are infected, and each vaccinated one,
+      ascending, draws a uniform for its transmitter flag (once mode).
 
-Infections found on one day never transmit the same day (synchronous
-update); agents whose time since infection exceeds ``max_infectious_days``
-turn Recovered, which is absorbing.
+A run stops when nobody is infected or on day ``horizon``, so it lasts
+``min(horizon, last infection day + T + 1) + 1`` days; cases still in their
+window at the horizon stay Infected.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,9 +113,6 @@ class EpidemicParams:
         if self.vet_mode not in VET_MODES:
             raise ValueError(f"vet_mode must be one of {VET_MODES}")
 
-    def with_overrides(self, **kwargs) -> "EpidemicParams":
-        return replace(self, **kwargs)
-
 
 def infectiousness_integral(t: int, curve_mean: float, curve_sd: float) -> float:
     """Mass of the gamma infectiousness density on [t-1, t]; 0 for t <= 0.
@@ -143,10 +150,8 @@ def transmission_probability(t: int, params: EpidemicParams) -> float:
 
 def transmission_table(params: EpidemicParams) -> np.ndarray:
     """P(t) for t = 0..max_infectious_days (index 0 is unused and 0)."""
-    table = np.zeros(params.max_infectious_days + 1, dtype=np.float64)
-    for t in range(1, params.max_infectious_days + 1):
-        table[t] = transmission_probability(t, params)
-    return table
+    days = range(1, params.max_infectious_days + 1)
+    return np.array([0.0] + [transmission_probability(t, params) for t in days])
 
 
 def contact_probability(g: AnnotatedGraph, params: EpidemicParams) -> float:
@@ -166,9 +171,37 @@ def exposure_table(g: AnnotatedGraph, params: EpidemicParams) -> np.ndarray:
     return contact_probability(g, params) * transmission_table(params)
 
 
+_UNIT = 2.0**53  # rng.random() draws multiples of 2**-53
+NEVER = np.iinfo(np.int32).max  # tentative day of a node no arc reaches
+
+
+@dataclass(frozen=True)
+class DelayTable:
+    """An arc's delay law on one graph: ``hazard[s, t-1] = c_s * q * P(t)``.
+
+    ``keys`` holds ``ceil(2**53 F_0(1..T))``, ``2**53``, ``2**53 + ceil(2**53
+    F_1(1..T))``: for u = m / 2**53 a searchsorted of ``m + s * 2**53`` finds,
+    exactly, the entry of ``delays`` holding the least k with u < F_s(k), or
+    NEVER.
+    """
+
+    hazard: np.ndarray
+    keys: np.ndarray
+    delays: np.ndarray
+
+
+def delay_table(g: AnnotatedGraph, params: EpidemicParams) -> DelayTable:
+    """The table :func:`step_day` inverts each arc's uniform with."""
+    hazard = np.outer([1.0, 1.0 - params.vei], exposure_table(g, params)[1:])
+    keys = np.ceil((1.0 - np.cumprod(1.0 - hazard, axis=1)) * _UNIT).astype(np.int64)
+    keys = np.concatenate((keys[0], [1 << 53], keys[1] + (1 << 53)))
+    span = np.append(np.arange(1, params.max_infectious_days + 1), NEVER)
+    return DelayTable(hazard, keys, np.concatenate((span, span)))
+
+
 @dataclass
 class SimulationState:
-    """Mutable per-agent state, struct-of-arrays for the daily sweep."""
+    """Mutable per-agent state, struct-of-arrays for the cohort steps."""
 
     day: int
     status: np.ndarray  # int8: SUSCEPTIBLE / INFECTED / RECOVERED
@@ -176,6 +209,9 @@ class SimulationState:
     transmitter: np.ndarray  # bool, meaningful while INFECTED
     vaccinated: np.ndarray  # bool, fixed for the whole run
     rng: np.random.Generator
+    tentative: np.ndarray  # least day d + k drawn for a susceptible, else NEVER
+    # infected nodes by infection day; read from day_infected by the first step
+    cohorts: dict[int, np.ndarray] | None = None
     new_unvacc: list[int] = field(default_factory=list)  # per-day counts
     new_vacc: list[int] = field(default_factory=list)
 
@@ -184,11 +220,8 @@ class SimulationState:
         return int((self.status == INFECTED).sum())
 
     def counts(self) -> tuple[int, int, int]:
-        return (
-            int((self.status == SUSCEPTIBLE).sum()),
-            int((self.status == INFECTED).sum()),
-            int((self.status == RECOVERED).sum()),
-        )
+        """(susceptible, infected, recovered) agents."""
+        return tuple(int(c) for c in np.bincount(self.status, minlength=3))
 
 
 def initial_state(n: int, vaccinated: np.ndarray | None, rng) -> SimulationState:
@@ -207,7 +240,21 @@ def initial_state(n: int, vaccinated: np.ndarray | None, rng) -> SimulationState
         transmitter=np.zeros(n, dtype=bool),
         vaccinated=vaccinated,
         rng=rng,
+        tentative=np.full(n, NEVER, dtype=np.int64),
     )
+
+
+def _infect(state: SimulationState, nodes: np.ndarray, vet_mode: str, vet: float) -> None:
+    """Infect ``nodes`` (ascending) on ``state.day`` and count them."""
+    vacc = state.vaccinated[nodes]
+    n_vacc = int(np.count_nonzero(vacc))
+    state.status[nodes] = INFECTED
+    state.day_infected[nodes] = state.day
+    flags = ~vacc  # unvaccinated agents always transmit
+    flags[vacc] = state.rng.random(n_vacc) > vet if vet_mode == "once" else True
+    state.transmitter[nodes] = flags
+    state.new_vacc.append(n_vacc)
+    state.new_unvacc.append(nodes.size - n_vacc)
 
 
 def seed_infections(
@@ -222,28 +269,10 @@ def seed_infections(
         raise DataError(f"seed pool must be one of {SEED_POOLS}")
     if count < 1:
         raise DataError("seeding requires count >= 1")
-    candidates = (
-        np.arange(state.status.size)
-        if pool == "all"
-        else np.flatnonzero(~state.vaccinated)
-    )
+    candidates = np.arange(state.status.size) if pool == "all" else np.flatnonzero(~state.vaccinated)
     if count > candidates.size:
-        raise DataError(
-            f"seed pool has {candidates.size} agent(s), cannot seed {count}"
-        )
-    chosen = np.sort(state.rng.choice(candidates, size=count, replace=False))
-    state.status[chosen] = INFECTED
-    state.day_infected[chosen] = state.day
-    if vet_mode == "daily":
-        state.transmitter[chosen] = True
-    else:
-        vacc = state.vaccinated[chosen]
-        u = state.rng.random(int(vacc.sum()))
-        flags = np.ones(chosen.size, dtype=bool)
-        flags[vacc] = u > vet
-        state.transmitter[chosen] = flags
-    state.new_vacc.append(int(state.vaccinated[chosen].sum()))
-    state.new_unvacc.append(int((~state.vaccinated[chosen]).sum()))
+        raise DataError(f"seed pool has {candidates.size} agent(s), cannot seed {count}")
+    _infect(state, np.sort(state.rng.choice(candidates, size=count, replace=False)), vet_mode, vet)
     return state
 
 
@@ -251,62 +280,56 @@ def step_day(
     g: AnnotatedGraph,
     state: SimulationState,
     params: EpidemicParams,
-    ptable: np.ndarray | None = None,
+    table: DelayTable | None = None,
 ) -> SimulationState:
-    """Advance one day with a synchronous contact sweep (mutates state).
+    """One cohort step (mutates state): step 2 of the determinism contract.
 
-    ``ptable`` is the per-exposure table q * P(t); by default it is built
-    from ``g`` and ``params`` with :func:`exposure_table`.
+    Draws the arcs of the cohort infected on ``state.day``, then moves to
+    the next day on which a node is infected or recovers (one day on if
+    nothing is pending), appending a zero count for each day passed over.
+    ``table`` defaults to :func:`delay_table` of ``g`` and ``params``.
     """
-    if ptable is None:
-        ptable = exposure_table(g, params)
-    day = state.day + 1
-    status, rng = state.status, state.rng
-
-    infected = np.flatnonzero(status == INFECTED)
-    t_since = day - state.day_infected[infected]
-    expired = infected[t_since > params.max_infectious_days]
-    active = infected[
-        (t_since >= 1)
-        & (t_since <= params.max_infectious_days)
-        & state.transmitter[infected]
-    ]
-    if params.vet_mode == "daily" and active.size:
-        vacc_active = state.vaccinated[active]
-        u = rng.random(int(vacc_active.sum()))
-        today = np.ones(active.size, dtype=bool)
-        today[vacc_active] = u > params.vet
-        active = active[today]
-
-    newly = np.empty(0, dtype=np.int64)
-    if active.size:
-        contacts, lengths = gather_rows(g.indptr, g.indices, active)
-        t_exp = np.repeat(day - state.day_infected[active], lengths)
-        sus = status[contacts] == SUSCEPTIBLE
-        targets = contacts[sus]
-        if targets.size:
-            p = ptable[t_exp[sus]]
-            gate = rng.random(targets.size)
-            draw = rng.random(targets.size)
-            vacc_t = state.vaccinated[targets]
-            hit = (draw < p) & (~vacc_t | (gate > params.vei))
-            newly = np.unique(targets[hit])
-
-    status[expired] = RECOVERED
-    if newly.size:
-        status[newly] = INFECTED
-        state.day_infected[newly] = day
+    if table is None:
+        table = delay_table(g, params)
+    T, day, status, rng = params.max_infectious_days, state.day, state.status, state.rng
+    if state.cohorts is None:
+        infected = np.flatnonzero(status == INFECTED)
+        days = state.day_infected[infected]
+        state.cohorts = {int(d): infected[days == d] for d in np.unique(days)}
+    cohorts = state.cohorts
+    if day in cohorts:  # contract 2a and 2b
+        sources = cohorts[day][state.transmitter[cohorts[day]]]
         if params.vet_mode == "daily":
-            state.transmitter[newly] = True
-        else:
-            vacc_new = state.vaccinated[newly]
-            u = rng.random(int(vacc_new.sum()))
-            flags = np.ones(newly.size, dtype=bool)
-            flags[vacc_new] = u > params.vet
-            state.transmitter[newly] = flags
-    state.new_vacc.append(int(state.vaccinated[newly].sum()) if newly.size else 0)
-    state.new_unvacc.append(int((~state.vaccinated[newly]).sum()) if newly.size else 0)
-    state.day = day
+            vacc_src = state.vaccinated[sources]
+            active = rng.random((int(vacc_src.sum()), T)) > params.vet
+        neighbours, lengths = gather_rows(g.indptr, g.indices, sources)
+        open_ = status[neighbours] == SUSCEPTIBLE
+        targets = neighbours[open_]
+        u = rng.random(targets.size)
+        row = state.vaccinated[targets]
+        key = (u * _UNIT).astype(np.int64) + row * (1 << 53)
+        delay = table.delays[table.keys.searchsorted(key, side="right")]
+        if params.vet_mode == "daily" and active.size:
+            masked = np.repeat(vacc_src, lengths)[open_]
+            slot = np.repeat(np.cumsum(vacc_src) - 1, lengths)[open_][masked]
+            cdf = 1.0 - np.cumprod(1.0 - table.hazard[row[masked].astype(np.intp)] * active[slot], axis=1)
+            delay[masked] = table.delays[(u[masked, None] >= cdf).sum(axis=1)]
+        np.minimum.at(state.tentative, targets, day + delay)
+
+    nxt = int(state.tentative.min())  # contract 2c
+    if nxt == NEVER:
+        nxt = min(cohorts) + T + 1 if cohorts else day + 1
+    nxt = min(nxt, max(params.horizon, day + 1))
+    for d in [d for d in cohorts if d + T < nxt]:
+        status[cohorts.pop(d)] = RECOVERED
+    newly = np.flatnonzero(state.tentative == nxt)
+    state.tentative[newly] = NEVER
+    state.new_unvacc.extend([0] * (nxt - day - 1))
+    state.new_vacc.extend([0] * (nxt - day - 1))
+    state.day = nxt
+    _infect(state, newly, params.vet_mode, params.vet)
+    if newly.size:
+        cohorts[nxt] = newly
     return state
 
 
@@ -339,16 +362,16 @@ def run_epidemic(
     seed,
     vaccinated: np.ndarray | None = None,
 ) -> RunRecord:
-    """One full run: seed, then step daily until extinction or the horizon.
+    """One full run: seed, then step cohort by cohort until extinction or the horizon.
 
     ``seed`` may be an int, a SeedSequence, or a ready Generator.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(np.random.PCG64(seed))
-    state = initial_state(g.n, vaccinated, rng)
+    state = initial_state(g.n, vaccinated, seed)
     seed_infections(state, seeding.count, seeding.pool, params.vet_mode, params.vet)
-    ptable = exposure_table(g, params)
-    while state.day < params.horizon and state.infected_count > 0:
-        step_day(g, state, params, ptable)
+    table = delay_table(g, params)
+    step_day(g, state, params, table)
+    while state.day < params.horizon and state.cohorts:
+        step_day(g, state, params, table)
     return RunRecord(
         new_unvacc=np.array(state.new_unvacc, dtype=np.int64),
         new_vacc=np.array(state.new_vacc, dtype=np.int64),

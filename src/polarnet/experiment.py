@@ -9,6 +9,7 @@ results are bit-identical regardless of how runs are scheduled.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -20,6 +21,10 @@ from .errors import DataError
 from .graph import AnnotatedGraph, Opinion
 
 SUBPOPS = ("unvaccinated", "vaccinated", "all")
+
+# the fewest arcs on which "auto" starts more than one thread: on 2 cores two
+# threads ran 40 runs no faster than one at 808k arcs and 1.17x faster at 1.2M
+AUTO_THREADS_MIN_ARCS = 1_000_000
 
 
 class AllocationStrategy(Enum):
@@ -57,7 +62,6 @@ class RunSummary:
     ar_unvacc: float
     ar_vacc: float
     ar_all: float
-    t_peak_unvacc: int
     n_unvacc: int
     n_vacc: int
 
@@ -80,42 +84,29 @@ def summarize_run(record: RunRecord) -> RunSummary:
         ar_unvacc=float(frac_unvacc.sum()) if n_unvacc else float("nan"),
         ar_vacc=float(frac_vacc.sum()) if n_vacc else float("nan"),
         ar_all=float(frac_all.sum()),
-        t_peak_unvacc=int(np.argmax(record.new_unvacc)) if record.new_unvacc.any() else 0,
         n_unvacc=n_unvacc,
         n_vacc=n_vacc,
     )
 
 
-def _series(run: RunSummary, subpop: str) -> np.ndarray:
-    try:
-        return {
-            "unvaccinated": run.daily_frac_unvacc,
-            "vaccinated": run.daily_frac_vacc,
-            "all": run.daily_frac_all,
-        }[subpop]
-    except KeyError:
-        raise DataError(f"subpop must be one of {SUBPOPS}") from None
-
-
-def _subpop_size(run: RunSummary, subpop: str) -> int:
-    return {
-        "unvaccinated": run.n_unvacc,
-        "vaccinated": run.n_vacc,
-        "all": run.n_unvacc + run.n_vacc,
-    }[subpop]
+def daily_series(run: RunSummary, subpop: str) -> np.ndarray:
+    """The run's daily new-infection fractions of one subpopulation."""
+    if subpop not in SUBPOPS:
+        raise DataError(f"subpop must be one of {SUBPOPS}")
+    return (run.daily_frac_unvacc, run.daily_frac_vacc, run.daily_frac_all)[SUBPOPS.index(subpop)]
 
 
 def attack_rate(run: RunSummary, subpop: str) -> float:
     """Cumulative infected fraction of the subpopulation at run end."""
-    series = _series(run, subpop)
-    if _subpop_size(run, subpop) == 0:
+    series = daily_series(run, subpop)
+    if (run.n_unvacc, run.n_vacc, run.n_unvacc + run.n_vacc)[SUBPOPS.index(subpop)] == 0:
         raise DataError(f"subpopulation {subpop!r} is empty")
     return float(series.sum())
 
 
 def time_to_peak(run: RunSummary, subpop: str) -> int:
     """Day of the maximum daily new-infection count; earliest day on ties."""
-    series = _series(run, subpop)
+    series = daily_series(run, subpop)
     if not series.any():
         raise DataError(f"no infections in subpopulation {subpop!r}")
     return int(np.argmax(series))
@@ -149,14 +140,14 @@ def _aggregate(strategy: AllocationStrategy, runs: list[RunSummary]) -> Ensemble
     ar_field = {"unvaccinated": "ar_unvacc", "vaccinated": "ar_vacc", "all": "ar_all"}
     mean_curves, lo, hi, mean_ar, mean_tp = {}, {}, {}, {}, {}
     for subpop in SUBPOPS:
-        stack = np.vstack([_pad(_series(r, subpop), length) for r in runs])
+        stack = np.vstack([_pad(daily_series(r, subpop), length) for r in runs])
         mean_curves[subpop] = stack.mean(axis=0)
         lo[subpop] = np.quantile(stack, 0.1, axis=0)
         hi[subpop] = np.quantile(stack, 0.9, axis=0)
         mean_ar[subpop] = float(np.mean([getattr(r, ar_field[subpop]) for r in runs]))
         # runs where the subpop saw no infection have no peak; average the rest
         peaks = [
-            int(np.argmax(_series(r, subpop))) for r in runs if _series(r, subpop).any()
+            int(np.argmax(daily_series(r, subpop))) for r in runs if daily_series(r, subpop).any()
         ]
         mean_tp[subpop] = float(np.mean(peaks)) if peaks else float("nan")
     return EnsembleSummary(
@@ -187,6 +178,17 @@ def _one_run(
     return summarize_run(record)
 
 
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+
+
+def resolve_threads(threads: int, n_runs: int, arc_count: int) -> int:
+    """Worker threads for ``n_runs`` runs, at most ``n_runs``; 0 is "auto"."""
+    if threads == 0:
+        threads = (os.cpu_count() or 1) if arc_count >= AUTO_THREADS_MIN_ARCS else 1
+    return max(1, min(threads, n_runs))
+
+
 def run_ensemble(
     g: AnnotatedGraph,
     params: EpidemicParams,
@@ -205,12 +207,7 @@ def run_ensemble(
     """
     if n_runs < 1:
         raise DataError("ensemble needs n_runs >= 1")
-    ss = (
-        master_seed
-        if isinstance(master_seed, np.random.SeedSequence)
-        else np.random.SeedSequence(master_seed)
-    )
-    children = ss.spawn(n_runs + 1)
+    children = _seed_sequence(master_seed).spawn(n_runs + 1)
     fixed = None
     if strategy is AllocationStrategy.HOMOGENEOUS and not homogeneous_redraw:
         fixed = allocate_vaccines(g, strategy, np.random.Generator(np.random.PCG64(children[0])))
@@ -220,10 +217,10 @@ def run_ensemble(
     def job(i: int) -> RunSummary:
         return _one_run(g, params, strategy, seeding, children[i + 1], fixed)
 
-    if threads == 1:
+    workers = resolve_threads(threads, n_runs, g.indices.size)
+    if workers == 1:
         runs = [job(i) for i in range(n_runs)]
     else:
-        workers = threads if threads > 0 else None  # None lets the pool decide
         with ThreadPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(job, range(n_runs)))
     return _aggregate(strategy, runs)
@@ -249,12 +246,7 @@ def compare_scenarios(
     homogeneous_redraw: bool = True,
 ) -> Comparison:
     """Run both strategies on the same graph and report paired statistics."""
-    ss = (
-        master_seed
-        if isinstance(master_seed, np.random.SeedSequence)
-        else np.random.SeedSequence(master_seed)
-    )
-    pol_ss, hom_ss = ss.spawn(2)
+    pol_ss, hom_ss = _seed_sequence(master_seed).spawn(2)
     pol = run_ensemble(
         g, params, AllocationStrategy.POLARIZED, n_runs, pol_ss, seeding, threads
     )

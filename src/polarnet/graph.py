@@ -178,11 +178,10 @@ def gather_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
     rows = np.asarray(rows, dtype=np.int64)
     starts = indptr[rows]
     lengths = indptr[rows + 1] - starts
-    total = int(lengths.sum())
-    if total == 0:
+    ends = lengths.cumsum()
+    if not ends.size or not ends[-1]:
         return np.empty(0, dtype=indices.dtype), lengths
-    offsets = np.repeat(starts - np.concatenate(([0], np.cumsum(lengths)[:-1])), lengths)
-    return indices[offsets + np.arange(total, dtype=np.int64)], lengths
+    return indices[np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])], lengths
 
 
 def subgraph_by_opinion(g: AnnotatedGraph, opinion: Opinion) -> AnnotatedGraph:
@@ -247,20 +246,25 @@ def _data_lines(path):
     """Yield (line_number, stripped fields) for each data line of a 2-column CSV."""
     first = True
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if len(fields) != 2:
-                raise GraphFormatError(
-                    f"expected 2 comma-separated fields, got {len(fields)}", line=lineno
-                )
-            if first:
-                first = False
-                if not _is_int(fields[0]):  # header row
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
                     continue
-            yield lineno, fields
+                fields = [f.strip() for f in line.split(",")]
+                if len(fields) != 2:
+                    raise GraphFormatError(
+                        f"expected 2 comma-separated fields, got {len(fields)}", line=lineno
+                    )
+                if first:
+                    first = False
+                    if not _is_int(fields[0]):  # header row
+                        continue
+                yield lineno, fields
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:  # the first line that does not decode
+                lineno = next(i for i, b in enumerate(raw, 1) if b.decode("utf-8", "replace").encode() != b)
+            raise GraphFormatError(f"{path} is not UTF-8 text", line=lineno) from None
 
 
 def _read_rows(path, dtype: np.dtype, parsers) -> np.ndarray:

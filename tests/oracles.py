@@ -272,3 +272,101 @@ def reference_run(
         new_vacc.append(sum(1 for j in newly if vacc[j]))
         new_unvacc.append(len(newly) - new_vacc[-1])
     return new_unvacc, new_vacc, status
+
+
+def first_passage_run(
+    n: int,
+    edges,
+    ptable,
+    *,
+    daily_interactions: float,
+    count: int,
+    pool: str,
+    vaccinated,
+    seed: int,
+    vet: float,
+    vei: float,
+    vet_mode: str,
+    max_infectious_days: int,
+    horizon: int,
+):
+    """Loop-based first-passage run following the engine's stream contract.
+
+    Same arguments and result as :func:`reference_run`. Each step draws the
+    arcs of the cohort infected on the current day once, turns each uniform
+    into a delay through the per-day hazards c * (q * P(t)) of its target,
+    and moves on to the next day on which someone is infected or recovers.
+    """
+    q = brute_contact_probability(n, edges, daily_interactions)
+    T = max_infectious_days
+    rng = np.random.Generator(np.random.PCG64(seed))
+    adj = [sorted(s) for s in neighbor_sets(n, edges)]
+    vacc = [bool(vaccinated[i]) for i in range(n)]
+    status = ["S"] * n
+    day_infected = [-1] * n
+    transmitter = [False] * n
+    tentative = [None] * n
+    new_unvacc, new_vacc = [], []
+
+    def infect(nodes, day):
+        for i in nodes:
+            status[i] = "I"
+            day_infected[i] = day
+            transmitter[i] = True
+        if vet_mode == "once":
+            u = rng.random(sum(vacc[i] for i in nodes))
+            for i, uu in zip([i for i in nodes if vacc[i]], u):
+                transmitter[i] = bool(uu > vet)
+        new_vacc.append(sum(1 for i in nodes if vacc[i]))
+        new_unvacc.append(len(nodes) - new_vacc[-1])
+
+    def delay(u, target, active):
+        """Least k in 1..T with u < 1 - prod_{t<=k} (1 - hazard), else None."""
+        c = 1.0 - vei if vacc[target] else 1.0
+        survival = 1.0
+        for t in range(1, T + 1):
+            if active[t - 1]:
+                survival *= 1.0 - c * (q * ptable[t])
+            if u < 1.0 - survival:
+                return t
+        return None
+
+    candidates = np.array(
+        [i for i in range(n) if pool == "all" or not vacc[i]], dtype=np.int64
+    )
+    infect(sorted(int(i) for i in rng.choice(candidates, size=count, replace=False)), 0)
+    day = 0
+    while True:
+        cohort = [i for i in range(n) if status[i] == "I" and day_infected[i] == day]
+        sources = [i for i in cohort if transmitter[i]]
+        active = {i: [True] * T for i in sources}
+        if vet_mode == "daily":
+            vacc_sources = [i for i in sources if vacc[i]]
+            block = rng.random((len(vacc_sources), T))
+            for i, draws in zip(vacc_sources, block):
+                active[i] = [bool(x > vet) for x in draws]
+        arcs = [(i, j) for i in sources for j in adj[i] if status[j] == "S"]
+        for (i, j), u in zip(arcs, rng.random(len(arcs))):
+            k = delay(u, j, active[i])
+            if k is not None and (tentative[j] is None or day + k < tentative[j]):
+                tentative[j] = day + k
+
+        pending = [tentative[j] for j in range(n) if status[j] == "S" and tentative[j] is not None]
+        infected = [i for i in range(n) if status[i] == "I"]
+        if pending:
+            nxt = min(pending)
+        elif infected:
+            nxt = min(day_infected[i] for i in infected) + T + 1
+        else:
+            nxt = day + 1
+        nxt = min(nxt, max(horizon, day + 1))
+        for i in infected:
+            if nxt - day_infected[i] > T:
+                status[i] = "R"
+        newly = [j for j in range(n) if status[j] == "S" and tentative[j] == nxt]
+        new_unvacc.extend([0] * (nxt - day - 1))
+        new_vacc.extend([0] * (nxt - day - 1))
+        infect(newly, nxt)
+        day = nxt
+        if day >= horizon or "I" not in status:
+            return new_unvacc, new_vacc, status

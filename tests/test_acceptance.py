@@ -20,7 +20,7 @@ from polarnet.epidemic import (
     SUSCEPTIBLE,
     EpidemicParams,
     Seeding,
-    exposure_table,
+    delay_table,
     initial_state,
     infectiousness_integral,
     seed_infections,
@@ -340,11 +340,11 @@ def test_criterion_10_conservation_invariants():
         vaccinated = rng.random(n) < float(rng.uniform(0.0, 0.8))
         state = initial_state(n, vaccinated, rng=int(rng.integers(0, 2**31)))
         seed_infections(state, 1, "all", params.vet_mode, params.vet)
-        ptable = exposure_table(g, params)
+        table = delay_table(g, params)
         ever = set(np.flatnonzero(state.status == INFECTED).tolist())
         cumulative = 1
         while state.day < params.horizon and state.infected_count > 0:
-            step_day(g, state, params, ptable)
+            step_day(g, state, params, table)
             s, i, r = state.counts()
             cumulative += state.new_unvacc[-1] + state.new_vacc[-1]
             touched = set(np.flatnonzero(state.status != SUSCEPTIBLE).tolist())

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import polarnet
 from polarnet.cli import main
@@ -163,6 +164,26 @@ def test_metrics_label_beyond_int64_exit_code_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["edges", "attrs"])
+def test_metrics_non_utf8_file_exit_code_2(tmp_path, capsys, bad):
+    files = {
+        "edges": tmp_path / "e.csv",
+        "attrs": tmp_path / "a.csv",
+    }
+    files["edges"].write_bytes(b"src,dst\n0,1\n1,2\n")
+    files["attrs"].write_bytes(b"node,opinion\n0,pro\n1,anti\n2,pro\n")
+    text = files[bad].read_bytes().splitlines(keepends=True)
+    text[2] = text[2].replace(b"1", b"1\xe9", 1)  # Latin-1 e-acute on line 3
+    files[bad].write_bytes(b"".join(text))
+    code = run_cli(
+        "metrics", "--edges", str(files["edges"]), "--attrs", str(files["attrs"]),
+        "--out", str(tmp_path / "r.csv"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and str(files[bad]) in err and "UTF-8" in err
+
+
 def test_import_cli_leaves_scipy_unloaded():
     src = str(Path(polarnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -175,15 +196,16 @@ def test_import_cli_leaves_scipy_unloaded():
 
 
 # SHA-256 of every file the commands below write, pinned so that changes to
-# the graph layer and to import order keep the outputs byte for byte
+# the graph layer and to import order keep the outputs byte for byte. The
+# simulate/* and compare/* digests follow the epidemic engine's stream contract.
 PINNED_OUTPUTS = {
-    "simulate/curves.csv": "a7d62c4a39f31a5cc87ed78cc66f4bb44d31777eedebe6024e18dbaee24cc2af",
-    "compare/curves_all.svg": "048c0b7c19492f69cd3cf74b7138610d72382a61b6cb452ffbb9bf8bee241b1b",
-    "compare/curves_homogeneous.csv": "cf9b0340b3f67ba477a88766511e5071137ff9780e7510e92aab61afc386715f",
-    "compare/curves_polarized.csv": "c180028ab9a25911618a4fd9fa2df26eab9b8de1825355e46a52fb3f26d305b5",
-    "compare/curves_unvaccinated.svg": "239e960f9cc5b5622757b99254c09ce830366512639a3eeed4f2bd4bd6140e61",
-    "compare/curves_vaccinated.svg": "687c4b49c0c30864b41f8c5900bb3c50783c25191419409e42e14f7d1f3ff8d3",
-    "compare/summary.csv": "15d7ec2e3236e53a5f054cb00069f28b720759c1a611e65f995eaa304b54df88",
+    "simulate/curves.csv": "19a74a19ffcb79f61ed2300970a0cf48c1422257186fe826c44664eac5c4ec77",
+    "compare/curves_all.svg": "0b8d91e4b082b31f1db5252594fe981e289ba758ceb2d870a2426f32dfeffea6",
+    "compare/curves_homogeneous.csv": "709eb36d83b944368927599c5ca77e8b384b57c756618974cd0700e2c8eb9bbb",
+    "compare/curves_polarized.csv": "2b39352a0748031106f3a26db642435dfbac4069bfaf6786f0cc5b8a4224a265",
+    "compare/curves_unvaccinated.svg": "c3639af17fb91cc27164a146f9d8053b7180db0828d8626a99b2c4190008d176",
+    "compare/curves_vaccinated.svg": "34a477a3905ca0a687ff582f897db47b332f03bcd6bc2ac76bfff1813ab37657",
+    "compare/summary.csv": "3564e72fcf594d5a6b689f35c35ae4a0a4f79dac28eeb93784e31920fedb905f",
     "metrics/attrs.csv": "cf5dcf13037dac55da46103428f29d7673e6f3c01d35cf4d28af3127e11ada81",
     "metrics/edges.csv": "7cbf021915146a64b2a3ee3f305e6fa3002cfb06ffd8c93301c9812e1286dec8",
     "metrics/report_all.csv": "cc4fe1db7ca270c1c8a7ec22ba5254121d3622c33b52251eb780331af7ba0b20",

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import polarnet
 from helpers import complete_edges, graph_from_edges, path_edges, random_edges, star_edges
 from polarnet.epidemic import (
     INFECTED,
@@ -14,6 +19,7 @@ from polarnet.epidemic import (
     EpidemicParams,
     Seeding,
     contact_probability,
+    delay_table,
     exposure_table,
     initial_state,
     infectiousness_integral,
@@ -131,11 +137,15 @@ def test_step_day_no_infected_only_increments_day():
 
 
 def test_step_day_hand_trace_on_path():
-    # P(t) forced to 1: the sweep itself becomes deterministic. Path 0-1-2-3-4
-    # seeded at node 2, infectious for 2 days, then recovery.
+    # P(1) forced to 1: every arc's delay is one day, so the steps are
+    # deterministic. Path 0-1-2-3-4 seeded at node 2, infectious for 2 days,
+    # then recovery.
     g = graph_from_edges(5, path_edges(5))
-    params = EpidemicParams(max_infectious_days=2, horizon=10)
-    ptable = np.array([0.0, 1.0, 1.0])
+    params = EpidemicParams(
+        max_infectious_days=2, horizon=10, curve_mean=0.5, curve_sd=0.1, infection_rate=1e6
+    )
+    assert transmission_table(params)[1] == 1.0 and contact_probability(g, params) == 1.0
+    table = delay_table(g, params)
     state = initial_state(5, None, rng=0)
     state.status[2] = INFECTED
     state.day_infected[2] = 0
@@ -143,15 +153,15 @@ def test_step_day_hand_trace_on_path():
     state.new_unvacc.append(1)
     state.new_vacc.append(0)
 
-    step_day(g, state, params, ptable)  # day 1: 2 infects 1 and 3
+    step_day(g, state, params, table)  # day 1: 2 infects 1 and 3
     assert state.status.tolist() == [0, 1, 1, 1, 0]
-    step_day(g, state, params, ptable)  # day 2: 1 infects 0, 3 infects 4
+    step_day(g, state, params, table)  # day 2: 1 infects 0, 3 infects 4
     assert state.status.tolist() == [1, 1, 1, 1, 1]
-    step_day(g, state, params, ptable)  # day 3: node 2 expires; no S left
+    step_day(g, state, params, table)  # day 3: node 2 expires; no S left
     assert state.status.tolist() == [1, 1, 2, 1, 1]
-    step_day(g, state, params, ptable)  # day 4: 1 and 3 expire
+    step_day(g, state, params, table)  # day 4: 1 and 3 expire
     assert state.status.tolist() == [1, 2, 2, 2, 1]
-    step_day(g, state, params, ptable)  # day 5: 0 and 4 expire
+    step_day(g, state, params, table)  # day 5: 0 and 4 expire
     assert state.status.tolist() == [2, 2, 2, 2, 2]
     assert state.new_unvacc == [1, 2, 2, 0, 0, 0]
 
@@ -240,7 +250,7 @@ def test_run_matches_reference_implementation(vet_mode):
         contact_probs.append(
             oracles.brute_contact_probability(n, edges, params.daily_interactions)
         )
-        ref_u, ref_v, ref_status = oracles.reference_run(
+        ref_u, ref_v, ref_status = oracles.first_passage_run(
             n,
             edges,
             transmission_table(params),
@@ -262,17 +272,147 @@ def test_run_matches_reference_implementation(vet_mode):
     assert min(contact_probs) < 1.0  # the daily edge-activity factor is exercised
 
 
+@pytest.mark.parametrize("horizon", [365, 12])
+def test_run_length_and_final_status_rule(horizon):
+    # A run lasts min(horizon, last infection day + T + 1) + 1 days; at its
+    # end the cases of its last T + 1 days are Infected, earlier ones
+    # Recovered. With the long horizon every run dies out first; the short
+    # one cuts runs while cases are still infectious.
+    rng = np.random.default_rng(33)
+    T, cut = 5, 0
+    for trial in range(40):
+        n = int(rng.integers(10, 40))
+        g = graph_from_edges(n, random_edges(rng, n, 0.2))
+        params = EpidemicParams(
+            infection_rate=6.0, max_infectious_days=T, horizon=horizon,
+            vet_mode="daily" if trial % 2 else "once",
+        )
+        rec = run_epidemic(g, params, Seeding(2, "all"), seed=trial, vaccinated=rng.random(n) < 0.3)
+        daily = rec.new_unvacc + rec.new_vacc
+        last = int(np.flatnonzero(daily)[-1])
+        assert rec.days == min(horizon, last + T + 1) + 1
+        end = rec.days - 1
+        counts = np.bincount(rec.final_status, minlength=3)
+        assert counts[INFECTED] == daily[max(end - T, 0) :].sum()
+        assert counts[RECOVERED] == daily[: max(end - T, 0)].sum()
+        assert counts[SUSCEPTIBLE] == n - daily.sum()
+        if end < horizon:
+            assert counts[INFECTED] == 0
+        cut += end == horizon and counts[INFECTED] > 0
+    assert (cut > 0) == (horizon == 12)
+
+
+def test_run_epidemic_leaves_scipy_sparse_unloaded():
+    # the engine is numpy only: scipy.sparse (csgraph included) would add
+    # about 11 MB to every simulating process
+    src = str(Path(polarnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "from polarnet.epidemic import EpidemicParams, Seeding, run_epidemic\n"
+        "from polarnet.generators import two_community\n"
+        "g = two_community(200, 200, 0.02, 0.001, seed=1)\n"
+        "rec = run_epidemic(g, EpidemicParams(), Seeding(5, 'all'), seed=3)\n"
+        "assert rec.new_unvacc.sum() + rec.new_vacc.sum() > 5\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def _sweep_and_engine_runs(n, edges, params, vaccinated, runs):
+    """(final size, days) of ``runs`` daily-sweep reference runs and as many engine runs.
+
+    The two samples use disjoint seeds, so they are independent.
+    """
+    g = graph_from_edges(n, edges)
+    table = transmission_table(params)
+    sweep, engine = [], []
+    for s in range(runs):
+        ref_u, ref_v, _ = oracles.reference_run(
+            n,
+            edges,
+            table,
+            daily_interactions=params.daily_interactions,
+            count=1,
+            pool="all",
+            vaccinated=vaccinated,
+            seed=10**6 + s,
+            vet=params.vet,
+            vei=params.vei,
+            vet_mode=params.vet_mode,
+            max_infectious_days=params.max_infectious_days,
+            horizon=params.horizon,
+        )
+        sweep.append((sum(ref_u) + sum(ref_v), len(ref_u)))
+        rec = run_epidemic(g, params, Seeding(1, "all"), seed=s, vaccinated=vaccinated)
+        engine.append((int(rec.new_unvacc.sum() + rec.new_vacc.sum()), rec.days))
+    return np.array(sweep), np.array(engine)
+
+
+@pytest.mark.parametrize("vet_mode", ["once", "daily"])
+def test_final_size_law_matches_daily_sweep(vet_mode):
+    # Two-sample chi-square on the final-size histograms of the daily-sweep
+    # reference and of the first-passage engine, bins pooled up to >= 10 runs.
+    from scipy.stats import chi2
+
+    rng = np.random.default_rng(21)
+    n, runs = 10, 1500
+    edges = random_edges(rng, n, 0.35)
+    vaccinated = rng.random(n) < 0.5
+    params = EpidemicParams(
+        infection_rate=2.0, vet=0.5, vei=0.5, max_infectious_days=6, horizon=60, vet_mode=vet_mode
+    )
+    assert oracles.brute_contact_probability(n, edges, params.daily_interactions) < 1.0
+    assert 0 < vaccinated.sum() < n
+    sweep, engine = _sweep_and_engine_runs(n, edges, params, vaccinated, runs)
+    a = np.bincount(sweep[:, 0], minlength=n + 1)
+    b = np.bincount(engine[:, 0], minlength=n + 1)
+    bins, acc = [], np.zeros(2)
+    for pair in zip(a, b):
+        acc += pair
+        if acc.sum() >= 10:
+            bins.append(acc)
+            acc = np.zeros(2)
+    bins[-1] = bins[-1] + acc
+    observed = np.array(bins)
+    assert len(observed) >= 5  # the sizes spread over many bins
+    stat = float((((observed[:, 0] - observed[:, 1]) ** 2) / observed.sum(axis=1)).sum())
+    assert stat < chi2.ppf(0.999, len(observed) - 1), (stat, observed.tolist())
+
+
+def test_near_critical_extinction_and_attack_rate_match_daily_sweep():
+    # A two-type (vaccinated / unvaccinated) random graph near its epidemic
+    # threshold: about 60% of outbreaks stop within three cases. The early-
+    # extinction frequency, the mean attack rate and the mean run length of
+    # 2000 engine runs must each lie within 4 standard errors of 2000
+    # daily-sweep reference runs.
+    rng = np.random.default_rng(5)
+    n, runs = 60, 2000
+    edges = random_edges(rng, n, 4.5 / n)
+    vaccinated = rng.random(n) < 0.5
+    params = EpidemicParams(infection_rate=2.5, vet=0.5, vei=0.5)
+    sweep, engine = _sweep_and_engine_runs(n, edges, params, vaccinated, runs)
+    early = sweep[:, 0] <= 3, engine[:, 0] <= 3
+    pooled = (early[0].mean() + early[1].mean()) / 2
+    assert 0.4 < pooled < 0.8
+    assert abs(early[0].mean() - early[1].mean()) <= 4 * math.sqrt(2 * pooled * (1 - pooled) / runs)
+    for column in (0, 1):  # final size (attack rate times n), then days
+        x, y = sweep[:, column], engine[:, column]
+        assert abs(x.mean() - y.mean()) <= 4 * math.sqrt((x.var() + y.var()) / runs), column
+
+
 def test_conservation_and_single_infection():
     rng = np.random.default_rng(55)
     g = graph_from_edges(30, random_edges(rng, 30, 0.15))
     params = EpidemicParams(max_infectious_days=5, horizon=50)
     state = initial_state(30, rng.random(30) < 0.3, rng=8)
     seed_infections(state, 3, "all")
-    ptable = exposure_table(g, params)
+    table = delay_table(g, params)
     ever_infected = set(np.flatnonzero(state.status == INFECTED).tolist())
     cumulative = 3
     while state.day < params.horizon and state.infected_count > 0:
-        step_day(g, state, params, ptable)
+        step_day(g, state, params, table)
         s, i, r = state.counts()
         assert s + i + r == 30
         new_today = state.new_unvacc[-1] + state.new_vacc[-1]

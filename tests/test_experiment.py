@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,13 @@ from helpers import complete_edges, graph_from_edges
 from polarnet.epidemic import EpidemicParams, RunRecord, Seeding
 from polarnet.errors import DataError
 from polarnet.experiment import (
+    AUTO_THREADS_MIN_ARCS,
     AllocationStrategy,
     RunSummary,
     allocate_vaccines,
     attack_rate,
     compare_scenarios,
+    resolve_threads,
     run_ensemble,
     summarize_run,
     time_to_peak,
@@ -105,6 +109,20 @@ def test_single_run_ensemble_equals_its_run():
     assert np.allclose(ens.mean_curves["unvaccinated"], run.daily_frac_unvacc)
     assert ens.mean_attack_rate["all"] == pytest.approx(run.ar_all)
     assert ens.mean_t_peak["unvaccinated"] == time_to_peak(run, "unvaccinated")
+
+
+def test_resolve_threads(monkeypatch):
+    # explicit counts are clamped to the run count, however large they are
+    assert resolve_threads(1, 100, 10**9) == 1
+    assert resolve_threads(3, 2, 10) == 2
+    assert resolve_threads(10**9, 4, 10**9) == 4
+    # auto: one thread per CPU up to the run count, one on small graphs
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert resolve_threads(0, 100, AUTO_THREADS_MIN_ARCS) == 64
+    assert resolve_threads(0, 8, AUTO_THREADS_MIN_ARCS) == 8
+    assert resolve_threads(0, 100, AUTO_THREADS_MIN_ARCS - 1) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # CPU count unknown
+    assert resolve_threads(0, 100, AUTO_THREADS_MIN_ARCS) == 1
 
 
 def test_ensemble_deterministic_and_thread_invariant():
