@@ -11,6 +11,7 @@ from .epidemic import (
     exposure_table,
     infectiousness_integral,
     initial_state,
+    run_batch,
     run_epidemic,
     seed_infections,
     step_day,

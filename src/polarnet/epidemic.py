@@ -51,12 +51,20 @@ share one random stream):
 A run stops when nobody is infected or on day ``horizon``, so it lasts
 ``min(horizon, last infection day + T + 1) + 1`` days; cases still in their
 window at the horizon stay Infected.
+
+:func:`run_batch` steps several runs together over one flat ``run * n +
+node`` index, from one common day to the next. The runs of a batch share only
+the graph and the delay table, and each draws from its own Generator in the
+order above, so neither the batch size nor the number of threads running
+batches can change a result. :func:`run_epidemic` is the batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,6 +122,7 @@ class EpidemicParams:
             raise ValueError(f"vet_mode must be one of {VET_MODES}")
 
 
+@lru_cache(maxsize=4096)  # every run_epidemic call rebuilds the P(t) table
 def infectiousness_integral(t: int, curve_mean: float, curve_sd: float) -> float:
     """Mass of the gamma infectiousness density on [t-1, t]; 0 for t <= 0.
 
@@ -124,13 +133,41 @@ def infectiousness_integral(t: int, curve_mean: float, curve_sd: float) -> float
         raise ValueError("curve mean and sd must be positive")
     if t <= 0:
         return 0.0
-    from scipy.special import gammainc  # only the simulations need scipy.special
-
     shape = (curve_mean / curve_sd) ** 2
     scale = curve_sd**2 / curve_mean
-    hi = gammainc(shape, t / scale)
-    lo = gammainc(shape, max(t - 1, 0) / scale)
-    return float(hi - lo)
+    return _gamma_p(shape, t / scale) - _gamma_p(shape, (t - 1) / scale)
+
+
+def _gamma_p(a: float, x: float) -> float:
+    """Regularized lower incomplete gamma P(a, x): its series for x < a + 1,
+    else 1 - Q(a, x) with Q by Lentz's continued fraction (Press et al.,
+    *Numerical Recipes*, 6.2)."""
+    if x <= 0.0:
+        return 0.0
+    eps, tiny = sys.float_info.epsilon, sys.float_info.min
+    prefix = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        k = a
+        while abs(term) >= abs(total) * eps:
+            k += 1.0
+            term *= x / k
+            total += term
+        return total * prefix
+    b = x + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    for i in range(1, 100_000):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) >= tiny else tiny
+        h *= d * c
+        if abs(d * c - 1.0) < eps:
+            break
+    return 1.0 - prefix * h
 
 
 def transmission_probability(t: int, params: EpidemicParams) -> float:
@@ -196,65 +233,106 @@ def delay_table(g: AnnotatedGraph, params: EpidemicParams) -> DelayTable:
     keys = np.ceil((1.0 - np.cumprod(1.0 - hazard, axis=1)) * _UNIT).astype(np.int64)
     keys = np.concatenate((keys[0], [1 << 53], keys[1] + (1 << 53)))
     span = np.append(np.arange(1, params.max_infectious_days + 1), NEVER)
-    return DelayTable(hazard, keys, np.concatenate((span, span)))
+    return DelayTable(hazard, keys, np.concatenate((span, span)).astype(np.int32))
 
 
 @dataclass
 class SimulationState:
-    """Mutable per-agent state, struct-of-arrays for the cohort steps."""
+    """Mutable state of a batch of runs on one graph of ``n`` nodes.
 
+    Node ``v`` of run ``b`` sits at flat index ``b * n + v`` of every array;
+    a single run is the batch of one. ``day`` is the batch's common day.
+    """
+
+    n: int
     day: int
     status: np.ndarray  # int8: SUSCEPTIBLE / INFECTED / RECOVERED
     day_infected: np.ndarray  # int32, -1 while never infected
     transmitter: np.ndarray  # bool, meaningful while INFECTED
     vaccinated: np.ndarray  # bool, fixed for the whole run
-    rng: np.random.Generator
-    tentative: np.ndarray  # least day d + k drawn for a susceptible, else NEVER
-    # infected nodes by infection day; read from day_infected by the first step
+    rngs: list[np.random.Generator]  # one per run
+    tentative: np.ndarray  # int32: least day d + k drawn for a susceptible, else NEVER
+    # infected flat indices by infection day; read from day_infected by the first step
     cohorts: dict[int, np.ndarray] | None = None
-    new_unvacc: list[int] = field(default_factory=list)  # per-day counts
-    new_vacc: list[int] = field(default_factory=list)
 
     @property
     def infected_count(self) -> int:
         return int((self.status == INFECTED).sum())
 
     def counts(self) -> tuple[int, int, int]:
-        """(susceptible, infected, recovered) agents."""
+        """(susceptible, infected, recovered) agents, over all runs."""
         return tuple(int(c) for c in np.bincount(self.status, minlength=3))
+
+    @property
+    def new_unvacc(self) -> list[int]:
+        """Unvaccinated agents infected on each day 0..day, over all runs."""
+        return _new_cases(self, self.day + 1)[:, 0].sum(axis=0).tolist()
+
+    @property
+    def new_vacc(self) -> list[int]:
+        """Vaccinated agents infected on each day 0..day, over all runs."""
+        return _new_cases(self, self.day + 1)[:, 1].sum(axis=0).tolist()
+
+
+def _new_cases(state: SimulationState, days: int) -> np.ndarray:
+    """(runs, 2, days) agents infected per run, unvaccinated then vaccinated, per day."""
+    runs = len(state.rngs)
+    cases = np.flatnonzero(state.day_infected >= 0)
+    key = (cases // state.n * 2 + state.vaccinated[cases]) * days + state.day_infected[cases]
+    return np.bincount(key, minlength=runs * 2 * days).reshape(runs, 2, days)
 
 
 def initial_state(n: int, vaccinated: np.ndarray | None, rng) -> SimulationState:
+    """Day-0 state of one run, or of one run per entry if ``rng`` is a list.
+
+    ``rng`` entries are seeds or Generators; ``vaccinated`` is None, one
+    (n,) row shared by every run, or a (runs, n) array.
+    """
+    rngs = [
+        r if isinstance(r, np.random.Generator) else np.random.Generator(np.random.PCG64(r))
+        for r in (rng if isinstance(rng, list) else [rng])
+    ]
+    size = len(rngs) * n
     if vaccinated is None:
-        vaccinated = np.zeros(n, dtype=bool)
+        vaccinated = np.zeros(size, dtype=bool)
     else:
         vaccinated = np.asarray(vaccinated, dtype=bool)
-        if vaccinated.shape != (n,):
+        if vaccinated.shape not in ((n,), (len(rngs), n)):
             raise DataError("vaccinated flags must cover every node")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.Generator(np.random.PCG64(rng))
+        vaccinated = np.broadcast_to(vaccinated, (len(rngs), n)).reshape(size)
     return SimulationState(
+        n=n,
         day=0,
-        status=np.zeros(n, dtype=np.int8),
-        day_infected=np.full(n, -1, dtype=np.int32),
-        transmitter=np.zeros(n, dtype=bool),
+        status=np.zeros(size, dtype=np.int8),
+        day_infected=np.full(size, -1, dtype=np.int32),
+        transmitter=np.zeros(size, dtype=bool),
         vaccinated=vaccinated,
-        rng=rng,
-        tentative=np.full(n, NEVER, dtype=np.int64),
+        rngs=rngs,
+        tentative=np.full(size, NEVER, dtype=np.int32),
     )
 
 
+def _uniforms(state: SimulationState, flat: np.ndarray, *tail: int) -> np.ndarray:
+    """``rng.random((k_b, *tail))`` of each run b for its k_b entries of ``flat``
+    (ascending flat indices), stacked in run order."""
+    if len(state.rngs) == 1:
+        return state.rngs[0].random((flat.size, *tail))
+    out = np.empty((flat.size, *tail))
+    stops = flat.searchsorted(np.arange(1, len(state.rngs) + 1) * state.n).tolist()
+    for rng, start, stop in zip(state.rngs, [0] + stops, stops):
+        if stop > start:
+            rng.random(out=out[start:stop])
+    return out
+
+
 def _infect(state: SimulationState, nodes: np.ndarray, vet_mode: str, vet: float) -> None:
-    """Infect ``nodes`` (ascending) on ``state.day`` and count them."""
+    """Infect ``nodes`` (ascending flat indices) on ``state.day``."""
     vacc = state.vaccinated[nodes]
-    n_vacc = int(np.count_nonzero(vacc))
     state.status[nodes] = INFECTED
     state.day_infected[nodes] = state.day
     flags = ~vacc  # unvaccinated agents always transmit
-    flags[vacc] = state.rng.random(n_vacc) > vet if vet_mode == "once" else True
+    flags[vacc] = _uniforms(state, nodes[vacc]) > vet if vet_mode == "once" else True
     state.transmitter[nodes] = flags
-    state.new_vacc.append(n_vacc)
-    state.new_unvacc.append(nodes.size - n_vacc)
 
 
 def seed_infections(
@@ -264,15 +342,19 @@ def seed_infections(
     vet_mode: str = "once",
     vet: float = 0.9,
 ) -> SimulationState:
-    """Infect ``count`` distinct agents drawn uniformly from the pool on day 0."""
+    """Infect ``count`` distinct agents of each run, drawn uniformly from the pool, on day 0."""
     if pool not in SEED_POOLS:
         raise DataError(f"seed pool must be one of {SEED_POOLS}")
     if count < 1:
         raise DataError("seeding requires count >= 1")
-    candidates = np.arange(state.status.size) if pool == "all" else np.flatnonzero(~state.vaccinated)
-    if count > candidates.size:
-        raise DataError(f"seed pool has {candidates.size} agent(s), cannot seed {count}")
-    _infect(state, np.sort(state.rng.choice(candidates, size=count, replace=False)), vet_mode, vet)
+    n, chosen = state.n, []
+    for b, rng in enumerate(state.rngs):
+        own = state.vaccinated[b * n : (b + 1) * n]
+        candidates = np.arange(n) if pool == "all" else np.flatnonzero(~own)
+        if count > candidates.size:
+            raise DataError(f"seed pool has {candidates.size} agent(s), cannot seed {count}")
+        chosen.append(np.sort(rng.choice(candidates, size=count, replace=False)) + b * n)
+    _infect(state, np.concatenate(chosen), vet_mode, vet)
     return state
 
 
@@ -282,16 +364,17 @@ def step_day(
     params: EpidemicParams,
     table: DelayTable | None = None,
 ) -> SimulationState:
-    """One cohort step (mutates state): step 2 of the determinism contract.
+    """One cohort step of every run in the batch (mutates state): step 2 of the
+    determinism contract.
 
-    Draws the arcs of the cohort infected on ``state.day``, then moves to
-    the next day on which a node is infected or recovers (one day on if
-    nothing is pending), appending a zero count for each day passed over.
-    ``table`` defaults to :func:`delay_table` of ``g`` and ``params``.
+    Draws the arcs of the cohorts infected on ``state.day``, then moves to
+    the next day on which a node of some run is infected or recovers (one
+    day on if nothing is pending). ``table`` defaults to :func:`delay_table`
+    of ``g`` and ``params``.
     """
     if table is None:
         table = delay_table(g, params)
-    T, day, status, rng = params.max_infectious_days, state.day, state.status, state.rng
+    T, day, status = params.max_infectious_days, state.day, state.status
     if state.cohorts is None:
         infected = np.flatnonzero(status == INFECTED)
         days = state.day_infected[infected]
@@ -301,11 +384,14 @@ def step_day(
         sources = cohorts[day][state.transmitter[cohorts[day]]]
         if params.vet_mode == "daily":
             vacc_src = state.vaccinated[sources]
-            active = rng.random((int(vacc_src.sum()), T)) > params.vet
-        neighbours, lengths = gather_rows(g.indptr, g.indices, sources)
+            active = _uniforms(state, sources[vacc_src], T) > params.vet
+        node = sources % state.n
+        neighbours, lengths = gather_rows(g.indptr, g.indices, node)
+        if len(state.rngs) > 1:
+            neighbours = neighbours + np.repeat(sources - node, lengths)  # run * n
         open_ = status[neighbours] == SUSCEPTIBLE
         targets = neighbours[open_]
-        u = rng.random(targets.size)
+        u = _uniforms(state, targets)
         row = state.vaccinated[targets]
         key = (u * _UNIT).astype(np.int64) + row * (1 << 53)
         delay = table.delays[table.keys.searchsorted(key, side="right")]
@@ -314,7 +400,8 @@ def step_day(
             slot = np.repeat(np.cumsum(vacc_src) - 1, lengths)[open_][masked]
             cdf = 1.0 - np.cumprod(1.0 - table.hazard[row[masked].astype(np.intp)] * active[slot], axis=1)
             delay[masked] = table.delays[(u[masked, None] >= cdf).sum(axis=1)]
-        np.minimum.at(state.tentative, targets, day + delay)
+        hit = delay < NEVER
+        np.minimum.at(state.tentative, targets[hit], day + delay[hit])
 
     nxt = int(state.tentative.min())  # contract 2c
     if nxt == NEVER:
@@ -324,8 +411,6 @@ def step_day(
         status[cohorts.pop(d)] = RECOVERED
     newly = np.flatnonzero(state.tentative == nxt)
     state.tentative[newly] = NEVER
-    state.new_unvacc.extend([0] * (nxt - day - 1))
-    state.new_vacc.extend([0] * (nxt - day - 1))
     state.day = nxt
     _infect(state, newly, params.vet_mode, params.vet)
     if newly.size:
@@ -355,6 +440,42 @@ class RunRecord:
         return self.new_unvacc.size
 
 
+def run_batch(
+    g: AnnotatedGraph,
+    params: EpidemicParams,
+    seeding: Seeding,
+    rngs: list,
+    vaccinated: np.ndarray | None = None,
+    table: DelayTable | None = None,
+) -> list[RunRecord]:
+    """One full run per entry of ``rngs`` (seeds or Generators), stepped together.
+
+    ``vaccinated`` is None, one (n,) row for every run or a (runs, n) array;
+    ``table`` defaults to :func:`delay_table` of ``g`` and ``params``. Each
+    record equals the :func:`run_epidemic` record of its own Generator.
+    """
+    state = initial_state(g.n, vaccinated, list(rngs))
+    seed_infections(state, seeding.count, seeding.pool, params.vet_mode, params.vet)
+    if table is None:
+        table = delay_table(g, params)
+    step_day(g, state, params, table)
+    while state.day < params.horizon and state.day in state.cohorts:
+        step_day(g, state, params, table)
+    # every run lasts min(horizon, last infection day + T + 1) + 1 days and
+    # ends with the cases of its last T + 1 days Infected
+    T, runs = params.max_infectious_days, len(state.rngs)
+    day = state.day_infected.reshape(runs, g.n)
+    end = np.minimum(params.horizon, day.max(axis=1) + T + 1)
+    cases = _new_cases(state, int(end.max()) + 1)
+    status = np.where(day >= (end - T)[:, None], INFECTED, RECOVERED).astype(np.int8)
+    status[day < 0] = SUSCEPTIBLE
+    vacc = state.vaccinated.reshape(runs, g.n)
+    return [
+        RunRecord(cases[b, 0, : e + 1], cases[b, 1, : e + 1], status[b], vacc[b].copy())
+        for b, e in enumerate(end.tolist())
+    ]
+
+
 def run_epidemic(
     g: AnnotatedGraph,
     params: EpidemicParams,
@@ -366,15 +487,4 @@ def run_epidemic(
 
     ``seed`` may be an int, a SeedSequence, or a ready Generator.
     """
-    state = initial_state(g.n, vaccinated, seed)
-    seed_infections(state, seeding.count, seeding.pool, params.vet_mode, params.vet)
-    table = delay_table(g, params)
-    step_day(g, state, params, table)
-    while state.day < params.horizon and state.cohorts:
-        step_day(g, state, params, table)
-    return RunRecord(
-        new_unvacc=np.array(state.new_unvacc, dtype=np.int64),
-        new_vacc=np.array(state.new_vacc, dtype=np.int64),
-        final_status=state.status.copy(),
-        vaccinated=state.vaccinated.copy(),
-    )
+    return run_batch(g, params, seeding, [seed], vaccinated)[0]

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .epidemic import EpidemicParams, RunRecord, Seeding, run_epidemic
+from .epidemic import EpidemicParams, RunRecord, Seeding, delay_table, run_batch
 from .errors import DataError
 from .graph import AnnotatedGraph, Opinion
 
@@ -25,6 +25,10 @@ SUBPOPS = ("unvaccinated", "vaccinated", "all")
 # the fewest arcs on which "auto" starts more than one thread: on 2 cores two
 # threads ran 40 runs no faster than one at 808k arcs and 1.17x faster at 1.2M
 AUTO_THREADS_MIN_ARCS = 1_000_000
+
+# nodes stepped together in one batch of runs: 32 runs of a 4,000-node graph,
+# one run at a time above 65,536 nodes
+BATCH_NODES = 2**17
 
 
 class AllocationStrategy(Enum):
@@ -161,32 +165,15 @@ def _aggregate(strategy: AllocationStrategy, runs: list[RunSummary]) -> Ensemble
     )
 
 
-def _one_run(
-    g: AnnotatedGraph,
-    params: EpidemicParams,
-    strategy: AllocationStrategy,
-    seeding: Seeding,
-    seed_seq: np.random.SeedSequence,
-    fixed_allocation: np.ndarray | None,
-) -> RunSummary:
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    if fixed_allocation is not None:
-        vaccinated = fixed_allocation
-    else:
-        vaccinated = allocate_vaccines(g, strategy, rng)
-    record = run_epidemic(g, params, seeding, rng, vaccinated=vaccinated)
-    return summarize_run(record)
-
-
 def _seed_sequence(seed) -> np.random.SeedSequence:
     return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
-def resolve_threads(threads: int, n_runs: int, arc_count: int) -> int:
-    """Worker threads for ``n_runs`` runs, at most ``n_runs``; 0 is "auto"."""
+def resolve_threads(threads: int, n_batches: int, arc_count: int) -> int:
+    """Worker threads for ``n_batches`` batches of runs, at most ``n_batches``; 0 is "auto"."""
     if threads == 0:
         threads = (os.cpu_count() or 1) if arc_count >= AUTO_THREADS_MIN_ARCS else 1
-    return max(1, min(threads, n_runs))
+    return max(1, min(threads, n_batches))
 
 
 def run_ensemble(
@@ -201,6 +188,10 @@ def run_ensemble(
 ) -> EnsembleSummary:
     """n_runs independent runs with per-run seeds derived from master_seed.
 
+    Runs are stepped in batches of up to ``BATCH_NODES // g.n`` runs, and a
+    batch is the thread pool's unit of work; each run keeps its own stream,
+    so neither changes a result.
+
     Homogeneous allocations are redrawn every run by default so ensemble
     variance includes allocation randomness; ``homogeneous_redraw=False``
     freezes a single random allocation for the whole ensemble instead.
@@ -214,15 +205,25 @@ def run_ensemble(
     elif strategy is AllocationStrategy.POLARIZED:
         fixed = allocate_vaccines(g, strategy, 0)  # deterministic, share across runs
 
-    def job(i: int) -> RunSummary:
-        return _one_run(g, params, strategy, seeding, children[i + 1], fixed)
+    table = delay_table(g, params)
+    size = max(1, min(n_runs, BATCH_NODES // max(g.n, 1)))
+    batches = [range(i, min(i + size, n_runs)) for i in range(0, n_runs, size)]
 
-    workers = resolve_threads(threads, n_runs, g.indices.size)
+    def job(batch: range) -> list[RunSummary]:
+        rngs = [np.random.Generator(np.random.PCG64(children[i + 1])) for i in batch]
+        if fixed is not None:
+            vaccinated = fixed
+        else:
+            vaccinated = np.array([allocate_vaccines(g, strategy, rng) for rng in rngs])
+        return [summarize_run(r) for r in run_batch(g, params, seeding, rngs, vaccinated, table)]
+
+    workers = resolve_threads(threads, len(batches), g.indices.size)
     if workers == 1:
-        runs = [job(i) for i in range(n_runs)]
+        parts = [job(b) for b in batches]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(job, range(n_runs)))
+            parts = list(pool.map(job, batches))
+    runs = [run for part in parts for run in part]
     return _aggregate(strategy, runs)
 
 

@@ -141,7 +141,10 @@ def emit_svg_plot(groups: list[CurveGroup], title: str, path) -> None:
             s = np.asarray(s, dtype=np.float64)
             if not s.size:
                 continue
-            points = " ".join(f"{sx(i):.2f},{sy(v):.2f}" for i, v in enumerate(s))
+            xy = np.empty(2 * s.size)
+            xy[0::2] = _LEFT + plot_w * np.arange(s.size) / x_max  # as sx, sy
+            xy[1::2] = _TOP + plot_h * (1 - s / y_max)
+            points = " ".join(["%.2f,%.2f"] * s.size) % tuple(xy.tolist())
             out.append(
                 f'<polyline fill="none" stroke="{group.color}" stroke-opacity="0.45" '
                 f'stroke-width="1" points="{points}"/>'

@@ -184,15 +184,22 @@ def test_metrics_non_utf8_file_exit_code_2(tmp_path, capsys, bad):
     assert "line 3" in err and str(files[bad]) in err and "UTF-8" in err
 
 
-def test_import_cli_leaves_scipy_unloaded():
+def test_import_cli_leaves_scipy_unloaded(tmp_path):
+    # importing the CLI, then simulating and comparing, loads no scipy module
     src = str(Path(polarnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = _write_config(tmp_path)
     code = (
         "import sys, polarnet.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "for command in ('simulate', 'compare'):\n"
+        f"    assert polarnet.cli.main([command, '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[0] == "[]"
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "curves.csv").exists() and (tmp_path / "summary.csv").exists()
 
 
 # SHA-256 of every file the commands below write, pinned so that changes to

@@ -23,6 +23,7 @@ from polarnet.epidemic import (
     exposure_table,
     initial_state,
     infectiousness_integral,
+    run_batch,
     run_epidemic,
     seed_infections,
     step_day,
@@ -30,6 +31,7 @@ from polarnet.epidemic import (
     transmission_table,
 )
 from polarnet.errors import DataError
+from polarnet.generators import two_community
 
 
 def test_integral_zero_before_onset():
@@ -133,7 +135,7 @@ def test_step_day_no_infected_only_increments_day():
     step_day(g, state, EpidemicParams())
     assert state.day == 1
     assert np.array_equal(state.status, before)
-    assert state.new_unvacc == [0] and state.new_vacc == [0]
+    assert state.new_unvacc == [0, 0] and state.new_vacc == [0, 0]  # days 0 and 1
 
 
 def test_step_day_hand_trace_on_path():
@@ -150,8 +152,6 @@ def test_step_day_hand_trace_on_path():
     state.status[2] = INFECTED
     state.day_infected[2] = 0
     state.transmitter[2] = True
-    state.new_unvacc.append(1)
-    state.new_vacc.append(0)
 
     step_day(g, state, params, table)  # day 1: 2 infects 1 and 3
     assert state.status.tolist() == [0, 1, 1, 1, 0]
@@ -300,6 +300,41 @@ def test_run_length_and_final_status_rule(horizon):
             assert counts[INFECTED] == 0
         cut += end == horizon and counts[INFECTED] > 0
     assert (cut > 0) == (horizon == 12)
+
+
+@pytest.mark.parametrize("horizon", [365, 9])
+@pytest.mark.parametrize("pool", ["all", "unvaccinated"])
+@pytest.mark.parametrize("vet_mode", ["once", "daily"])
+def test_run_batch_equals_per_run_records(vet_mode, pool, horizon):
+    # Runs stepped together in batches of 1, 3 and all 7 give each run the
+    # record run_epidemic gives it alone, from the same Generator seed. Near
+    # its threshold the graph lets some runs die out while others go on, so
+    # the whole batch keeps stepping runs that are already over.
+    g = two_community(60, 60, 0.06, 0.01, seed=3)
+    params = EpidemicParams(infection_rate=2.5, horizon=horizon, vet_mode=vet_mode)
+    seeding = Seeding(2, pool)
+    runs = 7
+    vaccinated = np.random.default_rng(4).random((runs, g.n)) < 0.4
+    expected = [
+        run_epidemic(g, params, seeding, np.random.default_rng(s), vaccinated[s]) for s in range(runs)
+    ]
+    for size in (1, 3, runs):
+        got = []
+        for start in range(0, runs, size):
+            batch = range(start, min(start + size, runs))
+            rngs = [np.random.default_rng(s) for s in batch]
+            got += run_batch(g, params, seeding, rngs, vaccinated[start : batch.stop])
+        for a, b in zip(got, expected, strict=True):
+            assert np.array_equal(a.new_unvacc, b.new_unvacc)
+            assert np.array_equal(a.new_vacc, b.new_vacc)
+            assert np.array_equal(a.final_status, b.final_status)
+            assert np.array_equal(a.vaccinated, b.vaccinated)
+    last = [int(np.flatnonzero(r.new_unvacc + r.new_vacc)[-1]) for r in expected]
+    ends = [r.days - 1 for r in expected]
+    if horizon == 365:  # some run is extinct before another's last infection
+        assert min(ends) < max(last) and max(ends) < horizon
+    else:  # the horizon cuts some run with cases still infectious
+        assert max(ends) == horizon and max(last) > horizon - params.max_infectious_days - 1
 
 
 def test_run_epidemic_leaves_scipy_sparse_unloaded():

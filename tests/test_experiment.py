@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import complete_edges, graph_from_edges
-from polarnet.epidemic import EpidemicParams, RunRecord, Seeding
+from polarnet.epidemic import EpidemicParams, RunRecord, Seeding, run_epidemic
 from polarnet.errors import DataError
 from polarnet.experiment import (
     AUTO_THREADS_MIN_ARCS,
+    BATCH_NODES,
     AllocationStrategy,
     RunSummary,
     allocate_vaccines,
@@ -112,11 +113,11 @@ def test_single_run_ensemble_equals_its_run():
 
 
 def test_resolve_threads(monkeypatch):
-    # explicit counts are clamped to the run count, however large they are
+    # explicit counts are clamped to the batch count, however large they are
     assert resolve_threads(1, 100, 10**9) == 1
     assert resolve_threads(3, 2, 10) == 2
     assert resolve_threads(10**9, 4, 10**9) == 4
-    # auto: one thread per CPU up to the run count, one on small graphs
+    # auto: one thread per CPU up to the batch count, one on small graphs
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert resolve_threads(0, 100, AUTO_THREADS_MIN_ARCS) == 64
     assert resolve_threads(0, 8, AUTO_THREADS_MIN_ARCS) == 8
@@ -136,6 +137,29 @@ def test_ensemble_deterministic_and_thread_invariant():
         for s in ("unvaccinated", "vaccinated", "all"):
             assert np.array_equal(a.mean_curves[s], other.mean_curves[s])
             assert a.mean_attack_rate[s] == other.mean_attack_rate[s]
+
+
+def test_batched_ensemble_equals_per_run_records_for_any_threads():
+    # 45,000 nodes: batches of BATCH_NODES // n = 2 runs, so 5 runs step as
+    # batches of 2, 2 and 1, on one thread or on three
+    g = two_community(22500, 22500, 0.0002, 0.00001, seed=5)
+    assert BATCH_NODES // g.n == 2
+    params = EpidemicParams(horizon=40)
+    seeding = Seeding(5, "all")
+    for strategy in AllocationStrategy:
+        children = np.random.SeedSequence(31).spawn(6)
+        expected = []
+        for child in children[1:]:
+            rng = np.random.Generator(np.random.PCG64(child))
+            alloc_rng = rng if strategy is AllocationStrategy.HOMOGENEOUS else 0
+            vaccinated = allocate_vaccines(g, strategy, alloc_rng)
+            expected.append(summarize_run(run_epidemic(g, params, seeding, rng, vaccinated)))
+        for threads in (1, 3):
+            ens = run_ensemble(g, params, strategy, 5, np.random.SeedSequence(31), seeding, threads)
+            for got, want in zip(ens.runs, expected, strict=True):
+                assert np.array_equal(got.daily_frac_unvacc, want.daily_frac_unvacc)
+                assert np.array_equal(got.daily_frac_vacc, want.daily_frac_vacc)
+                assert (got.n_unvacc, got.n_vacc) == (want.n_unvacc, want.n_vacc)
 
 
 def test_ensemble_aggregation_order_invariant():
