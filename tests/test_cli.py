@@ -185,21 +185,34 @@ def test_metrics_non_utf8_file_exit_code_2(tmp_path, capsys, bad):
 
 
 def test_import_cli_leaves_scipy_unloaded(tmp_path):
-    # importing the CLI, then simulating and comparing, loads no scipy module
+    # importing the CLI, then simulating, comparing and computing the metrics
+    # of a whole graph and of a subgraph, loads no scipy module
     src = str(Path(polarnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     cfg = _write_config(tmp_path)
+    edges, attrs = str(tmp_path / "edges.csv"), str(tmp_path / "attrs.csv")
+    assert run_cli(
+        "generate", "--kind", "two-community", "--n-pro", "300", "--n-anti", "200",
+        "--p-in", "0.02", "--p-out", "0.001", "--seed", "4", "--out-edges", edges, "--out-attrs", attrs,
+    ) == 0
+    metrics_args = [
+        ["metrics", "--edges", edges, "--attrs", attrs, "--out", str(tmp_path / "report_all.csv")],
+        ["metrics", "--edges", edges, "--attrs", attrs, "--subgraph", "pro", "--out", str(tmp_path / "report_pro.csv")],
+    ]
     code = (
         "import sys, polarnet.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "for command in ('simulate', 'compare'):\n"
         f"    assert polarnet.cli.main([command, '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        f"for argv in {metrics_args!r}:\n"
+        "    assert polarnet.cli.main(argv) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[0] == "[]"
     assert out.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "curves.csv").exists() and (tmp_path / "summary.csv").exists()
+    assert (tmp_path / "report_all.csv").exists() and (tmp_path / "report_pro.csv").exists()
 
 
 # SHA-256 of every file the commands below write, pinned so that changes to

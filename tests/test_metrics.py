@@ -7,7 +7,7 @@ import oracles
 from helpers import complete_edges, graph_from_edges, random_annotated, random_edges, star_edges
 from polarnet import metrics
 from polarnet.errors import DataError, FitError, SingleGroupError
-from polarnet.generators import barabasi_albert, erdos_renyi
+from polarnet.generators import barabasi_albert, erdos_renyi, watts_strogatz
 from polarnet.metrics import (
     DegreeDistribution,
     assortativity,
@@ -118,6 +118,57 @@ def test_clustering_dense_graph_equals_loop_oracle():
     assert np.array_equal(
         clustering_coefficients(g), oracles.loop_clustering(g.indptr, g.indices)
     )
+
+
+def _assert_clustering_equals_loop_oracle(g):
+    expected = oracles.loop_clustering(g.indptr, g.indices)
+    assert np.array_equal(clustering_coefficients(g), expected)
+    assert all(local_clustering(g, i) == expected[i] for i in range(g.n))
+
+
+def _disjoint_triangles(count):
+    return [(3 * t + a, 3 * t + b) for t in range(count) for a, b in ((0, 1), (0, 2), (1, 2))]
+
+
+@pytest.mark.parametrize("k_ring", [2, 4, 6])
+def test_clustering_ring_lattice_degree_ties(k_ring):
+    # every node has degree k_ring, so the (degree, id) rank rests on ids alone
+    g = watts_strogatz(40, k_ring, 0.0, seed=0)
+    assert np.all(g.degrees == k_ring)
+    _assert_clustering_equals_loop_oracle(g)
+
+
+def test_clustering_disjoint_triangles():
+    g = graph_from_edges(21, _disjoint_triangles(7))
+    _assert_clustering_equals_loop_oracle(g)
+    assert np.all(clustering_coefficients(g) == 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_clustering_without_edges(n):
+    g = graph_from_edges(n, [])
+    _assert_clustering_equals_loop_oracle(g)
+    assert np.array_equal(clustering_coefficients(g), np.zeros(n))
+    assert average_clustering(g) == 0.0
+
+
+def test_clustering_one_wedge_per_block_with_empty_out_lists(monkeypatch):
+    # the highest-ranked node of each component heads no arc (the star's hub,
+    # a triangle's last corner), and leaves head arcs with no later partner
+    monkeypatch.setattr(metrics, "_BLOCK_WORK", 1)
+    edges = _disjoint_triangles(3) + [(9, 9 + i) for i in range(1, 6)] + [(15, 16), (16, 17), (15, 17), (17, 9)]
+    rng = np.random.default_rng(44)
+    edges += [(20 + u, 20 + v) for u, v in random_edges(rng, 25, 0.2)]
+    _assert_clustering_equals_loop_oracle(graph_from_edges(50, edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_clustering_equals_loop_oracle_property(data):
+    n = data.draw(st.integers(min_value=2, max_value=40))
+    p = data.draw(st.floats(min_value=0.0, max_value=1.0))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=10**6)))
+    _assert_clustering_equals_loop_oracle(graph_from_edges(n, random_edges(rng, n, p)))
 
 
 def test_local_clustering_out_of_range():
