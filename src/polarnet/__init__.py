@@ -56,7 +56,6 @@ from .metrics import (
     degree_distribution,
     density,
     fit_power_law,
-    local_clustering,
     metrics_report,
     mixing_matrix,
 )

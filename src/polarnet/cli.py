@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
-from .config import RunConfig, parse_config
+from .config import RunConfig, parse_config, scalar_fields
 from .errors import ConfigError, PolarnetError
-from .experiment import SUBPOPS, compare_scenarios, daily_series, run_ensemble
-from .generators import GENERATOR_KINDS, GENERATOR_PARAMS, GeneratorSpec
+from .experiment import SUBPOPS, compare_scenarios, run_ensemble
+from .generators import GENERATOR_KINDS, GeneratorSpec
 from .graph import Opinion, load_edge_list, save_edge_list, subgraph_by_opinion
 from .metrics import metrics_report
 from .output import CurveGroup, emit_svg_plot, write_curves_csv, write_metrics_csv, write_summary_csv
@@ -44,10 +45,7 @@ def _load_run_config(args) -> RunConfig:
     cfg = parse_config(args.config) if args.config else RunConfig()
     flags = {"edges": args.edges, "attrs": args.attrs, "master_seed": args.seed,
              "out_dir": args.out, "threads": args.threads}
-    overrides = {key: value for key, value in flags.items() if value is not None}
-    if overrides.get("threads", 0) < 0:
-        raise ConfigError("--threads must be >= 0 (0 = auto)")
-    return cfg.with_overrides(**overrides) if overrides else cfg
+    return replace(cfg, **{key: value for key, value in flags.items() if value is not None})
 
 
 def _ensemble_options(cfg: RunConfig) -> dict:
@@ -67,8 +65,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    params = {key: getattr(args, key) for key in GENERATOR_PARAMS}
-    g = GeneratorSpec(kind=args.kind, seed=args.seed, **params).build()
+    g = GeneratorSpec(**{f.name: getattr(args, f.name) for f in fields(GeneratorSpec)}).build()
     save_edge_list(g, args.out_edges, args.out_attrs)
     print(f"wrote {args.out_edges} ({g.n} nodes, {g.edge_count} edges) and {args.out_attrs}")
     return 0
@@ -97,19 +94,15 @@ def cmd_compare(args) -> int:
     write_curves_csv(comparison.polarized, out_dir / "curves_polarized.csv")
     write_curves_csv(comparison.homogeneous, out_dir / "curves_homogeneous.csv")
     write_summary_csv(comparison, out_dir / "summary.csv")
-    for subpop in SUBPOPS:
+    for row, subpop in enumerate(SUBPOPS):
         groups = [
-            CurveGroup(name, color, [daily_series(r, subpop) for r in ensemble.runs])
+            CurveGroup(name, color, [r.daily[row] for r in ensemble.runs])
             for name, color, ensemble in (
                 ("polarized", _POLARIZED_COLOR, comparison.polarized),
                 ("homogeneous", _HOMOGENEOUS_COLOR, comparison.homogeneous),
             )
         ]
-        emit_svg_plot(
-            groups,
-            f"Daily new infections among {subpop}",
-            out_dir / f"curves_{subpop}.svg",
-        )
+        emit_svg_plot(groups, f"Daily new infections among {subpop}", out_dir / f"curves_{subpop}.svg")
     ratio = comparison.ar_ratio["unvaccinated"]
     print(f"wrote {out_dir}/summary.csv (unvaccinated AR ratio {ratio:.3f})")
     return 0
@@ -129,8 +122,8 @@ def build_parser() -> _Parser:
 
     p_gen = sub.add_parser("generate", help="write a synthetic graph in the load format")
     p_gen.add_argument("--kind", required=True, choices=list(GENERATOR_KINDS))
-    for key, kind in GENERATOR_PARAMS.items():
-        p_gen.add_argument(f"--{key.replace('_', '-')}", type=kind)
+    for name, kind in scalar_fields(GeneratorSpec, skip=("kind", "seed")):
+        p_gen.add_argument(f"--{name.replace('_', '-')}", type=kind)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out-edges", required=True)
     p_gen.add_argument("--out-attrs", required=True)

@@ -1,54 +1,23 @@
 """Flat key=value run configuration.
 
 One key per line, ``#`` starts a comment, unset keys fall back to the
-study defaults. Exactly one graph source must be configured before a
-simulation can run: either ``edges``+``attrs`` files or a ``generator``
-with its parameters.
+study defaults. Each key sets the field of its name (or the one ``ALIASES``
+names) of :class:`RunConfig`, its ``GeneratorSpec`` or its ``EpidemicParams``;
+each of these validates itself when built. Exactly one graph source must be
+configured before a simulation can run: either ``edges``+``attrs`` files or
+a ``generator`` with its parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+from typing import get_args, get_type_hints
 
 from .epidemic import SEED_POOLS, EpidemicParams, Seeding
 from .errors import ConfigError
 from .experiment import AllocationStrategy
-from .generators import GENERATOR_KINDS, GENERATOR_PARAMS, GeneratorSpec
+from .generators import GeneratorSpec
 from .graph import AnnotatedGraph, load_edge_list
-
-# config key -> (RunConfig attribute or EpidemicParams attribute, type)
-_GRAPH_KEYS = {
-    "edges": ("edges", str),
-    "attrs": ("attrs", str),
-    "generator": ("generator", str),
-    **{key: (key, kind) for key, kind in GENERATOR_PARAMS.items()},
-    "graph_seed": ("graph_seed", int),
-}
-_EPIDEMIC_KEYS = {
-    "R": ("infection_rate", float),
-    "S_as": ("age_scale", float),
-    "A_si": ("asymptomatic_scale", float),
-    "B_n": ("network_scale", float),
-    "I_bar": ("daily_interactions", float),
-    "mu": ("curve_mean", float),
-    "sigma": ("curve_sd", float),
-    "VET": ("vet", float),
-    "VEI": ("vei", float),
-    "t_max_infectious": ("max_infectious_days", int),
-    "horizon": ("horizon", int),
-    "vet_mode": ("vet_mode", str),
-}
-_RUN_KEYS = {
-    "seed_count": ("seed_count", int),
-    "seed_pool": ("seed_pool", str),
-    "n_runs": ("n_runs", int),
-    "master_seed": ("master_seed", int),
-    "strategy": ("strategy", str),
-    "homogeneous_redraw": ("homogeneous_redraw", bool),
-    "out_dir": ("out_dir", str),
-    "threads": ("threads", int),
-}
-CONFIG_KEYS = {**_GRAPH_KEYS, **_EPIDEMIC_KEYS, **_RUN_KEYS}
 
 
 @dataclass(frozen=True)
@@ -57,17 +26,7 @@ class RunConfig:
 
     edges: str | None = None
     attrs: str | None = None
-    generator: str | None = None
-    n: int | None = None
-    p: float | None = None
-    k_ring: int | None = None
-    p_rewire: float | None = None
-    m: int | None = None
-    n_pro: int | None = None
-    n_anti: int | None = None
-    p_in: float | None = None
-    p_out: float | None = None
-    graph_seed: int = 0
+    graph: GeneratorSpec | None = None
     params: EpidemicParams = field(default_factory=EpidemicParams)
     seed_count: int = 10
     seed_pool: str = "all"
@@ -78,6 +37,17 @@ class RunConfig:
     out_dir: str = "."
     threads: int = 0
 
+    def __post_init__(self):
+        for key, valid, rule in (
+            ("seed_pool", self.seed_pool in SEED_POOLS, f"one of {SEED_POOLS}"),
+            ("strategy", self.strategy in ("polarized", "homogeneous"), "'polarized' or 'homogeneous'"),
+            ("seed_count", self.seed_count >= 1, ">= 1"),
+            ("n_runs", self.n_runs >= 1, ">= 1"),
+            ("threads", self.threads >= 0, ">= 0 (0 = auto)"),
+        ):
+            if not valid:
+                raise ConfigError(f"key {key!r} must be {rule}")
+
     def seeding(self) -> Seeding:
         return Seeding(count=self.seed_count, pool=self.seed_pool)
 
@@ -86,21 +56,41 @@ class RunConfig:
 
     def resolve_graph(self) -> AnnotatedGraph:
         """Build or load the configured graph (exactly one source allowed)."""
-        file_keys = [k for k in ("edges", "attrs") if getattr(self, k) is not None]
-        if len(file_keys) == 1:
+        if (self.edges is None) != (self.attrs is None):
             raise ConfigError("edges and attrs must be configured together")
-        has_files = len(file_keys) == 2
-        if has_files and self.generator is not None:
-            raise ConfigError("configure either edge/attr files or a generator, not both")
-        if has_files:
+        if self.edges is not None:
+            if self.graph is not None:
+                raise ConfigError("configure either edge/attr files or a generator, not both")
             return load_edge_list(self.edges, self.attrs)
-        if self.generator is None:
+        if self.graph is None:
             raise ConfigError("no graph source configured (edges/attrs or generator)")
-        params = {key: getattr(self, key) for key in GENERATOR_PARAMS}
-        return GeneratorSpec(kind=self.generator, seed=self.graph_seed, **params).build()
+        return self.graph.build()
 
-    def with_overrides(self, **kwargs) -> "RunConfig":
-        return replace(self, **kwargs)
+
+def scalar_fields(cls, skip=()):
+    """(name, value type) of each field of dataclass ``cls`` not in ``skip``; ``int | None`` gives int."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name not in skip:
+            inner = [t for t in get_args(hints[f.name]) if t is not type(None)]
+            yield f.name, inner[0] if inner else hints[f.name]
+
+
+# config key -> field name, for the keys that differ from their field
+ALIASES = {
+    "generator": "kind", "graph_seed": "seed",
+    "R": "infection_rate", "S_as": "age_scale", "A_si": "asymptomatic_scale",
+    "B_n": "network_scale", "I_bar": "daily_interactions", "mu": "curve_mean",
+    "sigma": "curve_sd", "VET": "vet", "VEI": "vei", "t_max_infectious": "max_infectious_days",
+}
+_KEY_OF = {name: key for key, name in ALIASES.items()}
+
+# config key -> (dataclass holding the field, field name, value type)
+CONFIG_KEYS = {
+    _KEY_OF.get(name, name): (cls, name, kind)
+    for cls in (GeneratorSpec, EpidemicParams, RunConfig)
+    for name, kind in scalar_fields(cls, skip=("graph", "params"))
+}
 
 
 def _convert(key: str, raw: str, target_type, lineno: int):
@@ -118,32 +108,9 @@ def _convert(key: str, raw: str, target_type, lineno: int):
         ) from None
 
 
-def _check_constraints(cfg: RunConfig) -> None:
-    if cfg.generator is not None and cfg.generator not in GENERATOR_KINDS:
-        raise ConfigError(
-            f"key 'generator' must be one of {GENERATOR_KINDS}, got {cfg.generator!r}"
-        )
-    for key in ("p", "p_rewire", "p_in", "p_out"):
-        value = getattr(cfg, key)
-        if value is not None and not 0.0 <= value <= 1.0:
-            raise ConfigError(f"key {key!r} must lie in [0, 1], got {value}")
-    if cfg.seed_pool not in SEED_POOLS:
-        raise ConfigError(f"key 'seed_pool' must be one of {SEED_POOLS}")
-    if cfg.strategy not in ("polarized", "homogeneous"):
-        raise ConfigError("key 'strategy' must be 'polarized' or 'homogeneous'")
-    if cfg.seed_count < 1:
-        raise ConfigError("key 'seed_count' must be >= 1")
-    if cfg.n_runs < 1:
-        raise ConfigError("key 'n_runs' must be >= 1")
-    if cfg.threads < 0:
-        raise ConfigError("key 'threads' must be >= 0 (0 = auto)")
-
-
 def parse_config(path) -> RunConfig:
     """Parse and validate a config file, applying defaults for unset keys."""
-    run_values: dict = {}
-    epi_values: dict = {}
-    seen: set[str] = set()
+    values: dict[type, dict] = {GeneratorSpec: {}, EpidemicParams: {}, RunConfig: {}}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -155,33 +122,29 @@ def parse_config(path) -> RunConfig:
             key, value = key.strip(), value.strip()
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            if key in seen:
+            cls, name, target_type = CONFIG_KEYS[key]
+            if name in values[cls]:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            seen.add(key)
-            attr, target_type = CONFIG_KEYS[key]
-            converted = _convert(key, value, target_type, lineno)
-            if key in _EPIDEMIC_KEYS:
-                epi_values[attr] = converted
-            else:
-                run_values[attr] = converted
+            values[cls][name] = _convert(key, value, target_type, lineno)
+    graph = values[GeneratorSpec]
+    if graph and "kind" not in graph:
+        keys = ", ".join(_KEY_OF.get(name, name) for name in graph)
+        raise ConfigError(f"key(s) {keys} set without key 'generator'")
     try:
-        params = EpidemicParams(**epi_values)
+        params = EpidemicParams(**values[EpidemicParams])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    cfg = RunConfig(params=params, **run_values)
-    _check_constraints(cfg)
-    return cfg
+    return RunConfig(
+        graph=GeneratorSpec(**graph) if graph else None, params=params, **values[RunConfig]
+    )
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Render a config that parses back to an equal RunConfig."""
+    owners = {GeneratorSpec: cfg.graph, EpidemicParams: cfg.params, RunConfig: cfg}
     lines = []
-    run_fields = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "params"}
-    for key, (attr, target_type) in CONFIG_KEYS.items():
-        if key in _EPIDEMIC_KEYS:
-            value = getattr(cfg.params, attr)
-        else:
-            value = run_fields[attr]
+    for key, (cls, name, target_type) in CONFIG_KEYS.items():
+        value = None if owners[cls] is None else getattr(owners[cls], name)
         if value is None:
             continue
         if target_type is bool:

@@ -64,7 +64,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -106,11 +105,11 @@ class EpidemicParams:
             ("mu", self.curve_mean),
             ("sigma", self.curve_sd),
         )
-        for key, value in positive:
-            if not value > 0:
-                raise ValueError(f"{key} must be positive, got {value}")
-        if self.infection_rate < 0:
-            raise ValueError(f"R must be non-negative, got {self.infection_rate}")
+        for key, value in positive:  # false for NaN too
+            if not 0 < value < math.inf:
+                raise ValueError(f"{key} must be positive and finite, got {value}")
+        if not 0 <= self.infection_rate < math.inf:
+            raise ValueError(f"R must be non-negative and finite, got {self.infection_rate}")
         for key, value in (("VET", self.vet), ("VEI", self.vei)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{key} must lie in [0, 1], got {value}")
@@ -122,7 +121,6 @@ class EpidemicParams:
             raise ValueError(f"vet_mode must be one of {VET_MODES}")
 
 
-@lru_cache(maxsize=4096)  # every run_epidemic call rebuilds the P(t) table
 def infectiousness_integral(t: int, curve_mean: float, curve_sd: float) -> float:
     """Mass of the gamma infectiousness density on [t-1, t]; 0 for t <= 0.
 

@@ -9,6 +9,7 @@ results are bit-identical regardless of how runs are scheduled.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -53,64 +54,42 @@ def allocate_vaccines(
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Per-day new-infection fractions and end-of-run statistics of one run.
+    """Per-day new-infection fractions of one run, by subpopulation.
 
-    Each daily series is normalized by its own subpopulation size, so the
-    attack rate is exactly the series sum. ``ar_*`` is NaN for an empty
-    subpopulation.
+    Row i of ``daily`` (shape ``(3, days)``) is subpopulation ``SUBPOPS[i]``
+    divided by its size ``sizes[i]``, so its attack rate is exactly the row
+    sum. The row of an empty subpopulation is all zeros.
     """
 
-    daily_frac_unvacc: np.ndarray
-    daily_frac_vacc: np.ndarray
-    daily_frac_all: np.ndarray
-    ar_unvacc: float
-    ar_vacc: float
-    ar_all: float
-    n_unvacc: int
-    n_vacc: int
+    daily: np.ndarray
+    sizes: tuple[int, int, int]
 
 
 def summarize_run(record: RunRecord) -> RunSummary:
     n_vacc = int(record.vaccinated.sum())
-    n_unvacc = record.vaccinated.size - n_vacc
-    new_all = record.new_unvacc + record.new_vacc
-
-    def _frac(series, size):
-        return series / size if size else np.zeros(series.size, dtype=np.float64)
-
-    frac_unvacc = _frac(record.new_unvacc, n_unvacc)
-    frac_vacc = _frac(record.new_vacc, n_vacc)
-    frac_all = new_all / record.vaccinated.size
-    return RunSummary(
-        daily_frac_unvacc=frac_unvacc,
-        daily_frac_vacc=frac_vacc,
-        daily_frac_all=frac_all,
-        ar_unvacc=float(frac_unvacc.sum()) if n_unvacc else float("nan"),
-        ar_vacc=float(frac_vacc.sum()) if n_vacc else float("nan"),
-        ar_all=float(frac_all.sum()),
-        n_unvacc=n_unvacc,
-        n_vacc=n_vacc,
-    )
+    sizes = (record.vaccinated.size - n_vacc, n_vacc, record.vaccinated.size)
+    counts = (record.new_unvacc, record.new_vacc, record.new_unvacc + record.new_vacc)
+    daily = np.array([c / size if size else np.zeros(c.size) for c, size in zip(counts, sizes)])
+    return RunSummary(daily=daily, sizes=sizes)
 
 
-def daily_series(run: RunSummary, subpop: str) -> np.ndarray:
-    """The run's daily new-infection fractions of one subpopulation."""
+def _row(subpop: str) -> int:
     if subpop not in SUBPOPS:
         raise DataError(f"subpop must be one of {SUBPOPS}")
-    return (run.daily_frac_unvacc, run.daily_frac_vacc, run.daily_frac_all)[SUBPOPS.index(subpop)]
+    return SUBPOPS.index(subpop)
 
 
 def attack_rate(run: RunSummary, subpop: str) -> float:
     """Cumulative infected fraction of the subpopulation at run end."""
-    series = daily_series(run, subpop)
-    if (run.n_unvacc, run.n_vacc, run.n_unvacc + run.n_vacc)[SUBPOPS.index(subpop)] == 0:
+    row = _row(subpop)
+    if run.sizes[row] == 0:
         raise DataError(f"subpopulation {subpop!r} is empty")
-    return float(series.sum())
+    return float(run.daily[row].sum())
 
 
 def time_to_peak(run: RunSummary, subpop: str) -> int:
     """Day of the maximum daily new-infection count; earliest day on ties."""
-    series = daily_series(run, subpop)
+    series = run.daily[_row(subpop)]
     if not series.any():
         raise DataError(f"no infections in subpopulation {subpop!r}")
     return int(np.argmax(series))
@@ -133,27 +112,23 @@ class EnsembleSummary:
         return self.mean_curves["all"].size
 
 
-def _pad(series: np.ndarray, length: int) -> np.ndarray:
-    out = np.zeros(length, dtype=np.float64)
-    out[: series.size] = series
-    return out
-
-
 def _aggregate(strategy: AllocationStrategy, runs: list[RunSummary]) -> EnsembleSummary:
-    length = max(r.daily_frac_all.size for r in runs)
-    ar_field = {"unvaccinated": "ar_unvacc", "vaccinated": "ar_vacc", "all": "ar_all"}
+    stack = np.zeros((len(runs), len(SUBPOPS), max(r.daily.shape[1] for r in runs)))
+    for padded, run in zip(stack, runs):
+        padded[:, : run.daily.shape[1]] = run.daily
     mean_curves, lo, hi, mean_ar, mean_tp = {}, {}, {}, {}, {}
-    for subpop in SUBPOPS:
-        stack = np.vstack([_pad(daily_series(r, subpop), length) for r in runs])
-        mean_curves[subpop] = stack.mean(axis=0)
-        lo[subpop] = np.quantile(stack, 0.1, axis=0)
-        hi[subpop] = np.quantile(stack, 0.9, axis=0)
-        mean_ar[subpop] = float(np.mean([getattr(r, ar_field[subpop]) for r in runs]))
+    for row, subpop in enumerate(SUBPOPS):
+        curves = stack[:, row]
+        mean_curves[subpop] = curves.mean(axis=0)
+        lo[subpop] = np.quantile(curves, 0.1, axis=0)
+        hi[subpop] = np.quantile(curves, 0.9, axis=0)
+        # each run's own unpadded row sum, then one mean over the runs: the
+        # padded stack would sum in another order and round differently
+        ars = [float(r.daily[row].sum()) if r.sizes[row] else math.nan for r in runs]
+        mean_ar[subpop] = float(np.mean(ars))
         # runs where the subpop saw no infection have no peak; average the rest
-        peaks = [
-            int(np.argmax(daily_series(r, subpop))) for r in runs if daily_series(r, subpop).any()
-        ]
-        mean_tp[subpop] = float(np.mean(peaks)) if peaks else float("nan")
+        seen = curves.any(axis=1)
+        mean_tp[subpop] = float(np.mean(curves.argmax(axis=1)[seen])) if seen.any() else math.nan
     return EnsembleSummary(
         strategy=strategy,
         runs=runs,
@@ -170,10 +145,12 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 
 
 def resolve_threads(threads: int, n_batches: int, arc_count: int) -> int:
-    """Worker threads for ``n_batches`` batches of runs, at most ``n_batches``; 0 is "auto"."""
+    """Worker threads for ``n_batches`` batches of runs, at most ``n_batches``
+    and the CPU count; 0 is "auto"."""
+    cpus = os.cpu_count() or 1
     if threads == 0:
-        threads = (os.cpu_count() or 1) if arc_count >= AUTO_THREADS_MIN_ARCS else 1
-    return max(1, min(threads, n_batches))
+        threads = cpus if arc_count >= AUTO_THREADS_MIN_ARCS else 1
+    return max(1, min(threads, cpus, n_batches))
 
 
 def run_ensemble(

@@ -154,13 +154,14 @@ def two_community(
     )
 
 
-GENERATOR_KINDS = ("er", "ws", "ba", "two-community")
-# size and probability fields of GeneratorSpec, with their types; RunConfig
-# attributes, config keys and `generate` options share these names
-GENERATOR_PARAMS = {
-    "n": int, "p": float, "k_ring": int, "p_rewire": float, "m": int,
-    "n_pro": int, "n_anti": int, "p_in": float, "p_out": float,
+# the parameters each generator kind needs
+_REQUIRED = {
+    "er": ("n", "p"),
+    "ws": ("n", "k_ring", "p_rewire"),
+    "ba": ("n", "m"),
+    "two-community": ("n_pro", "n_anti", "p_in", "p_out"),
 }
+GENERATOR_KINDS = tuple(_REQUIRED)
 
 
 @dataclass(frozen=True)
@@ -179,18 +180,18 @@ class GeneratorSpec:
     p_in: float | None = None
     p_out: float | None = None
 
-    def build(self) -> AnnotatedGraph:
-        required = {
-            "er": ("n", "p"),
-            "ws": ("n", "k_ring", "p_rewire"),
-            "ba": ("n", "m"),
-            "two-community": ("n_pro", "n_anti", "p_in", "p_out"),
-        }
-        if self.kind not in required:
+    def __post_init__(self):
+        if self.kind not in _REQUIRED:
             raise ConfigError(
                 f"unknown generator kind {self.kind!r}; expected one of {GENERATOR_KINDS}"
             )
-        missing = [name for name in required[self.kind] if getattr(self, name) is None]
+        for key in ("p", "p_rewire", "p_in", "p_out"):
+            value = getattr(self, key)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{key} must lie in [0, 1], got {value}")
+
+    def build(self) -> AnnotatedGraph:
+        missing = [name for name in _REQUIRED[self.kind] if getattr(self, name) is None]
         if missing:
             raise ConfigError(
                 f"generator {self.kind!r} needs parameter(s): {', '.join(missing)}"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, FitError, SingleGroupError
-from .graph import AnnotatedGraph, gather_rows
+from .graph import AnnotatedGraph
 
 _DEGENERATE_EPS = 1e-12
 # wedges per block of the triangle count; bounds its memory on dense graphs
@@ -147,18 +147,6 @@ def _triangles(g: AnnotatedGraph) -> np.ndarray:
         tri += np.bincount(np.concatenate([u[a], v[a], v[b]]), minlength=n)
         lo = hi
     return tri[rank]
-
-
-def local_clustering(g: AnnotatedGraph, i: int) -> float:
-    """Fraction of existing links among i's neighbors; 0 when degree < 2."""
-    nbrs = g.neighbors(i)
-    k = nbrs.size
-    if k < 2:
-        return 0.0
-    # each link between two neighbours shows in both their rows
-    reach, _ = gather_rows(g.indptr, g.indices, nbrs)
-    linked = nbrs[np.minimum(np.searchsorted(nbrs, reach), k - 1)] == reach
-    return int(np.count_nonzero(linked)) / (k * (k - 1))
 
 
 def clustering_coefficients(g: AnnotatedGraph) -> np.ndarray:

@@ -134,6 +134,31 @@ def test_config_error_exit_code_1(tmp_path, capsys):
     assert "VET" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("extra", "flags", "message"),
+    [
+        ("R=nan\n", [], "R must be non-negative and finite"),
+        ("mu=inf\n", [], "mu must be positive and finite"),
+        ("", ["--threads", "-1"], "key 'threads' must be >= 0"),
+    ],
+)
+def test_invalid_values_exit_code_1(tmp_path, capsys, extra, flags, message):
+    # config values and command-line overrides go through the same validation
+    cfg = _write_config(tmp_path, extra)
+    for command in ("simulate", "compare"):
+        assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"), *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_generator_params_without_generator_exit_code_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"edges={tmp_path / 'e.csv'}\nattrs={tmp_path / 'a.csv'}\nn_pro=100\n")
+    assert run_cli("simulate", "--config", str(cfg)) == 1
+    assert "n_pro set without key 'generator'" in capsys.readouterr().err
+
+
 def test_missing_graph_source_exit_code_1(tmp_path):
     empty = tmp_path / "empty.cfg"
     empty.write_text("")

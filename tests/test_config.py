@@ -1,13 +1,16 @@
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polarnet.config import RunConfig, parse_config, serialize_config
+from polarnet.cli import build_parser
+from polarnet.config import CONFIG_KEYS, RunConfig, parse_config, serialize_config
 from polarnet.epidemic import EpidemicParams
 from polarnet.errors import ConfigError
-from polarnet.generators import GENERATOR_PARAMS, GeneratorSpec
+from polarnet.generators import GeneratorSpec
 
 
 def write(tmp_path, text):
@@ -118,6 +121,58 @@ def test_seeding_and_strategy_accessors():
 
 
 def test_generator_params_cover_spec_and_config_fields():
-    spec_fields = {f.name for f in fields(GeneratorSpec)} - {"kind", "seed"}
-    assert set(GENERATOR_PARAMS) == spec_fields
-    assert spec_fields <= {f.name for f in fields(RunConfig)}
+    # every GeneratorSpec field is set by one config key and one generate option
+    spec_fields = {f.name for f in fields(GeneratorSpec)}
+    assert {name for cls, name, _ in CONFIG_KEYS.values() if cls is GeneratorSpec} == spec_fields
+    args = build_parser().parse_args(
+        ["generate", "--kind", "er", "--out-edges", "e.csv", "--out-attrs", "a.csv"]
+    )
+    assert spec_fields <= set(vars(args))
+
+
+# the config surface: a key added to a dataclass must be added here on purpose
+EXPECTED_KEYS = {
+    "edges": str, "attrs": str, "generator": str,
+    "n": int, "p": float, "k_ring": int, "p_rewire": float, "m": int,
+    "n_pro": int, "n_anti": int, "p_in": float, "p_out": float, "graph_seed": int,
+    "R": float, "S_as": float, "A_si": float, "B_n": float, "I_bar": float,
+    "mu": float, "sigma": float, "VET": float, "VEI": float,
+    "t_max_infectious": int, "horizon": int, "vet_mode": str,
+    "seed_count": int, "seed_pool": str, "n_runs": int, "master_seed": int,
+    "strategy": str, "homogeneous_redraw": bool, "out_dir": str, "threads": int,
+}
+
+
+def test_config_keys_pinned():
+    assert len(EXPECTED_KEYS) == 33
+    assert {key: kind for key, (_, _, kind) in CONFIG_KEYS.items()} == EXPECTED_KEYS
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config file", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    listed = [key for cell in rows for key in re.findall(r"`([^`]+)`", cell)]
+    assert sorted(listed) == sorted(CONFIG_KEYS)
+
+
+@pytest.mark.parametrize(
+    ("text", "match"),
+    [
+        ("generator=hexagon\n", "unknown generator kind 'hexagon'"),
+        ("generator=er\nn=10\np=1.5\n", "p must lie in"),
+        ("generator=two-community\np_out=nan\n", "p_out must lie in"),
+        ("n=10\np=0.1\n", "set without key 'generator'"),
+        ("edges=e.csv\nattrs=a.csv\ngraph_seed=3\n", "graph_seed set without key 'generator'"),
+        ("seed_pool=vaccinated\n", "seed_pool"),
+        ("strategy=random\n", "strategy"),
+        ("seed_count=0\n", "seed_count"),
+        ("threads=-1\n", "threads"),
+        ("R=nan\n", "R must be non-negative and finite"),
+        ("mu=inf\n", "mu must be positive and finite"),
+        ("VEI=-inf\n", "VEI must lie in"),
+    ],
+)
+def test_dataclass_validation_through_parse_config(tmp_path, text, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(write(tmp_path, text))

@@ -74,7 +74,8 @@ def test_attack_rate_hand_count():
     assert attack_rate(run, "unvaccinated") == pytest.approx(0.5)
     assert attack_rate(run, "vaccinated") == pytest.approx(0.2)
     assert attack_rate(run, "all") == pytest.approx(6 / 15)
-    assert run.ar_unvacc == pytest.approx(sum(run.daily_frac_unvacc))
+    assert run.sizes == (10, 5, 15)
+    assert np.array_equal(run.daily, np.array([[1, 2, 2, 0], [0, 1, 0, 0], [1, 3, 2, 0]]) / [[10], [5], [15]])
 
 
 def test_attack_rate_index_cases_only_when_no_spread():
@@ -107,23 +108,26 @@ def test_single_run_ensemble_equals_its_run():
     g = two_community(80, 80, 0.06, 0.005, seed=3)
     ens = run_ensemble(g, EpidemicParams(), AllocationStrategy.POLARIZED, 1, 11)
     run = ens.runs[0]
-    assert np.allclose(ens.mean_curves["unvaccinated"], run.daily_frac_unvacc)
-    assert ens.mean_attack_rate["all"] == pytest.approx(run.ar_all)
+    assert np.allclose(ens.mean_curves["unvaccinated"], run.daily[0])
+    assert ens.mean_attack_rate["all"] == pytest.approx(attack_rate(run, "all"))
     assert ens.mean_t_peak["unvaccinated"] == time_to_peak(run, "unvaccinated")
 
 
 def test_resolve_threads(monkeypatch):
-    # explicit counts are clamped to the batch count, however large they are
+    # explicit counts are clamped to the batch count and to the CPU count
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert resolve_threads(1, 100, 10**9) == 1
     assert resolve_threads(3, 2, 10) == 2
     assert resolve_threads(10**9, 4, 10**9) == 4
+    assert resolve_threads(5000, 5000, 10**9) == 64
+    assert resolve_threads(5000, 5000, 10) == 64
     # auto: one thread per CPU up to the batch count, one on small graphs
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert resolve_threads(0, 100, AUTO_THREADS_MIN_ARCS) == 64
     assert resolve_threads(0, 8, AUTO_THREADS_MIN_ARCS) == 8
     assert resolve_threads(0, 100, AUTO_THREADS_MIN_ARCS - 1) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # CPU count unknown
     assert resolve_threads(0, 100, AUTO_THREADS_MIN_ARCS) == 1
+    assert resolve_threads(3, 100, 10**9) == 1
 
 
 def test_ensemble_deterministic_and_thread_invariant():
@@ -157,9 +161,8 @@ def test_batched_ensemble_equals_per_run_records_for_any_threads():
         for threads in (1, 3):
             ens = run_ensemble(g, params, strategy, 5, np.random.SeedSequence(31), seeding, threads)
             for got, want in zip(ens.runs, expected, strict=True):
-                assert np.array_equal(got.daily_frac_unvacc, want.daily_frac_unvacc)
-                assert np.array_equal(got.daily_frac_vacc, want.daily_frac_vacc)
-                assert (got.n_unvacc, got.n_vacc) == (want.n_unvacc, want.n_vacc)
+                assert np.array_equal(got.daily, want.daily)
+                assert got.sizes == want.sizes
 
 
 def test_ensemble_aggregation_order_invariant():
@@ -179,13 +182,13 @@ def test_homogeneous_redraw_toggle():
         g, params, AllocationStrategy.HOMOGENEOUS, 5, 7, homogeneous_redraw=False
     )
     # identical allocation every run: vaccinated subpop sizes all equal AND
-    # per-run vaccination patterns coincide (probed via equal n_vacc plus
-    # determinism of the fixed draw)
-    assert len({r.n_vacc for r in fixed.runs}) == 1
+    # per-run vaccination patterns coincide (probed via equal vaccinated
+    # sizes plus determinism of the fixed draw)
+    assert len({r.sizes for r in fixed.runs}) == 1
     redraw = run_ensemble(
         g, params, AllocationStrategy.HOMOGENEOUS, 5, 7, homogeneous_redraw=True
     )
-    assert len({r.n_vacc for r in redraw.runs}) == 1  # count invariant either way
+    assert len({r.sizes for r in redraw.runs}) == 1  # count invariant either way
     # the two modes disagree on at least one curve with these seeds
     length = max(fixed.days, redraw.days)
 

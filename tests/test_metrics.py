@@ -17,7 +17,6 @@ from polarnet.metrics import (
     degree_distribution,
     density,
     fit_power_law,
-    local_clustering,
     metrics_report,
     mixing_matrix,
 )
@@ -70,18 +69,19 @@ def test_ba_exponent_with_tail_filter():
 
 def test_local_clustering_known():
     k3 = graph_from_edges(3, complete_edges(3))
-    assert all(local_clustering(k3, i) == 1.0 for i in range(3))
-    star = graph_from_edges(5, star_edges(4))
-    assert local_clustering(star, 0) == 0.0  # no neighbor-neighbor links
-    assert local_clustering(star, 1) == 0.0  # degree < 2 counts as 0
+    assert np.array_equal(clustering_coefficients(k3), [1.0, 1.0, 1.0])
+    star = clustering_coefficients(graph_from_edges(5, star_edges(4)))
+    assert star[0] == 0.0  # no neighbor-neighbor links
+    assert star[1] == 0.0  # degree < 2 counts as 0
 
 
 def test_clustering_matches_brute_force():
     rng = np.random.default_rng(3)
     edges = random_edges(rng, 30, 0.2)
     g = graph_from_edges(30, edges)
+    cc = clustering_coefficients(g)
     for i in range(30):
-        assert local_clustering(g, i) == pytest.approx(
+        assert cc[i] == pytest.approx(
             oracles.brute_local_clustering(30, edges, i), abs=1e-12
         )
     assert average_clustering(g) == pytest.approx(
@@ -110,7 +110,6 @@ def test_clustering_equals_loop_oracle(monkeypatch, name, block_work):
     cc = clustering_coefficients(g)
     expected = oracles.loop_clustering(g.indptr, g.indices)
     assert np.array_equal(cc, expected)
-    assert all(local_clustering(g, i) == expected[i] for i in range(min(g.n, 200)))
 
 
 def test_clustering_dense_graph_equals_loop_oracle():
@@ -123,7 +122,6 @@ def test_clustering_dense_graph_equals_loop_oracle():
 def _assert_clustering_equals_loop_oracle(g):
     expected = oracles.loop_clustering(g.indptr, g.indices)
     assert np.array_equal(clustering_coefficients(g), expected)
-    assert all(local_clustering(g, i) == expected[i] for i in range(g.n))
 
 
 def _disjoint_triangles(count):
@@ -169,12 +167,6 @@ def test_clustering_equals_loop_oracle_property(data):
     p = data.draw(st.floats(min_value=0.0, max_value=1.0))
     rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=10**6)))
     _assert_clustering_equals_loop_oracle(graph_from_edges(n, random_edges(rng, n, p)))
-
-
-def test_local_clustering_out_of_range():
-    g = graph_from_edges(3, complete_edges(3))
-    with pytest.raises(IndexError):
-        local_clustering(g, 3)
 
 
 def test_average_clustering_complete():

@@ -37,11 +37,11 @@ def test_curves_csv_single_run_matches_records(tmp_path):
     header, rows = read_rows(path)
     assert header == ["day", "new_unvacc", "new_vacc", "new_all", "cum_unvacc", "cum_vacc", "cum_all"]
     run = ens.runs[0]
-    assert len(rows) == run.daily_frac_all.size
+    assert len(rows) == run.daily.shape[1]
     for day, row in enumerate(rows):
         assert int(row[0]) == day
-        assert float(row[1]) == pytest.approx(run.daily_frac_unvacc[day], abs=5e-7)
-        assert float(row[3]) == pytest.approx(run.daily_frac_all[day], abs=5e-7)
+        assert float(row[1]) == pytest.approx(run.daily[0, day], abs=5e-7)
+        assert float(row[3]) == pytest.approx(run.daily[2, day], abs=5e-7)
 
 
 def test_summary_csv_layout_and_self_consistency(tmp_path, small_comparison):
@@ -136,7 +136,7 @@ def test_outputs_byte_identical_across_calls(tmp_path, small_comparison):
     for name in ("a", "b"):
         write_curves_csv(comp.polarized, tmp_path / f"{name}.csv")
         emit_svg_plot(
-            [CurveGroup("polarized", "#c62828", [r.daily_frac_all for r in comp.polarized.runs])],
+            [CurveGroup("polarized", "#c62828", [r.daily[2] for r in comp.polarized.runs])],
             "all",
             tmp_path / f"{name}.svg",
         )
