@@ -28,15 +28,11 @@ from .errors import (
     SingleGroupError,
 )
 from .experiment import (
-    AllocationStrategy,
     Comparison,
     EnsembleSummary,
-    RunSummary,
     allocate_vaccines,
-    attack_rate,
     compare_scenarios,
     run_ensemble,
-    time_to_peak,
 )
 from .generators import (
     GeneratorSpec,

@@ -48,10 +48,6 @@ def _load_run_config(args) -> RunConfig:
     return replace(cfg, **{key: value for key, value in flags.items() if value is not None})
 
 
-def _ensemble_options(cfg: RunConfig) -> dict:
-    return {"seeding": cfg.seeding(), "threads": cfg.threads, "homogeneous_redraw": cfg.homogeneous_redraw}
-
-
 def cmd_metrics(args) -> int:
     if args.kmin < 1:
         raise ConfigError("--kmin must be >= 1")
@@ -74,9 +70,7 @@ def cmd_generate(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_run_config(args)
     g = cfg.resolve_graph()
-    summary = run_ensemble(
-        g, cfg.params, cfg.strategy_enum(), cfg.n_runs, cfg.master_seed, **_ensemble_options(cfg)
-    )
+    summary = run_ensemble(g, cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     curves = out_dir / "curves.csv"
@@ -88,7 +82,7 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load_run_config(args)
     g = cfg.resolve_graph()
-    comparison = compare_scenarios(g, cfg.params, cfg.n_runs, cfg.master_seed, **_ensemble_options(cfg))
+    comparison = compare_scenarios(g, cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_curves_csv(comparison.polarized, out_dir / "curves_polarized.csv")
@@ -96,7 +90,7 @@ def cmd_compare(args) -> int:
     write_summary_csv(comparison, out_dir / "summary.csv")
     for row, subpop in enumerate(SUBPOPS):
         groups = [
-            CurveGroup(name, color, [r.daily[row] for r in ensemble.runs])
+            CurveGroup(name, color, ensemble.series(row))
             for name, color, ensemble in (
                 ("polarized", _POLARIZED_COLOR, comparison.polarized),
                 ("homogeneous", _HOMOGENEOUS_COLOR, comparison.homogeneous),

@@ -2,8 +2,9 @@
 
 One key per line, ``#`` starts a comment, unset keys fall back to the
 study defaults. Each key sets the field of its name (or the one ``ALIASES``
-names) of :class:`RunConfig`, its ``GeneratorSpec`` or its ``EpidemicParams``;
-each of these validates itself when built. Exactly one graph source must be
+names) of :class:`RunConfig`, its ``GeneratorSpec``, its ``EpidemicParams`` or
+its ``Seeding``; each of these validates itself when built, and the ensemble
+functions take the whole ``RunConfig``. Exactly one graph source must be
 configured before a simulation can run: either ``edges``+``attrs`` files or
 a ``generator`` with its parameters.
 """
@@ -13,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import get_args, get_type_hints
 
-from .epidemic import SEED_POOLS, EpidemicParams, Seeding
+from .epidemic import EpidemicParams, Seeding
 from .errors import ConfigError
-from .experiment import AllocationStrategy
 from .generators import GeneratorSpec
 from .graph import AnnotatedGraph, load_edge_list
 
@@ -28,8 +28,7 @@ class RunConfig:
     attrs: str | None = None
     graph: GeneratorSpec | None = None
     params: EpidemicParams = field(default_factory=EpidemicParams)
-    seed_count: int = 10
-    seed_pool: str = "all"
+    seeding: Seeding = field(default_factory=Seeding)
     n_runs: int = 100
     master_seed: int = 0
     strategy: str = "polarized"
@@ -39,20 +38,12 @@ class RunConfig:
 
     def __post_init__(self):
         for key, valid, rule in (
-            ("seed_pool", self.seed_pool in SEED_POOLS, f"one of {SEED_POOLS}"),
             ("strategy", self.strategy in ("polarized", "homogeneous"), "'polarized' or 'homogeneous'"),
-            ("seed_count", self.seed_count >= 1, ">= 1"),
             ("n_runs", self.n_runs >= 1, ">= 1"),
             ("threads", self.threads >= 0, ">= 0 (0 = auto)"),
         ):
             if not valid:
                 raise ConfigError(f"key {key!r} must be {rule}")
-
-    def seeding(self) -> Seeding:
-        return Seeding(count=self.seed_count, pool=self.seed_pool)
-
-    def strategy_enum(self) -> AllocationStrategy:
-        return AllocationStrategy(self.strategy)
 
     def resolve_graph(self) -> AnnotatedGraph:
         """Build or load the configured graph (exactly one source allowed)."""
@@ -82,14 +73,18 @@ ALIASES = {
     "R": "infection_rate", "S_as": "age_scale", "A_si": "asymptomatic_scale",
     "B_n": "network_scale", "I_bar": "daily_interactions", "mu": "curve_mean",
     "sigma": "curve_sd", "VET": "vet", "VEI": "vei", "t_max_infectious": "max_infectious_days",
+    "seed_count": "count", "seed_pool": "pool",
 }
 _KEY_OF = {name: key for key, name in ALIASES.items()}
+
+# the dataclasses whose fields the config keys set
+_SECTIONS = (GeneratorSpec, EpidemicParams, Seeding, RunConfig)
 
 # config key -> (dataclass holding the field, field name, value type)
 CONFIG_KEYS = {
     _KEY_OF.get(name, name): (cls, name, kind)
-    for cls in (GeneratorSpec, EpidemicParams, RunConfig)
-    for name, kind in scalar_fields(cls, skip=("graph", "params"))
+    for cls in _SECTIONS
+    for name, kind in scalar_fields(cls, skip=("graph", "params", "seeding"))
 }
 
 
@@ -110,7 +105,7 @@ def _convert(key: str, raw: str, target_type, lineno: int):
 
 def parse_config(path) -> RunConfig:
     """Parse and validate a config file, applying defaults for unset keys."""
-    values: dict[type, dict] = {GeneratorSpec: {}, EpidemicParams: {}, RunConfig: {}}
+    values: dict[type, dict] = {cls: {} for cls in _SECTIONS}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -135,13 +130,14 @@ def parse_config(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return RunConfig(
-        graph=GeneratorSpec(**graph) if graph else None, params=params, **values[RunConfig]
+        graph=GeneratorSpec(**graph) if graph else None, params=params,
+        seeding=Seeding(**values[Seeding]), **values[RunConfig],
     )
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Render a config that parses back to an equal RunConfig."""
-    owners = {GeneratorSpec: cfg.graph, EpidemicParams: cfg.params, RunConfig: cfg}
+    owners = {GeneratorSpec: cfg.graph, EpidemicParams: cfg.params, Seeding: cfg.seeding, RunConfig: cfg}
     lines = []
     for key, (cls, name, target_type) in CONFIG_KEYS.items():
         value = None if owners[cls] is None else getattr(owners[cls], name)

@@ -30,9 +30,10 @@ for a target of status s, ``c_s`` = 1 unvaccinated and 1 - vei vaccinated.
 Determinism contract (fixed so optimized and reference implementations can
 share one random stream):
 
-1. Seeding: one ``rng.choice(pool, size=count, replace=False)`` call, then
-   one uniform per *vaccinated* index case in ascending node order for the
-   transmitter flag u > vet (skipped in ``vet_mode="daily"``).
+1. Seeding: one ``rng.choice(pool, size=count, replace=False)`` call for
+   the ``Seeding``'s pool and count, then one uniform per *vaccinated* index
+   case in ascending node order for the transmitter flag u > vet (skipped in
+   ``vet_mode="daily"``).
 2. A step from day d draws for the cohort infected on day d:
    a. ``vet_mode="daily"`` only: one (m, T) uniform array for its m
       vaccinated members, ascending; a member is active on day t of its
@@ -67,13 +68,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .graph import AnnotatedGraph, gather_rows
 
 SUSCEPTIBLE, INFECTED, RECOVERED = 0, 1, 2
 
 VET_MODES = ("once", "daily")
 SEED_POOLS = ("all", "unvaccinated")
+NEVER = np.iinfo(np.int32).max  # tentative day of a node no arc reaches
+# longest infectious window, one year: the P(t) table and, in daily mode, each
+# vaccinated infector's draws grow with it
+MAX_INFECTIOUS_DAYS = 365
 
 
 @dataclass(frozen=True)
@@ -113,12 +118,28 @@ class EpidemicParams:
         for key, value in (("VET", self.vet), ("VEI", self.vei)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{key} must lie in [0, 1], got {value}")
-        if self.max_infectious_days < 1:
-            raise ValueError("t_max_infectious must be >= 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if not 1 <= self.max_infectious_days <= MAX_INFECTIOUS_DAYS:
+            raise ValueError(f"t_max_infectious must lie in [1, {MAX_INFECTIOUS_DAYS}]")
+        # every day d + k and recovery day d + T + 1 must stay below NEVER (int32)
+        last = NEVER - self.max_infectious_days - 2
+        if not 1 <= self.horizon <= last:
+            raise ValueError(f"horizon must lie in [1, {last}]")
         if self.vet_mode not in VET_MODES:
             raise ValueError(f"vet_mode must be one of {VET_MODES}")
+
+
+@dataclass(frozen=True)
+class Seeding:
+    """How index cases are placed on day 0. Config-file keys in parentheses."""
+
+    count: int = 10  # index cases per run (seed_count)
+    pool: str = "all"  # "all" or "unvaccinated" (seed_pool)
+
+    def __post_init__(self):
+        if self.pool not in SEED_POOLS:
+            raise ConfigError(f"key 'seed_pool' must be one of {SEED_POOLS}")
+        if self.count < 1:
+            raise ConfigError("key 'seed_count' must be >= 1")
 
 
 def infectiousness_integral(t: int, curve_mean: float, curve_sd: float) -> float:
@@ -207,7 +228,6 @@ def exposure_table(g: AnnotatedGraph, params: EpidemicParams) -> np.ndarray:
 
 
 _UNIT = 2.0**53  # rng.random() draws multiples of 2**-53
-NEVER = np.iinfo(np.int32).max  # tentative day of a node no arc reaches
 
 
 @dataclass(frozen=True)
@@ -334,25 +354,18 @@ def _infect(state: SimulationState, nodes: np.ndarray, vet_mode: str, vet: float
 
 
 def seed_infections(
-    state: SimulationState,
-    count: int,
-    pool: str = "all",
-    vet_mode: str = "once",
-    vet: float = 0.9,
+    state: SimulationState, seeding: Seeding, params: EpidemicParams
 ) -> SimulationState:
-    """Infect ``count`` distinct agents of each run, drawn uniformly from the pool, on day 0."""
-    if pool not in SEED_POOLS:
-        raise DataError(f"seed pool must be one of {SEED_POOLS}")
-    if count < 1:
-        raise DataError("seeding requires count >= 1")
-    n, chosen = state.n, []
+    """Infect ``seeding.count`` distinct agents of each run, drawn uniformly
+    from its pool, on day 0: step 1 of the determinism contract."""
+    n, count, chosen = state.n, seeding.count, []
     for b, rng in enumerate(state.rngs):
         own = state.vaccinated[b * n : (b + 1) * n]
-        candidates = np.arange(n) if pool == "all" else np.flatnonzero(~own)
+        candidates = np.arange(n) if seeding.pool == "all" else np.flatnonzero(~own)
         if count > candidates.size:
             raise DataError(f"seed pool has {candidates.size} agent(s), cannot seed {count}")
         chosen.append(np.sort(rng.choice(candidates, size=count, replace=False)) + b * n)
-    _infect(state, np.concatenate(chosen), vet_mode, vet)
+    _infect(state, np.concatenate(chosen), params.vet_mode, params.vet)
     return state
 
 
@@ -417,14 +430,6 @@ def step_day(
 
 
 @dataclass(frozen=True)
-class Seeding:
-    """How index cases are placed on day 0."""
-
-    count: int = 10
-    pool: str = "all"
-
-
-@dataclass(frozen=True)
 class RunRecord:
     """Raw output of one simulation run."""
 
@@ -453,7 +458,7 @@ def run_batch(
     record equals the :func:`run_epidemic` record of its own Generator.
     """
     state = initial_state(g.n, vaccinated, list(rngs))
-    seed_infections(state, seeding.count, seeding.pool, params.vet_mode, params.vet)
+    seed_infections(state, seeding, params)
     if table is None:
         table = delay_table(g, params)
     step_day(g, state, params, table)

@@ -15,6 +15,7 @@ import pytest
 import oracles
 from helpers import complete_edges, graph_from_edges, random_edges
 from polarnet.cli import main as cli_main
+from polarnet.config import RunConfig
 from polarnet.epidemic import (
     INFECTED,
     SUSCEPTIBLE,
@@ -225,9 +226,10 @@ def screening_comparison():
     g = two_community(2000, 2000, 0.004, 0.00004, seed=2022)
     params = EpidemicParams()  # study defaults, daily_interactions = 2
     t0 = time.monotonic()
-    comp = compare_scenarios(
-        g, params, _SCREENING_RUNS, master_seed=7, seeding=Seeding(10, "all")
+    cfg = RunConfig(
+        params=params, seeding=Seeding(10, "all"), n_runs=_SCREENING_RUNS, master_seed=7
     )
+    comp = compare_scenarios(g, cfg)
     return comp, time.monotonic() - t0
 
 
@@ -271,7 +273,7 @@ def test_criterion_07_time_to_peak_ordering(screening_comparison):
 def test_criterion_08_null_effect_control():
     g = two_community(2000, 2000, 0.004, 0.00004, seed=2022)
     params = EpidemicParams(vet=0.0, vei=0.0)
-    comp = compare_scenarios(g, params, 100, master_seed=8, seeding=Seeding(10, "all"))
+    comp = compare_scenarios(g, RunConfig(params=params, seeding=Seeding(10, "all"), master_seed=8))
     ratio = (
         comp.polarized.mean_attack_rate["unvaccinated"]
         / comp.homogeneous.mean_attack_rate["unvaccinated"]
@@ -339,7 +341,7 @@ def test_criterion_10_conservation_invariants():
         )
         vaccinated = rng.random(n) < float(rng.uniform(0.0, 0.8))
         state = initial_state(n, vaccinated, rng=int(rng.integers(0, 2**31)))
-        seed_infections(state, 1, "all", params.vet_mode, params.vet)
+        seed_infections(state, Seeding(1, "all"), params)
         table = delay_table(g, params)
         ever = set(np.flatnonzero(state.status == INFECTED).tolist())
         cumulative = 1

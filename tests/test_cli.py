@@ -9,6 +9,9 @@ import pytest
 
 import polarnet
 from polarnet.cli import main
+from polarnet.config import parse_config
+from polarnet.experiment import compare_scenarios, run_ensemble
+from polarnet.output import write_curves_csv, write_summary_csv
 
 
 def run_cli(*argv):
@@ -140,6 +143,10 @@ def test_config_error_exit_code_1(tmp_path, capsys):
         ("R=nan\n", [], "R must be non-negative and finite"),
         ("mu=inf\n", [], "mu must be positive and finite"),
         ("", ["--threads", "-1"], "key 'threads' must be >= 0"),
+        # days past the int32 range: once an OverflowError, then a hang building P(t)
+        ("horizon=3000000000\n", [], "horizon must lie in [1, 2147483624]"),
+        ("horizon=99999999999999999999999\n", [], "horizon must lie in [1, 2147483624]"),
+        ("t_max_infectious=2147483647\n", [], "t_max_infectious must lie in [1, 365]"),
     ],
 )
 def test_invalid_values_exit_code_1(tmp_path, capsys, extra, flags, message):
@@ -238,6 +245,43 @@ def test_import_cli_leaves_scipy_unloaded(tmp_path):
     assert out.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "curves.csv").exists() and (tmp_path / "summary.csv").exists()
     assert (tmp_path / "report_all.csv").exists() and (tmp_path / "report_pro.csv").exists()
+
+
+def test_library_ensembles_equal_cli_outputs(tmp_path):
+    # the CLI hands the parsed RunConfig over whole: run_ensemble and
+    # compare_scenarios on the same config write the same bytes
+    cfg_path = _write_config(
+        tmp_path,
+        "strategy=homogeneous\nseed_pool=unvaccinated\nvet_mode=daily\n"
+        f"homogeneous_redraw=false\nthreads=2\nhorizon=60\nout_dir={tmp_path / 'cli'}\n",
+    )
+    assert run_cli("simulate", "--config", str(cfg_path)) == 0
+    assert run_cli("compare", "--config", str(cfg_path)) == 0
+    cfg = parse_config(cfg_path)
+    g = cfg.resolve_graph()
+    lib = tmp_path / "lib"
+    lib.mkdir()
+    write_curves_csv(run_ensemble(g, cfg), lib / "curves.csv")
+    comparison = compare_scenarios(g, cfg)
+    write_curves_csv(comparison.polarized, lib / "curves_polarized.csv")
+    write_curves_csv(comparison.homogeneous, lib / "curves_homogeneous.csv")
+    write_summary_csv(comparison, lib / "summary.csv")
+    for f in lib.iterdir():
+        assert f.read_bytes() == (tmp_path / "cli" / f.name).read_bytes(), f.name
+
+
+def test_readme_library_example_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    src = str(Path(polarnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, check=True
+    )
+    ratio, assortativity = map(float, out.stdout.split())
+    # the figures the example's comments quote
+    assert ratio == pytest.approx(11.9, abs=0.05)
+    assert assortativity == pytest.approx(0.94, abs=0.005)
 
 
 # SHA-256 of every file the commands below write, pinned so that changes to

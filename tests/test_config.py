@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from polarnet.cli import build_parser
 from polarnet.config import CONFIG_KEYS, RunConfig, parse_config, serialize_config
-from polarnet.epidemic import EpidemicParams
+from polarnet.epidemic import EpidemicParams, Seeding
 from polarnet.errors import ConfigError
 from polarnet.generators import GeneratorSpec
 
@@ -30,7 +30,7 @@ def test_empty_config_gives_study_defaults(tmp_path):
     assert p.age_scale == 1.14
     assert p.asymptomatic_scale == 0.88
     assert p.daily_interactions == 2.0
-    assert cfg.seed_count == 10 and cfg.seed_pool == "all"
+    assert cfg.seeding == Seeding(count=10, pool="all")
 
 
 def test_comments_and_blank_lines(tmp_path):
@@ -113,13 +113,6 @@ def test_resolve_generator_graph(tmp_path):
     assert int((g.opinions == 1).sum()) == 30
 
 
-def test_seeding_and_strategy_accessors():
-    cfg = RunConfig(seed_count=7, seed_pool="unvaccinated", strategy="homogeneous")
-    assert cfg.seeding().count == 7
-    assert cfg.seeding().pool == "unvaccinated"
-    assert cfg.strategy_enum().value == "homogeneous"
-
-
 def test_generator_params_cover_spec_and_config_fields():
     # every GeneratorSpec field is set by one config key and one generate option
     spec_fields = {f.name for f in fields(GeneratorSpec)}
@@ -171,6 +164,13 @@ def test_readme_config_table_lists_every_key():
         ("R=nan\n", "R must be non-negative and finite"),
         ("mu=inf\n", "mu must be positive and finite"),
         ("VEI=-inf\n", "VEI must lie in"),
+        ("seed_pool=vaccinated\nseed_count=3\n", "key 'seed_pool' must be one of"),
+        ("seed_count=-2\nseed_pool=unvaccinated\n", "key 'seed_count' must be >= 1"),
+        ("horizon=3000000000\n", r"horizon must lie in \[1, 2147483624\]"),
+        ("horizon=99999999999999999999999\n", "horizon must lie in"),
+        ("horizon=2147483624\nt_max_infectious=22\n", r"horizon must lie in \[1, 2147483623\]"),
+        ("t_max_infectious=2147483647\n", r"t_max_infectious must lie in \[1, 365\]"),
+        ("t_max_infectious=366\n", "t_max_infectious must lie in"),
     ],
 )
 def test_dataclass_validation_through_parse_config(tmp_path, text, match):

@@ -94,7 +94,7 @@ def test_params_validation():
 
 def test_seed_infections_all_pool_exhaustive():
     state = initial_state(6, None, rng=1)
-    seed_infections(state, 6, "all")
+    seed_infections(state, Seeding(6, "all"), EpidemicParams())
     assert (state.status == INFECTED).all()
     assert state.new_unvacc == [6] and state.new_vacc == [0]
 
@@ -103,14 +103,14 @@ def test_seed_infections_pool_too_small():
     vacc = np.array([True, True, False])
     state = initial_state(3, vacc, rng=1)
     with pytest.raises(DataError):
-        seed_infections(state, 2, "unvaccinated")
+        seed_infections(state, Seeding(2, "unvaccinated"), EpidemicParams())
 
 
 def test_seed_infections_deterministic():
     a = initial_state(50, None, rng=9)
     b = initial_state(50, None, rng=9)
-    seed_infections(a, 5, "all")
-    seed_infections(b, 5, "all")
+    seed_infections(a, Seeding(5, "all"), EpidemicParams())
+    seed_infections(b, Seeding(5, "all"), EpidemicParams())
     assert np.array_equal(a.status, b.status)
 
 
@@ -122,7 +122,7 @@ def test_seed_infections_uniform_over_pool():
     hits = 0
     for s in range(draws):
         state = initial_state(n, vacc, rng=s)
-        seed_infections(state, 1, "all")
+        seed_infections(state, Seeding(1, "all"), EpidemicParams())
         hits += int(state.vaccinated[state.status == INFECTED][0])
     sigma = math.sqrt(draws * frac * (1 - frac))
     assert abs(hits - draws * frac) <= 3 * sigma
@@ -442,7 +442,7 @@ def test_conservation_and_single_infection():
     g = graph_from_edges(30, random_edges(rng, 30, 0.15))
     params = EpidemicParams(max_infectious_days=5, horizon=50)
     state = initial_state(30, rng.random(30) < 0.3, rng=8)
-    seed_infections(state, 3, "all")
+    seed_infections(state, Seeding(3, "all"), params)
     table = delay_table(g, params)
     ever_infected = set(np.flatnonzero(state.status == INFECTED).tolist())
     cumulative = 3

@@ -1,24 +1,21 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import complete_edges, graph_from_edges
+from polarnet.config import RunConfig
 from polarnet.epidemic import EpidemicParams, RunRecord, Seeding, run_epidemic
-from polarnet.errors import DataError
 from polarnet.experiment import (
     AUTO_THREADS_MIN_ARCS,
     BATCH_NODES,
-    AllocationStrategy,
-    RunSummary,
     allocate_vaccines,
-    attack_rate,
     compare_scenarios,
     resolve_threads,
     run_ensemble,
-    summarize_run,
-    time_to_peak,
     _aggregate,
+    _fractions,
 )
 from polarnet.generators import two_community
 from polarnet.graph import Opinion
@@ -27,22 +24,22 @@ from polarnet.metrics import assortativity, mixing_matrix
 
 def test_polarized_allocation_is_the_pro_set():
     g = two_community(40, 60, 0.1, 0.01, seed=1)
-    flags = allocate_vaccines(g, AllocationStrategy.POLARIZED, rng=0)
+    flags = allocate_vaccines(g, "polarized", rng=0)
     assert np.array_equal(flags, g.opinions == int(Opinion.PRO))
     assert int(flags.sum()) == 40
 
 
 def test_homogeneous_allocation_count_and_all_pro_graph():
     g = two_community(40, 60, 0.1, 0.01, seed=1)
-    flags = allocate_vaccines(g, AllocationStrategy.HOMOGENEOUS, rng=3)
+    flags = allocate_vaccines(g, "homogeneous", rng=3)
     assert int(flags.sum()) == 40  # same dose count as the pro community
     all_pro = graph_from_edges(5, complete_edges(5), [1] * 5)
-    assert allocate_vaccines(all_pro, AllocationStrategy.HOMOGENEOUS, rng=3).all()
+    assert allocate_vaccines(all_pro, "homogeneous", rng=3).all()
 
 
 def test_polarized_status_mixing_equals_opinion_mixing():
     g = two_community(50, 50, 0.15, 0.02, seed=4)
-    flags = allocate_vaccines(g, AllocationStrategy.POLARIZED, rng=0)
+    flags = allocate_vaccines(g, "polarized", rng=0)
     assert np.allclose(
         mixing_matrix(g, flags.astype(np.uint8)), mixing_matrix(g, g.opinions)
     )
@@ -52,65 +49,79 @@ def test_homogeneous_allocation_near_zero_assortativity():
     g = two_community(1000, 1000, 0.008, 0.00008, seed=2)
     values = []
     for s in range(30):
-        flags = allocate_vaccines(g, AllocationStrategy.HOMOGENEOUS, rng=s)
+        flags = allocate_vaccines(g, "homogeneous", rng=s)
         values.append(assortativity(mixing_matrix(g, flags.astype(np.uint8))))
     assert float(np.mean(np.abs(values))) < 0.05
 
 
-def _summary_from_counts(new_unvacc, new_vacc, n_unvacc, n_vacc):
+def _record(new_unvacc, new_vacc, n_unvacc, n_vacc):
     vaccinated = np.zeros(n_unvacc + n_vacc, dtype=bool)
     vaccinated[n_unvacc:] = True
-    record = RunRecord(
+    return RunRecord(
         new_unvacc=np.array(new_unvacc, dtype=np.int64),
         new_vacc=np.array(new_vacc, dtype=np.int64),
         final_status=np.zeros(n_unvacc + n_vacc, dtype=np.int8),
         vaccinated=vaccinated,
     )
-    return summarize_run(record)
+
+
+def _summary_from_counts(new_unvacc, new_vacc, n_unvacc, n_vacc):
+    """The one-run ensemble of a hand-built record."""
+    return _aggregate("polarized", *_fractions([_record(new_unvacc, new_vacc, n_unvacc, n_vacc)]))
 
 
 def test_attack_rate_hand_count():
     run = _summary_from_counts([1, 2, 2, 0], [0, 1, 0, 0], n_unvacc=10, n_vacc=5)
-    assert attack_rate(run, "unvaccinated") == pytest.approx(0.5)
-    assert attack_rate(run, "vaccinated") == pytest.approx(0.2)
-    assert attack_rate(run, "all") == pytest.approx(6 / 15)
-    assert run.sizes == (10, 5, 15)
-    assert np.array_equal(run.daily, np.array([[1, 2, 2, 0], [0, 1, 0, 0], [1, 3, 2, 0]]) / [[10], [5], [15]])
+    assert run.mean_attack_rate["unvaccinated"] == pytest.approx(0.5)
+    assert run.mean_attack_rate["vaccinated"] == pytest.approx(0.2)
+    assert run.mean_attack_rate["all"] == pytest.approx(6 / 15)
+    assert run.sizes.tolist() == [[10, 5, 15]]
+    assert run.lengths.tolist() == [4]
+    assert np.array_equal(run.daily[0], np.array([[1, 2, 2, 0], [0, 1, 0, 0], [1, 3, 2, 0]]) / [[10], [5], [15]])
+    # the attack rate is the row sum, also of a run shorter than the ensemble
+    short = _record([3, 1], [1, 0], n_unvacc=10, n_vacc=5)
+    two = _aggregate("polarized", *_fractions([_record([1, 2, 2, 0], [0, 1, 0, 0], 10, 5), short]))
+    assert two.lengths.tolist() == [4, 2]
+    assert np.array_equal(two.daily[1, :, 2:], np.zeros((3, 2)))
+    assert two.mean_attack_rate["unvaccinated"] == pytest.approx((0.5 + 0.4) / 2)
+    assert [s.size for s in two.series(0)] == [4, 2]
 
 
 def test_attack_rate_index_cases_only_when_no_spread():
     g = graph_from_edges(20, complete_edges(20))
     params = EpidemicParams(infection_rate=0.0)
-    ens = run_ensemble(g, params, AllocationStrategy.HOMOGENEOUS, 4, 0, Seeding(5, "all"))
+    cfg = RunConfig(params=params, seeding=Seeding(5, "all"), n_runs=4, strategy="homogeneous")
+    ens = run_ensemble(g, cfg)
     assert ens.mean_attack_rate["all"] == pytest.approx(5 / 20)
 
 
 def test_attack_rate_errors():
+    # an empty subpopulation has no attack rate, and there are only SUBPOPS
     run = _summary_from_counts([1, 0], [0, 0], n_unvacc=4, n_vacc=0)
-    with pytest.raises(DataError):
-        attack_rate(run, "vaccinated")
-    with pytest.raises(DataError):
-        attack_rate(run, "everyone")
+    assert np.isnan(run.mean_attack_rate["vaccinated"])
+    assert run.mean_attack_rate["unvaccinated"] == pytest.approx(0.25)
+    with pytest.raises(KeyError):
+        run.mean_attack_rate["everyone"]
 
 
 def test_time_to_peak_earliest_argmax_and_scaling():
     run = _summary_from_counts([0, 1, 3, 2], [0, 0, 0, 0], 10, 5)
-    assert time_to_peak(run, "unvaccinated") == 2
+    assert run.mean_t_peak["unvaccinated"] == 2
     scaled = _summary_from_counts([0, 2, 6, 4], [0, 0, 0, 0], 20, 5)
-    assert time_to_peak(scaled, "unvaccinated") == 2
+    assert scaled.mean_t_peak["unvaccinated"] == 2
     tie = _summary_from_counts([0, 3, 3, 1], [0, 0, 0, 0], 10, 5)
-    assert time_to_peak(tie, "unvaccinated") == 1
-    with pytest.raises(DataError):
-        time_to_peak(run, "vaccinated")
+    assert tie.mean_t_peak["unvaccinated"] == 1
+    # no infection in the subpopulation: no peak
+    assert np.isnan(run.mean_t_peak["vaccinated"])
 
 
 def test_single_run_ensemble_equals_its_run():
     g = two_community(80, 80, 0.06, 0.005, seed=3)
-    ens = run_ensemble(g, EpidemicParams(), AllocationStrategy.POLARIZED, 1, 11)
-    run = ens.runs[0]
-    assert np.allclose(ens.mean_curves["unvaccinated"], run.daily[0])
-    assert ens.mean_attack_rate["all"] == pytest.approx(attack_rate(run, "all"))
-    assert ens.mean_t_peak["unvaccinated"] == time_to_peak(run, "unvaccinated")
+    ens = run_ensemble(g, RunConfig(n_runs=1, master_seed=11))
+    run = ens.daily[0]
+    assert np.allclose(ens.mean_curves["unvaccinated"], run[0])
+    assert ens.mean_attack_rate["all"] == pytest.approx(run[2].sum())
+    assert ens.mean_t_peak["unvaccinated"] == np.argmax(run[0])
 
 
 def test_resolve_threads(monkeypatch):
@@ -132,11 +143,12 @@ def test_resolve_threads(monkeypatch):
 
 def test_ensemble_deterministic_and_thread_invariant():
     g = two_community(100, 100, 0.05, 0.005, seed=6)
-    params = EpidemicParams()
-    kw = dict(seeding=Seeding(3, "all"))
-    a = run_ensemble(g, params, AllocationStrategy.HOMOGENEOUS, 8, 99, **kw)
-    b = run_ensemble(g, params, AllocationStrategy.HOMOGENEOUS, 8, 99, **kw)
-    c = run_ensemble(g, params, AllocationStrategy.HOMOGENEOUS, 8, 99, threads=4, **kw)
+    cfg = RunConfig(
+        seeding=Seeding(3, "all"), n_runs=8, master_seed=99, strategy="homogeneous", threads=1
+    )
+    a = run_ensemble(g, cfg)
+    b = run_ensemble(g, cfg)
+    c = run_ensemble(g, replace(cfg, threads=4))
     for other in (b, c):
         for s in ("unvaccinated", "vaccinated", "all"):
             assert np.array_equal(a.mean_curves[s], other.mean_curves[s])
@@ -150,25 +162,30 @@ def test_batched_ensemble_equals_per_run_records_for_any_threads():
     assert BATCH_NODES // g.n == 2
     params = EpidemicParams(horizon=40)
     seeding = Seeding(5, "all")
-    for strategy in AllocationStrategy:
+    for strategy in ("polarized", "homogeneous"):
         children = np.random.SeedSequence(31).spawn(6)
         expected = []
         for child in children[1:]:
             rng = np.random.Generator(np.random.PCG64(child))
-            alloc_rng = rng if strategy is AllocationStrategy.HOMOGENEOUS else 0
+            alloc_rng = rng if strategy == "homogeneous" else 0
             vaccinated = allocate_vaccines(g, strategy, alloc_rng)
-            expected.append(summarize_run(run_epidemic(g, params, seeding, rng, vaccinated)))
+            expected.append(run_epidemic(g, params, seeding, rng, vaccinated))
+        want = _fractions(expected)
         for threads in (1, 3):
-            ens = run_ensemble(g, params, strategy, 5, np.random.SeedSequence(31), seeding, threads)
-            for got, want in zip(ens.runs, expected, strict=True):
-                assert np.array_equal(got.daily, want.daily)
-                assert got.sizes == want.sizes
+            cfg = RunConfig(
+                params=params, seeding=seeding, n_runs=5, master_seed=31,
+                strategy=strategy, threads=threads,
+            )
+            ens = run_ensemble(g, cfg)
+            assert np.array_equal(ens.daily, want[0])
+            assert np.array_equal(ens.lengths, want[1])
+            assert np.array_equal(ens.sizes, want[2])
 
 
 def test_ensemble_aggregation_order_invariant():
     g = two_community(60, 60, 0.08, 0.01, seed=9)
-    ens = run_ensemble(g, EpidemicParams(), AllocationStrategy.POLARIZED, 6, 5)
-    again = _aggregate(ens.strategy, list(reversed(ens.runs)))
+    ens = run_ensemble(g, RunConfig(n_runs=6, master_seed=5))
+    again = _aggregate(ens.strategy, ens.daily[::-1], ens.lengths[::-1], ens.sizes[::-1])
     for s in ("unvaccinated", "vaccinated", "all"):
         assert np.allclose(ens.mean_curves[s], again.mean_curves[s])
         assert np.allclose(ens.band_low[s], again.band_low[s])
@@ -177,18 +194,14 @@ def test_ensemble_aggregation_order_invariant():
 
 def test_homogeneous_redraw_toggle():
     g = two_community(100, 100, 0.05, 0.005, seed=2)
-    params = EpidemicParams()
-    fixed = run_ensemble(
-        g, params, AllocationStrategy.HOMOGENEOUS, 5, 7, homogeneous_redraw=False
-    )
+    cfg = RunConfig(n_runs=5, master_seed=7, strategy="homogeneous")
+    fixed = run_ensemble(g, replace(cfg, homogeneous_redraw=False))
     # identical allocation every run: vaccinated subpop sizes all equal AND
     # per-run vaccination patterns coincide (probed via equal vaccinated
     # sizes plus determinism of the fixed draw)
-    assert len({r.sizes for r in fixed.runs}) == 1
-    redraw = run_ensemble(
-        g, params, AllocationStrategy.HOMOGENEOUS, 5, 7, homogeneous_redraw=True
-    )
-    assert len({r.sizes for r in redraw.runs}) == 1  # count invariant either way
+    assert len({tuple(s) for s in fixed.sizes.tolist()}) == 1
+    redraw = run_ensemble(g, replace(cfg, homogeneous_redraw=True))
+    assert len({tuple(s) for s in redraw.sizes.tolist()}) == 1  # count invariant either way
     # the two modes disagree on at least one curve with these seeds
     length = max(fixed.days, redraw.days)
 
@@ -203,13 +216,13 @@ def test_homogeneous_redraw_toggle():
 def test_compare_no_effect_when_vaccine_useless():
     g = two_community(150, 150, 0.04, 0.004, seed=10)
     params = EpidemicParams(vet=0.0, vei=0.0)
-    comp = compare_scenarios(g, params, 40, 21)
+    comp = compare_scenarios(g, RunConfig(params=params, n_runs=40, master_seed=21))
     assert 0.9 <= comp.ar_ratio["all"] <= 1.1
 
 
 def test_compare_reports_all_subpops():
     g = two_community(120, 120, 0.05, 0.002, seed=12)
-    comp = compare_scenarios(g, EpidemicParams(), 5, 3)
+    comp = compare_scenarios(g, RunConfig(n_runs=5, master_seed=3))
     for s in ("unvaccinated", "vaccinated", "all"):
         assert s in comp.ar_ratio
         assert s in comp.t_peak_diff

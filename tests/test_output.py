@@ -3,9 +3,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from polarnet.epidemic import EpidemicParams, Seeding
+from polarnet.config import RunConfig
+from polarnet.epidemic import Seeding
 from polarnet.errors import DataError
-from polarnet.experiment import AllocationStrategy, compare_scenarios, run_ensemble
+from polarnet.experiment import compare_scenarios, run_ensemble
 from polarnet.generators import two_community
 from polarnet.output import (
     CurveGroup,
@@ -26,22 +27,22 @@ def read_rows(path):
 @pytest.fixture(scope="module")
 def small_comparison():
     g = two_community(100, 100, 0.05, 0.005, seed=1)
-    return compare_scenarios(g, EpidemicParams(), 5, 17, seeding=Seeding(3, "all"))
+    return compare_scenarios(g, RunConfig(seeding=Seeding(3, "all"), n_runs=5, master_seed=17))
 
 
 def test_curves_csv_single_run_matches_records(tmp_path):
     g = two_community(60, 60, 0.06, 0.005, seed=2)
-    ens = run_ensemble(g, EpidemicParams(), AllocationStrategy.POLARIZED, 1, 9)
+    ens = run_ensemble(g, RunConfig(n_runs=1, master_seed=9))
     path = tmp_path / "curves.csv"
     write_curves_csv(ens, path)
     header, rows = read_rows(path)
     assert header == ["day", "new_unvacc", "new_vacc", "new_all", "cum_unvacc", "cum_vacc", "cum_all"]
-    run = ens.runs[0]
-    assert len(rows) == run.daily.shape[1]
+    run = ens.daily[0]
+    assert len(rows) == ens.lengths[0] == run.shape[1]
     for day, row in enumerate(rows):
         assert int(row[0]) == day
-        assert float(row[1]) == pytest.approx(run.daily[0, day], abs=5e-7)
-        assert float(row[3]) == pytest.approx(run.daily[2, day], abs=5e-7)
+        assert float(row[1]) == pytest.approx(run[0, day], abs=5e-7)
+        assert float(row[3]) == pytest.approx(run[2, day], abs=5e-7)
 
 
 def test_summary_csv_layout_and_self_consistency(tmp_path, small_comparison):
@@ -136,7 +137,7 @@ def test_outputs_byte_identical_across_calls(tmp_path, small_comparison):
     for name in ("a", "b"):
         write_curves_csv(comp.polarized, tmp_path / f"{name}.csv")
         emit_svg_plot(
-            [CurveGroup("polarized", "#c62828", [r.daily[2] for r in comp.polarized.runs])],
+            [CurveGroup("polarized", "#c62828", comp.polarized.series(2))],
             "all",
             tmp_path / f"{name}.svg",
         )
