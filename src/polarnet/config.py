@@ -40,6 +40,7 @@ class RunConfig:
         for key, valid, rule in (
             ("strategy", self.strategy in ("polarized", "homogeneous"), "'polarized' or 'homogeneous'"),
             ("n_runs", self.n_runs >= 1, ">= 1"),
+            ("master_seed", self.master_seed >= 0, ">= 0"),
             ("threads", self.threads >= 0, ">= 0 (0 = auto)"),
         ):
             if not valid:

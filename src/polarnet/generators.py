@@ -1,9 +1,14 @@
 """Synthetic network generators: random, small-world, scale-free, planted.
 
-Every generator is deterministic given its parameters and a 64-bit seed,
-and returns a validated :class:`~polarnet.graph.AnnotatedGraph`. Random-
-graph and two-community edges are drawn with geometric skip sampling, so
-cost scales with the number of edges rather than the number of node pairs.
+Every generator is deterministic given its parameters and a non-negative
+seed, and returns a validated :class:`~polarnet.graph.AnnotatedGraph`.
+Random-graph and two-community edges are drawn with geometric skip sampling
+over whole arrays, so cost scales with the number of edges rather than the
+number of node pairs. The skips are drawn in chunks and the generator is
+then rewound to the last draw used, so the edges and the random stream are
+exactly those of drawing one skip at a time. Watts-Strogatz and
+Barabasi-Albert stay Python loops: their streams interleave ``random()``
+and ``integers()`` draws that depend on the graph built so far.
 """
 
 from __future__ import annotations
@@ -21,26 +26,61 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _bernoulli_indices(total: int, p: float, rng: np.random.Generator) -> list[int]:
-    """Indices in [0, total) kept independently with probability p."""
+_CHUNK = 1 << 18  # most skips drawn per rng.random call
+
+
+def _skips(r: np.ndarray, log_q: float, total: int) -> np.ndarray:
+    """Geometric skips ``1 + int(log1p(-r) / log_q)``, each at most ``total + 1``.
+
+    numpy's log1p may differ from math.log1p in the last bit, which moves
+    the truncation only where the quotient lies at an integer; quotients
+    within a relative 1e-9 of one are recomputed with math.log1p, as the
+    scalar loop had them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # a subnormal p gives inf
+        x = np.log1p(-r) / log_q
+        near = np.flatnonzero(np.abs(x - np.rint(x)) <= 1e-9 * x)
+    x[near] = [math.log1p(-v) / log_q for v in r[near].tolist()]
+    return 1 + np.minimum(x, total).astype(np.int64)
+
+
+def _bernoulli_indices(total: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Indices in [0, total) kept independently with probability p, as int64.
+
+    Geometric skips (Batagelj & Brandes 2005) are drawn in chunks and summed;
+    then the generator is rewound to just past the draw that crossed
+    ``total``. Indices and stream equal those of drawing one skip at a time.
+    """
     if total <= 0 or p <= 0.0:
-        return []
+        return np.empty(0, dtype=np.int64)
     if p >= 1.0:
-        return list(range(total))
-    out = []
+        return np.arange(total, dtype=np.int64)
     log_q = math.log1p(-p)
-    pos = -1
+    start = rng.bit_generator.state
+    # k skips of at most total + 1 (give or take the float rounding of a
+    # clipped skip) keep every position of a chunk below 2^63
+    limit = max(1, min(_CHUNK, (1 << 62) // (total + 1)))
+    parts, pos, used = [], -1, 0
     while True:
-        r = rng.random()
-        pos += 1 + int(math.log1p(-r) / log_q)
-        if pos >= total:
-            return out
-        out.append(pos)
+        # the draws expected to cross total, plus four standard deviations
+        expected = (total - 1 - pos) * p + 1
+        k = min(limit, int(expected + 4 * math.sqrt(expected)) + 16)
+        positions = pos + np.cumsum(_skips(rng.random(k), log_q, total))
+        end = int(np.searchsorted(positions, total))
+        parts.append(positions[:end])
+        if end < k:
+            rng.bit_generator.state = start
+            rng.bit_generator.advance(used + end + 1)
+            return np.concatenate(parts)
+        pos, used = int(positions[-1]), used + k
 
 
-def _pair_from_triangular(q: int) -> tuple[int, int]:
-    # flat index q = j(j-1)/2 + i over pairs i < j
-    j = (1 + math.isqrt(8 * q + 1)) // 2
+def _pair_from_triangular(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs i < j of the flat indices q = j(j-1)/2 + i."""
+    # j = floor((1 + sqrt(8q + 1)) / 2); half a row up, float rounding cannot
+    # push the estimate below j, so it is j or j + 1
+    j = (np.sqrt(8.0 * q + 1.0) // 2 + 1).astype(np.int64)
+    j -= j * (j - 1) // 2 > q
     return q - j * (j - 1) // 2, j
 
 
@@ -51,8 +91,8 @@ def erdos_renyi(n: int, p: float, seed) -> AnnotatedGraph:
     if not 0.0 <= p <= 1.0:
         raise ConfigError("edge probability must lie in [0, 1]")
     rng = _rng(seed)
-    pairs = [_pair_from_triangular(q) for q in _bernoulli_indices(n * (n - 1) // 2, p, rng)]
-    return AnnotatedGraph.from_edge_array(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    i, j = _pair_from_triangular(_bernoulli_indices(n * (n - 1) // 2, p, rng))
+    return AnnotatedGraph.from_edge_array(n, np.column_stack([i, j]))
 
 
 def watts_strogatz(n: int, k_ring: int, p_rewire: float, seed) -> AnnotatedGraph:
@@ -137,22 +177,23 @@ def two_community(
     if p_in < p_out:
         raise ConfigError("two_community requires p_in >= p_out")
     rng = _rng(seed)
-    edges: list[tuple[int, int]] = []
-    for q in _bernoulli_indices(n_pro * (n_pro - 1) // 2, p_in, rng):
-        edges.append(_pair_from_triangular(q))
-    for q in _bernoulli_indices(n_anti * (n_anti - 1) // 2, p_in, rng):
-        i, j = _pair_from_triangular(q)
-        edges.append((n_pro + i, n_pro + j))
-    for q in _bernoulli_indices(n_pro * n_anti, p_out, rng):
-        edges.append((q // n_anti, n_pro + q % n_anti))
+    pro = _pair_from_triangular(_bernoulli_indices(n_pro * (n_pro - 1) // 2, p_in, rng))
+    anti = _pair_from_triangular(_bernoulli_indices(n_anti * (n_anti - 1) // 2, p_in, rng))
+    cross = _bernoulli_indices(n_pro * n_anti, p_out, rng)
+    edges = np.concatenate([
+        np.column_stack(pro),
+        n_pro + np.column_stack(anti),
+        np.column_stack([cross // n_anti, n_pro + cross % n_anti]),
+    ])
     n = n_pro + n_anti
     opinions = np.empty(n, dtype=np.uint8)
     opinions[:n_pro] = Opinion.PRO
     opinions[n_pro:] = Opinion.ANTI
-    return AnnotatedGraph.from_edge_array(
-        n, np.array(edges, dtype=np.int64).reshape(-1, 2), opinions=opinions
-    )
+    return AnnotatedGraph.from_edge_array(n, edges, opinions=opinions)
 
+
+# most nodes of a generated graph: every pair index n(n-1)/2 then fits in int64
+MAX_NODES = 2**31 - 1
 
 # the parameters each generator kind needs
 _REQUIRED = {
@@ -189,6 +230,12 @@ class GeneratorSpec:
             value = getattr(self, key)
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{key} must lie in [0, 1], got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"key 'graph_seed' (generate --seed) must be >= 0, got {self.seed}")
+        both = None if None in (self.n_pro, self.n_anti) else self.n_pro + self.n_anti
+        for key, value in (("n", self.n), ("n_pro + n_anti", both)):
+            if value is not None and value > MAX_NODES:
+                raise ConfigError(f"{key} must be <= {MAX_NODES}, got {value}")
 
     def build(self) -> AnnotatedGraph:
         missing = [name for name in _REQUIRED[self.kind] if getattr(self, name) is None]

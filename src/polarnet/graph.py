@@ -335,15 +335,35 @@ def load_edge_list(path, attr_path) -> AnnotatedGraph:
     )
 
 
+def _label_bytes(labels: np.ndarray) -> np.ndarray:
+    """Decimal text of each label as a row of a zero-padded uint8 matrix."""
+    text = labels.astype(np.bytes_)
+    rows = text.view(np.uint8).reshape(labels.size, text.itemsize)
+    return rows[:, : np.count_nonzero(rows.any(axis=0))]
+
+
+def _write_rows(fh, *columns: np.ndarray) -> None:
+    """Write the rows of the side-by-side uint8 columns, zero bytes dropped."""
+    rows = np.hstack(columns)
+    fh.write(rows[rows != 0].tobytes())
+
+
 def save_edge_list(g: AnnotatedGraph, path, attr_path) -> None:
-    """Write a graph back out in the load format (external labels)."""
+    """Write a graph back out in the load format (external labels).
+
+    Each label is formatted once; every line is then a row of byte columns.
+    """
+    text = _label_bytes(g.labels)
     edges = g.edges()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("src,dst\n")
+    comma, newline = (np.full((_SAVE_BLOCK, 1), ord(c), dtype=np.uint8) for c in ",\n")
+    with open(path, "wb") as fh:
+        fh.write(b"src,dst\n")
         for lo in range(0, len(edges), _SAVE_BLOCK):
-            block = g.labels[edges[lo : lo + _SAVE_BLOCK]].tolist()
-            fh.write("".join(f"{a},{b}\n" for a, b in block))
-    name = {int(op): str(op) for op in Opinion}
-    rows = zip(g.labels.tolist(), g.opinions.tolist())
-    with open(attr_path, "w", encoding="utf-8") as fh:
-        fh.write("node,opinion\n" + "".join(f"{label},{name[op]}\n" for label, op in rows))
+            block = edges[lo : lo + _SAVE_BLOCK]
+            rows = len(block)
+            _write_rows(fh, text[block[:, 0]], comma[:rows], text[block[:, 1]], newline[:rows])
+    # line ends by Opinion value (ANTI = 0, PRO = 1), zero-padded
+    suffix = np.array([b",anti\n", b",pro\n"]).view(np.uint8).reshape(2, -1)
+    with open(attr_path, "wb") as fh:
+        fh.write(b"node,opinion\n")
+        _write_rows(fh, text, suffix[g.opinions])

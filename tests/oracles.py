@@ -113,6 +113,42 @@ def reference_edge_files(edges, labels, opinions) -> tuple[str, str]:
     return edge_text, attr_text
 
 
+def fstring_edge_files(g, path, attr_path) -> None:
+    """Save ``g`` as the package's writer did before it formatted whole
+    arrays: one f-string per line, the edge rows in blocks of 65,536."""
+    edges = g.edges()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("src,dst\n")
+        for lo in range(0, len(edges), 1 << 16):
+            block = g.labels[edges[lo : lo + (1 << 16)]].tolist()
+            fh.write("".join(f"{a},{b}\n" for a, b in block))
+    rows = zip(g.labels.tolist(), g.opinions.tolist())
+    with open(attr_path, "w", encoding="utf-8") as fh:
+        fh.write("node,opinion\n" + "".join(f"{label},{'pro' if op else 'anti'}\n" for label, op in rows))
+
+
+# -- generator sampling ------------------------------------------------------
+
+
+def scalar_bernoulli_indices(total: int, p: float, rng: np.random.Generator) -> list[int]:
+    """Indices in [0, total) kept independently with probability p, one
+    geometric skip per ``rng.random()`` draw: the loop the array sampler
+    must reproduce index for index and draw for draw."""
+    if total <= 0 or p <= 0.0:
+        return []
+    if p >= 1.0:
+        return list(range(total))
+    out = []
+    log_q = math.log1p(-p)
+    pos = -1
+    while True:
+        r = rng.random()
+        pos += 1 + int(math.log1p(-r) / log_q)
+        if pos >= total:
+            return out
+        out.append(pos)
+
+
 # -- gamma curve quadrature ------------------------------------------------
 
 

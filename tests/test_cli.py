@@ -147,16 +147,30 @@ def test_config_error_exit_code_1(tmp_path, capsys):
         ("horizon=3000000000\n", [], "horizon must lie in [1, 2147483624]"),
         ("horizon=99999999999999999999999\n", [], "horizon must lie in [1, 2147483624]"),
         ("t_max_infectious=2147483647\n", [], "t_max_infectious must lie in [1, 365]"),
+        # negative seeds: once numpy's raw "expected non-negative integer"
+        ("", ["--seed", "-1"], "key 'master_seed' must be >= 0"),
+        # no config: the flags are those of `generate`
+        (None, ["--kind", "er", "--n", "10", "--p", "0.1", "--seed", "-1"],
+         "key 'graph_seed' (generate --seed) must be >= 0"),
+        # once an _ArrayMemoryError traceback
+        (None, ["--kind", "er", "--n", "100000000000", "--p", "0"], "n must be <= 2147483647"),
+        (None, ["--kind", "two-community", "--n-pro", "2000000000", "--n-anti", "2000000000",
+                "--p-in", "0", "--p-out", "0"], "n_pro + n_anti must be <= 2147483647"),
     ],
 )
 def test_invalid_values_exit_code_1(tmp_path, capsys, extra, flags, message):
     # config values and command-line overrides go through the same validation
-    cfg = _write_config(tmp_path, extra)
-    for command in ("simulate", "compare"):
-        assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"), *flags) == 1
+    out = tmp_path / "out"
+    if extra is None:
+        commands = [["generate", *flags, "--out-edges", str(out / "e.csv"), "--out-attrs", str(out / "a.csv")]]
+    else:
+        cfg = str(_write_config(tmp_path, extra))
+        commands = [[command, "--config", cfg, "--out", str(out), *flags] for command in ("simulate", "compare")]
+    for argv in commands:
+        assert run_cli(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
-    assert not (tmp_path / "out").exists()
+    assert not out.exists()
 
 
 def test_generator_params_without_generator_exit_code_1(tmp_path, capsys):
@@ -299,6 +313,14 @@ PINNED_OUTPUTS = {
     "metrics/edges.csv": "7cbf021915146a64b2a3ee3f305e6fa3002cfb06ffd8c93301c9812e1286dec8",
     "metrics/report_all.csv": "cc4fe1db7ca270c1c8a7ec22ba5254121d3622c33b52251eb780331af7ba0b20",
     "metrics/report_pro.csv": "993d939d4b6e7020aa0efd4f8760d00ba2fff7db96cc5c719cc059279ec7ba83",
+    # the scalar-loop generators and the f-string writer wrote these
+    "generate/er_edges.csv": "978739439645ee4fd091306d1d2442edda383c9c45d3ec723e6dd860b88584ae",
+    "generate/ws_edges.csv": "8645287ffbf13612712136bf6e9e39bcd7143cc0a08644af87c3068a4e40bcb9",
+    "generate/ba_edges.csv": "3094d54c95d45a630a2fb051d6a8edd416804372fcb607dfeca3ce73d7673e39",
+    # 500 nodes labelled 0..499, all pro
+    "generate/er_attrs.csv": "efd3da037194eb313e7d69b29ad2836d7aebdbc001fba470f0c730098beb5fa7",
+    "generate/ws_attrs.csv": "efd3da037194eb313e7d69b29ad2836d7aebdbc001fba470f0c730098beb5fa7",
+    "generate/ba_attrs.csv": "efd3da037194eb313e7d69b29ad2836d7aebdbc001fba470f0c730098beb5fa7",
 }
 
 
@@ -317,9 +339,16 @@ def test_cli_outputs_pinned(tmp_path):
     assert run_cli(
         "metrics", "--edges", edges, "--attrs", attrs, "--subgraph", "pro", "--out", str(met / "report_pro.csv")
     ) == 0
+    (tmp_path / "generate").mkdir()
+    for kind, params in (("er", ["--p", "0.02"]), ("ws", ["--k-ring", "4", "--p-rewire", "0.1"]), ("ba", ["--m", "2"])):
+        assert run_cli(
+            "generate", "--kind", kind, "--n", "500", *params, "--seed", "4",
+            "--out-edges", str(tmp_path / "generate" / f"{kind}_edges.csv"),
+            "--out-attrs", str(tmp_path / "generate" / f"{kind}_attrs.csv"),
+        ) == 0
     digests = {
         f"{d}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
-        for d in ("simulate", "compare", "metrics")
+        for d in ("simulate", "compare", "metrics", "generate")
         for f in (tmp_path / d).iterdir()
     }
     assert digests == PINNED_OUTPUTS

@@ -171,6 +171,11 @@ def test_readme_config_table_lists_every_key():
         ("horizon=2147483624\nt_max_infectious=22\n", r"horizon must lie in \[1, 2147483623\]"),
         ("t_max_infectious=2147483647\n", r"t_max_infectious must lie in \[1, 365\]"),
         ("t_max_infectious=366\n", "t_max_infectious must lie in"),
+        # negative seeds reached numpy's SeedSequence; oversize graphs its allocator
+        ("master_seed=-3\n", "key 'master_seed' must be >= 0"),
+        ("generator=er\nn=10\np=0.1\ngraph_seed=-1\n", r"key 'graph_seed' \(generate --seed\) must be >= 0"),
+        ("generator=er\nn=2147483648\np=0\n", r"n must be <= 2147483647, got 2147483648"),
+        ("generator=two-community\nn_pro=2147483647\nn_anti=1\n", r"n_pro \+ n_anti must be <= 2147483647"),
     ],
 )
 def test_dataclass_validation_through_parse_config(tmp_path, text, match):

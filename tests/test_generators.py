@@ -1,11 +1,18 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
+from oracles import scalar_bernoulli_indices
 from polarnet.errors import ConfigError
 from polarnet.generators import (
+    _CHUNK,
+    MAX_NODES,
     GeneratorSpec,
     _bernoulli_indices,
     _pair_from_triangular,
+    _skips,
     barabasi_albert,
     erdos_renyi,
     two_community,
@@ -22,8 +29,82 @@ from polarnet.metrics import (
 
 def test_triangular_decode_covers_all_pairs():
     n = 10
-    decoded = {_pair_from_triangular(q) for q in range(n * (n - 1) // 2)}
-    assert decoded == {(i, j) for j in range(n) for i in range(j)}
+    i, j = _pair_from_triangular(np.arange(n * (n - 1) // 2))
+    assert set(zip(i.tolist(), j.tolist())) == {(i, j) for j in range(n) for i in range(j)}
+
+
+def _isqrt_decode(q: int) -> tuple[int, int]:
+    j = (1 + math.isqrt(8 * q + 1)) // 2
+    return q - j * (j - 1) // 2, j
+
+
+def test_triangular_decode_equals_isqrt():
+    # every small index, and the indices around the last rows of the
+    # largest graph allowed, where 8q + 1 no longer fits in int64
+    top = MAX_NODES * (MAX_NODES - 1) // 2
+    rows = [j * (j - 1) // 2 + d for j in range(MAX_NODES - 50, MAX_NODES) for d in (-1, 0, 1)]
+    q = np.array([*range(45), *range(top - 200, top), *rows], dtype=np.int64)
+    i, j = _pair_from_triangular(q)
+    assert i.dtype == j.dtype == np.int64
+    assert list(zip(i.tolist(), j.tolist())) == [_isqrt_decode(x) for x in q.tolist()]
+    assert _isqrt_decode(top - 1) == (MAX_NODES - 2, MAX_NODES - 1)
+
+
+def _pcg(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+# pair counts of the 113,038-node ER and two-community benchmark graphs
+ER_PAIRS = 113_038 * 113_037 // 2
+CROSS_PAIRS = 80_257 * 32_781
+
+
+@pytest.mark.parametrize("p", [1e-300, 1e-7, 0.3, 1 - 1e-12, 1.0])
+def test_array_sampler_equals_scalar_loop(p):
+    # same indices and same next draw; the chunk-boundary totals cross
+    # total on the last draw of a chunk, or on the first of the next
+    for total in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, ER_PAIRS, CROSS_PAIRS):
+        if total * p > 2 * _CHUNK:
+            continue  # more draws than the scalar loop runs in a test
+        ref, rng = _pcg(total), _pcg(total)
+        got = _bernoulli_indices(total, p, rng)
+        assert got.dtype == np.int64
+        assert got.tolist() == scalar_bernoulli_indices(total, p, ref), total
+        assert rng.random() == ref.random(), total
+
+
+def test_array_sampler_equals_scalar_loop_at_benchmark_sizes():
+    # ER at 113,038 nodes, then the three calls of two-community on one Generator
+    ref, rng = _pcg(0), _pcg(0)
+    assert _bernoulli_indices(ER_PAIRS, 0.0000354, rng).tolist() == scalar_bernoulli_indices(
+        ER_PAIRS, 0.0000354, ref
+    )
+    assert rng.random() == ref.random()
+    ref, rng = _pcg(3), _pcg(3)
+    for total, p in ((80_257 * 80_256 // 2, 0.00006), (32_781 * 32_780 // 2, 0.00006), (CROSS_PAIRS, 0.0000002)):
+        assert _bernoulli_indices(total, p, rng).tolist() == scalar_bernoulli_indices(total, p, ref)
+    assert rng.random() == ref.random()
+
+
+def test_skips_recompute_quotients_at_an_integer(monkeypatch):
+    # r = p makes the scalar quotient log1p(-p) / log1p(-p) exactly 1. With
+    # numpy's log1p one bit off, the array quotient falls just below 1 and
+    # would truncate to 0: only the math.log1p fallback keeps the skip at 2
+    log1p = np.log1p
+    monkeypatch.setattr(np, "log1p", lambda a: np.nextafter(log1p(a), 0.0))
+    for p in (0.3, 0.5, 1e-7, 0.0000354):
+        log_q = math.log1p(-p)
+        r = np.array([p, 0.0, 0.25, 0.999])
+        assert np.floor(np.log1p(-r[:1]) / log_q)[0] == 0.0  # the off-by-one bit shows
+        want = [1 + int(math.log1p(-v) / log_q) for v in r.tolist()]
+        assert _skips(r, log_q, 10**12).tolist() == want
+        assert want[0] == 2
+
+
+def test_skips_clip_before_the_int_cast():
+    # with a subnormal p the quotient overflows to inf; the skip is still total + 1
+    assert _skips(np.array([0.5, 0.0]), math.log1p(-5e-324), 1000).tolist() == [1001, 1]
+    assert _bernoulli_indices(ER_PAIRS, 5e-324, _pcg(0)).size == 0
 
 
 def test_skip_sampler_unbiased_per_position():
@@ -153,6 +234,20 @@ def test_two_community_invalid_params():
         two_community(10, 10, 0.1, 0.2, 0)  # p_in < p_out
     with pytest.raises(ConfigError):
         two_community(0, 10, 0.1, 0.0, 0)
+
+
+@pytest.mark.parametrize(
+    ("fields", "message"),
+    [
+        ({"kind": "er", "n": 10, "p": 0.1, "seed": -1}, "key 'graph_seed' (generate --seed) must be >= 0"),
+        ({"kind": "er", "n": MAX_NODES + 1, "p": 0.0}, "n must be <= 2147483647"),
+        ({"kind": "two-community", "n_pro": 2**30, "n_anti": 2**30, "p_in": 0.0, "p_out": 0.0},
+         "n_pro + n_anti must be <= 2147483647"),
+    ],
+)
+def test_generator_spec_rejects_negative_seed_and_oversize(fields, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        GeneratorSpec(**fields)
 
 
 def test_generator_spec_dispatch_and_validation():

@@ -281,6 +281,26 @@ def test_load_accepts_int64_extremes_signs_and_zeros(tmp_path):
     assert g.opinions.tolist() == [ANTI, PRO, PRO, ANTI, PRO]
 
 
+@pytest.mark.parametrize(
+    ("edge_lines", "attr_lines"),
+    [
+        (
+            [f"{INT64_MIN + 1},-1", "-1,0", f"0,{INT64_MAX}", f"{INT64_MAX},{INT64_MIN}"],
+            [f"{INT64_MIN + 1},pro", "-1,anti", "0,pro", f"{INT64_MAX},anti", f"{INT64_MIN},pro", "42,anti"],
+        ),
+        ([], [f"{INT64_MAX},anti", "-1,pro", "0,anti"]),  # no edges at all
+    ],
+)
+def test_save_writes_the_bytes_of_the_fstring_writer(tmp_path, edge_lines, attr_lines):
+    # extreme and negative labels, an isolated node (42), a zero-edge graph
+    edges, attrs = write_files(tmp_path, edge_lines, attr_lines)
+    g = load_edge_list(edges, attrs)
+    save_edge_list(g, tmp_path / "e.csv", tmp_path / "a.csv")
+    oracles.fstring_edge_files(g, tmp_path / "e_ref.csv", tmp_path / "a_ref.csv")
+    assert (tmp_path / "e.csv").read_bytes() == (tmp_path / "e_ref.csv").read_bytes()
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "a_ref.csv").read_bytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_save_load_round_trip_property(data):
