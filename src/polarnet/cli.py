@@ -1,7 +1,7 @@
 """Command-line interface: ``metrics``, ``generate``, ``simulate``, ``compare``.
 
 Exit codes: 0 on success, 1 for usage or configuration errors, 2 for data
-or validation errors.
+or validation errors, i/o errors and running out of memory.
 """
 
 from __future__ import annotations
@@ -149,6 +149,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -20,6 +20,10 @@ from .generators import GeneratorSpec
 from .graph import AnnotatedGraph, load_edge_list
 
 
+# most runs of one ensemble: spawning their seeds alone takes about a second
+MAX_RUNS = 100_000
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one simulation or comparison invocation needs."""
@@ -39,7 +43,7 @@ class RunConfig:
     def __post_init__(self):
         for key, valid, rule in (
             ("strategy", self.strategy in ("polarized", "homogeneous"), "'polarized' or 'homogeneous'"),
-            ("n_runs", self.n_runs >= 1, ">= 1"),
+            ("n_runs", 1 <= self.n_runs <= MAX_RUNS, f"in [1, {MAX_RUNS}]"),
             ("master_seed", self.master_seed >= 0, ">= 0"),
             ("threads", self.threads >= 0, ">= 0 (0 = auto)"),
         ):

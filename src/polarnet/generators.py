@@ -1,14 +1,18 @@
 """Synthetic network generators: random, small-world, scale-free, planted.
 
 Every generator is deterministic given its parameters and a non-negative
-seed, and returns a validated :class:`~polarnet.graph.AnnotatedGraph`.
-Random-graph and two-community edges are drawn with geometric skip sampling
-over whole arrays, so cost scales with the number of edges rather than the
-number of node pairs. The skips are drawn in chunks and the generator is
-then rewound to the last draw used, so the edges and the random stream are
-exactly those of drawing one skip at a time. Watts-Strogatz and
-Barabasi-Albert stay Python loops: their streams interleave ``random()``
-and ``integers()`` draws that depend on the graph built so far.
+seed, and returns a validated :class:`~polarnet.graph.AnnotatedGraph`. Each
+works over whole numpy arrays, yet draws its edges, and reads its random
+stream, exactly as a loop drawing one value at a time would:
+
+- random-graph and two-community edges by geometric skip sampling, so cost
+  scales with the number of edges rather than of node pairs; the skips are
+  drawn in chunks and the generator is rewound to the last one used;
+- Watts-Strogatz from raw 64-bit words: one array comparison tests every
+  lattice edge for rewiring, and only the rewire events are walked in Python;
+- Barabasi-Albert by drawing the targets of a chunk of nodes at once and
+  resolving them over the endpoint list in rounds; a node that draws a
+  target twice is redrawn alone after a rewind.
 """
 
 from __future__ import annotations
@@ -95,6 +99,191 @@ def erdos_renyi(n: int, p: float, seed) -> AnnotatedGraph:
     return AnnotatedGraph.from_edge_array(n, np.column_stack([i, j]))
 
 
+_MASK32 = (1 << 32) - 1
+
+
+def _more_words(words: np.ndarray, hits: list[int], rng: np.random.Generator, cut: int, count: int) -> np.ndarray:
+    """``words`` with ``count`` more raw 64-bit draws appended; the positions
+    of new words that pass the ``random() < p`` test join ``hits``."""
+    new = rng.bit_generator.random_raw(count)
+    hits.extend((np.flatnonzero((new >> 11) < cut) + words.size).tolist())
+    return np.concatenate([words, new])
+
+
+def _watts_strogatz_edges(n: int, k_ring: int, p_rewire: float, rng: np.random.Generator) -> np.ndarray:
+    """Edges of the rewired ring lattice, with the random stream of a loop
+    that, for each lattice edge (u, v) taken ring by ring, draws
+    ``rng.random() < p_rewire`` and, unless u is saturated, draws
+    ``rng.integers(n)`` until w is neither u nor a neighbour of u, then
+    replaces (u, v) by (u, w).
+
+    ``random()`` is one raw 64-bit word, ``(word >> 11) * 2**-53``.
+    ``integers(n)`` (n < 2**32) reads 32-bit halves, the low half of a fresh
+    word first and its high half on the next call, and rejects by numpy's
+    32-bit Lemire rule; ``random()`` leaves a kept high half alone. The tests
+    of all words are one array comparison, and Python walks only the rewire
+    events. Lattice edge e joins ``e % n`` and ``(e % n + e // n + 1) % n``;
+    it is still in the graph until its own turn, so neighbourhoods follow
+    from the ring arithmetic, the lattice edges removed so far and the set
+    of rewired edges.
+    """
+    reach = k_ring // 2
+    total = n * reach
+    cut = math.ceil(p_rewire * 2.0**53)  # random() < p  <=>  word >> 11 < cut
+    reject = (1 << 32) % n  # Lemire: a half x is redrawn while x * n % 2**32 < reject
+    hits: list[int] = []
+    # one word per test, and two per rewire where half a word is expected;
+    # more are drawn should they run out
+    words = _more_words(np.empty(0, dtype=np.uint64), hits, rng, cut, total + int(p_rewire * total) + 64)
+    removed = bytearray(total)  # lattice edges rewired away
+    rewired: set[int] = set()  # edges added by rewiring, as min * n + max
+    degree = [k_ring] * n
+    spare = None  # the kept high half
+    pos = edge = 0  # next unread word, and the lattice edge it tests
+    i = 0
+    while True:
+        if i == len(hits):
+            if pos + total - edge <= words.size:
+                break  # every remaining test fails
+            words = _more_words(words, hits, rng, cut, total - edge + 1024)
+            continue
+        j = hits[i]
+        i += 1
+        if j < pos:
+            continue  # the word went to integers(n)
+        e = edge + j - pos
+        edge, pos = e + 1, j + 1
+        if e >= total:
+            break
+        u = e % n
+        if degree[u] >= n - 1:
+            continue  # u saturated
+        while True:
+            if spare is None:
+                if pos == words.size:
+                    words = _more_words(words, hits, rng, cut, total - edge + 1024)
+                word = int(words[pos])
+                pos += 1
+                x, spare = word & _MASK32, word >> 32
+            else:
+                x, spare = spare, None
+            x *= n
+            if (x & _MASK32) < reject:
+                continue
+            w = x >> 32
+            d = (w - u) % n
+            if d == 0:
+                continue
+            key = u * n + w if u < w else w * n + u
+            if key in rewired:
+                continue
+            if d <= reach and not removed[(d - 1) * n + u]:
+                continue
+            if n - d <= reach and not removed[(n - d - 1) * n + w]:
+                continue
+            break
+        v = (u + e // n + 1) % n
+        removed[e] = 1
+        rewired.add(key)
+        degree[v] -= 1
+        degree[w] += 1
+    kept = np.flatnonzero(np.frombuffer(removed, dtype=np.uint8) == 0)
+    added = np.fromiter(rewired, dtype=np.int64, count=len(rewired))
+    u = kept % n
+    return np.concatenate([
+        np.column_stack([u, (u + kept // n + 1) % n]),
+        np.column_stack([added // n, added % n]),
+    ])
+
+
+_BA_CHUNKS = (1 << 8, 1 << 16)  # fewest and most nodes drawn per rng.integers call
+
+
+def _attach(draws: np.ndarray, targets: np.ndarray, first: int, ends: np.ndarray) -> int:
+    """Resolve the draws of the chunk of nodes from row ``first`` of ``targets``.
+
+    ``draws`` holds each node's first m draws, one row per node. Draw i
+    indexes the list of all edge endpoints: the seed clique's ``ends``, then
+    for each later node w its sorted targets, each followed by w itself.
+    A draw on an earlier node of the chunk waits for that node's row, and
+    the rows are filled in rounds. Returns the index of the first node whose
+    m draws repeat a target, or the chunk size if none does.
+    """
+    size, m = draws.shape
+    c0 = ends.size
+    flat = draws.ravel()
+    val = np.empty_like(flat)
+    inside = flat < c0
+    val[inside] = ends[flat[inside]]
+    pend = np.flatnonzero(~inside)
+    row, slot = np.divmod(flat[pend] - c0, 2 * m)
+    odd = slot % 2 == 1
+    val[pend[odd]] = m + row[odd]
+    pend, row, slot = pend[~odd], row[~odd] - first, slot[~odd] // 2
+    before = row < 0
+    val[pend[before]] = targets[first + row[before], slot[before]]
+    pend, row, slot = pend[~before], row[~before], slot[~before]
+    rows = val.reshape(size, m)
+    chunk = targets[first : first + size]
+    done = np.zeros(size, dtype=bool)
+    while True:
+        ready = ~done
+        ready[pend // m] = False
+        new = np.flatnonzero(ready)
+        chunk[new] = np.sort(rows[new], axis=1)
+        done[new] = True
+        if not pend.size:
+            break
+        hit = done[row]
+        val[pend[hit]] = chunk[row[hit], slot[hit]]
+        pend, row, slot = pend[~hit], row[~hit], slot[~hit]
+    repeats = np.flatnonzero((chunk[:, 1:] == chunk[:, :-1]).any(axis=1))
+    return int(repeats[0]) if repeats.size else size
+
+
+def _barabasi_albert_edges(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Edges of preferential attachment from an m-clique, with the random
+    stream of a loop that, for each new node v, draws
+    ``rng.integers(len(endpoints))`` until it holds m distinct targets, then
+    appends (t, v) for each target t in ascending order.
+
+    Node v's draws all share the bound ``m(m-1) + 2m(v-m)``, and an array
+    of bounds draws what the scalar calls draw, so a chunk of nodes takes
+    its first m draws each at once. A node whose m draws repeat a target
+    draws more: the nodes before it are kept, the stream is rewound and
+    replayed up to it, and that node is drawn one call at a time.
+    """
+    ends = np.column_stack(np.triu_indices(m, 1)).ravel()
+    c0 = ends.size
+    targets = np.empty((n - m, m), dtype=np.int64)  # row w - m: sorted targets of node w
+    v = m
+    if c0 == 0:  # m = 1: node 1 joins node 0 by integers(1), which draws nothing
+        targets[0] = 0
+        v += 1
+    chunk = _BA_CHUNKS[0]
+    while v < n:
+        size = min(chunk, n - v)
+        bounds = np.repeat(c0 + 2 * m * (np.arange(v, v + size) - m), m)
+        start = rng.bit_generator.state
+        kept = _attach(rng.integers(bounds).reshape(size, m), targets, v - m, ends)
+        v += kept
+        if kept == size:
+            chunk = min(2 * chunk, _BA_CHUNKS[1])
+            continue
+        rng.bit_generator.state = start
+        rng.integers(bounds[: kept * m])
+        picked: set[int] = set()
+        while len(picked) < m:
+            i = int(rng.integers(bounds[kept * m]))
+            row, slot = divmod(i - c0, 2 * m)
+            picked.add(int(ends[i]) if i < c0 else m + row if slot % 2 else int(targets[row, slot // 2]))
+        targets[v - m] = sorted(picked)
+        v += 1
+        chunk = max(chunk // 2, _BA_CHUNKS[0])
+    new = np.repeat(np.arange(m, n), m)
+    return np.concatenate([ends.reshape(-1, 2), np.column_stack([targets.ravel(), new])])
+
+
 def watts_strogatz(n: int, k_ring: int, p_rewire: float, seed) -> AnnotatedGraph:
     """Ring lattice of degree k_ring with independent edge rewiring.
 
@@ -108,30 +297,8 @@ def watts_strogatz(n: int, k_ring: int, p_rewire: float, seed) -> AnnotatedGraph
         raise ConfigError("k_ring must be smaller than n")
     if not 0.0 <= p_rewire <= 1.0:
         raise ConfigError("rewiring probability must lie in [0, 1]")
-    rng = _rng(seed)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for offset in range(1, k_ring // 2 + 1):
-        for u in range(n):
-            v = (u + offset) % n
-            adj[u].add(v)
-            adj[v].add(u)
-    for offset in range(1, k_ring // 2 + 1):
-        for u in range(n):
-            v = (u + offset) % n
-            if rng.random() >= p_rewire:
-                continue
-            if v not in adj[u] or len(adj[u]) >= n - 1:
-                continue  # already rewired away, or u saturated
-            while True:
-                w = int(rng.integers(n))
-                if w != u and w not in adj[u]:
-                    break
-            adj[u].discard(v)
-            adj[v].discard(u)
-            adj[u].add(w)
-            adj[w].add(u)
-    edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
-    return AnnotatedGraph.from_edge_array(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    edges = _watts_strogatz_edges(n, k_ring, p_rewire, _rng(seed))
+    return AnnotatedGraph.from_edge_array(n, edges)
 
 
 def barabasi_albert(n: int, m: int, seed) -> AnnotatedGraph:
@@ -145,20 +312,7 @@ def barabasi_albert(n: int, m: int, seed) -> AnnotatedGraph:
         raise ConfigError("barabasi_albert requires m >= 1")
     if n <= m:
         raise ConfigError("barabasi_albert requires n > m")
-    rng = _rng(seed)
-    edges: list[tuple[int, int]] = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    endpoints: list[int] = [u for e in edges for u in e]
-    for v in range(m, n):
-        targets: set[int] = set()
-        while len(targets) < m:
-            if endpoints:
-                targets.add(endpoints[int(rng.integers(len(endpoints)))])
-            else:
-                targets.add(int(rng.integers(v)))  # m=1 bootstrap: no edges yet
-        for t in sorted(targets):
-            edges.append((t, v))
-            endpoints.extend((t, v))
-    return AnnotatedGraph.from_edge_array(n, np.array(edges, dtype=np.int64))
+    return AnnotatedGraph.from_edge_array(n, _barabasi_albert_edges(n, m, _rng(seed)))
 
 
 def two_community(

@@ -68,34 +68,15 @@ class AnnotatedGraph:
 
     # -- queries ---------------------------------------------------------
 
-    def degree(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(f"node id {i} out of range [0, {self.n})")
-        return int(self.indptr[i + 1] - self.indptr[i])
-
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def neighbors(self, i: int) -> np.ndarray:
-        if not 0 <= i < self.n:
-            raise IndexError(f"node id {i} out of range [0, {self.n})")
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def edges(self) -> np.ndarray:
         """All edges as an (edge_count, 2) array with src < dst."""
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         mask = src < self.indices
         return np.column_stack([src[mask], self.indices[mask]])
-
-    def structurally_equal(self, other: "AnnotatedGraph") -> bool:
-        return (
-            self.n == other.n
-            and self.edge_count == other.edge_count
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.opinions, other.opinions)
-        )
 
     # -- construction ----------------------------------------------------
 
@@ -336,10 +317,19 @@ def load_edge_list(path, attr_path) -> AnnotatedGraph:
 
 
 def _label_bytes(labels: np.ndarray) -> np.ndarray:
-    """Decimal text of each label as a row of a zero-padded uint8 matrix."""
-    text = labels.astype(np.bytes_)
-    rows = text.view(np.uint8).reshape(labels.size, text.itemsize)
-    return rows[:, : np.count_nonzero(rows.any(axis=0))]
+    """Decimal text of each label as a row of a zero-padded uint8 matrix:
+    a ``-`` column if any label is negative, then the digits right-aligned."""
+    neg = labels < 0
+    mag = labels.astype(np.uint64)
+    mag[neg] = 0 - mag[neg]  # modulo 2**64, so -2**63 gives 2**63
+    width = len(str(int(mag.max()))) if mag.size else 1
+    text = np.zeros((labels.size, 1 + width), dtype=np.uint8)
+    text[neg, 0] = ord("-")
+    text[:, width] = mag % 10 + ord("0")  # the last digit, also of 0
+    for col in range(width - 1, 0, -1):
+        mag //= 10
+        text[:, col] = np.where(mag > 0, mag % 10 + ord("0"), 0)
+    return text if neg.any() else text[:, 1:]
 
 
 def _write_rows(fh, *columns: np.ndarray) -> None:

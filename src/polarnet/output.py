@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -98,7 +98,7 @@ def emit_svg_plot(groups: list[CurveGroup], title: str, path) -> None:
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="28" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="16">{escape(title, quote=False)}</text>',
     ]
     # axes
     x0, y0 = sx(0), sy(0)
@@ -158,7 +158,7 @@ def emit_svg_plot(groups: list[CurveGroup], title: str, path) -> None:
         )
         out.append(
             f'<text class="legend" x="{lx + 20}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{escape(group.label)}</text>'
+            f'font-size="12">{escape(group.label, quote=False)}</text>'
         )
     out.append("</svg>")
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")

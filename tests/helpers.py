@@ -15,6 +15,28 @@ def graph_from_edges(n, edges, opinions=None) -> AnnotatedGraph:
     )
 
 
+def degree(g: AnnotatedGraph, i: int) -> int:
+    if not 0 <= i < g.n:
+        raise IndexError(f"node id {i} out of range [0, {g.n})")
+    return int(g.indptr[i + 1] - g.indptr[i])
+
+
+def neighbors(g: AnnotatedGraph, i: int) -> np.ndarray:
+    if not 0 <= i < g.n:
+        raise IndexError(f"node id {i} out of range [0, {g.n})")
+    return g.indices[g.indptr[i] : g.indptr[i + 1]]
+
+
+def structurally_equal(a: AnnotatedGraph, b: AnnotatedGraph) -> bool:
+    return (
+        a.n == b.n
+        and a.edge_count == b.edge_count
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.opinions, b.opinions)
+    )
+
+
 def complete_edges(n) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 

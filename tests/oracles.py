@@ -149,6 +149,53 @@ def scalar_bernoulli_indices(total: int, p: float, rng: np.random.Generator) -> 
         out.append(pos)
 
 
+def loop_watts_strogatz(n: int, k_ring: int, p_rewire: float, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """Watts-Strogatz edges (u < v) drawn by the package's former loop: a
+    ``list[set]`` adjacency, one ``rng.random()`` per lattice edge taken
+    ring by ring, and ``rng.integers(n)`` until a new target is found."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for offset in range(1, k_ring // 2 + 1):
+        for u in range(n):
+            v = (u + offset) % n
+            adj[u].add(v)
+            adj[v].add(u)
+    for offset in range(1, k_ring // 2 + 1):
+        for u in range(n):
+            v = (u + offset) % n
+            if rng.random() >= p_rewire:
+                continue
+            if v not in adj[u] or len(adj[u]) >= n - 1:
+                continue  # already rewired away, or u saturated
+            while True:
+                w = int(rng.integers(n))
+                if w != u and w not in adj[u]:
+                    break
+            adj[u].discard(v)
+            adj[v].discard(u)
+            adj[u].add(w)
+            adj[w].add(u)
+    return [(u, v) for u in range(n) for v in adj[u] if u < v]
+
+
+def loop_barabasi_albert(n: int, m: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """Barabasi-Albert edges drawn by the package's former loop: an m-clique,
+    then for each new node ``rng.integers(len(endpoints))`` until m distinct
+    targets are picked from the list of all edge endpoints so far."""
+    edges: list[tuple[int, int]] = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    endpoints: list[int] = [u for e in edges for u in e]
+    for v in range(m, n):
+        targets: set[int] = set()
+        while len(targets) < m:
+            if endpoints:
+                targets.add(endpoints[int(rng.integers(len(endpoints)))])
+            else:
+                targets.add(int(rng.integers(v)))  # m=1 bootstrap: no edges yet
+        for t in sorted(targets):
+            edges.append((t, v))
+            endpoints.extend((t, v))
+    return edges
+
+
 # -- gamma curve quadrature ------------------------------------------------
 
 

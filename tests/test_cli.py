@@ -65,11 +65,14 @@ def test_metrics_subgraph_flag(tmp_path):
 
 
 def _write_config(tmp_path, extra=""):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
+    # a key set in ``extra`` replaces the base line of that key
+    base = (
         "generator=two-community\nn_pro=120\nn_anti=120\np_in=0.05\np_out=0.002\n"
-        "graph_seed=2\nn_runs=4\nseed_count=3\nmaster_seed=5\n" + extra
+        "graph_seed=2\nn_runs=4\nseed_count=3\nmaster_seed=5\n"
     )
+    keys = {line.split("=", 1)[0] for line in extra.splitlines()}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(line + "\n" for line in base.splitlines() if line.split("=", 1)[0] not in keys) + extra)
     return cfg
 
 
@@ -156,6 +159,8 @@ def test_config_error_exit_code_1(tmp_path, capsys):
         (None, ["--kind", "er", "--n", "100000000000", "--p", "0"], "n must be <= 2147483647"),
         (None, ["--kind", "two-community", "--n-pro", "2000000000", "--n-anti", "2000000000",
                 "--p-in", "0", "--p-out", "0"], "n_pro + n_anti must be <= 2147483647"),
+        # once a hang in SeedSequence.spawn
+        ("n_runs=1000000000000\n", [], "key 'n_runs' must be in [1, 100000]"),
     ],
 )
 def test_invalid_values_exit_code_1(tmp_path, capsys, extra, flags, message):
@@ -171,6 +176,22 @@ def test_invalid_values_exit_code_1(tmp_path, capsys, extra, flags, message):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
     assert not out.exists()
+
+
+def test_out_of_memory_exit_code_2(tmp_path, capsys, monkeypatch):
+    # `--n 2147483647` would ask for a 16 GiB indptr; the builder raises in its place
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 16.0 GiB for an array with shape (2147483648,)")
+
+    monkeypatch.setattr(polarnet.generators, "erdos_renyi", out_of_memory)
+    edges = tmp_path / "e.csv"
+    assert run_cli(
+        "generate", "--kind", "er", "--n", "2147483647", "--p", "0",
+        "--out-edges", str(edges), "--out-attrs", str(tmp_path / "a.csv"),
+    ) == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 16.0 GiB for an array with shape (2147483648,)\n"
+    assert not edges.exists()
 
 
 def test_generator_params_without_generator_exit_code_1(tmp_path, capsys):

@@ -176,6 +176,9 @@ def test_readme_config_table_lists_every_key():
         ("generator=er\nn=10\np=0.1\ngraph_seed=-1\n", r"key 'graph_seed' \(generate --seed\) must be >= 0"),
         ("generator=er\nn=2147483648\np=0\n", r"n must be <= 2147483647, got 2147483648"),
         ("generator=two-community\nn_pro=2147483647\nn_anti=1\n", r"n_pro \+ n_anti must be <= 2147483647"),
+        # SeedSequence.spawn hung on a run count this large
+        ("n_runs=1000000000000\n", r"key 'n_runs' must be in \[1, 100000\]"),
+        ("n_runs=100001\n", r"key 'n_runs' must be in \[1, 100000\]"),
     ],
 )
 def test_dataclass_validation_through_parse_config(tmp_path, text, match):

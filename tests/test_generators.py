@@ -4,20 +4,24 @@ import re
 import numpy as np
 import pytest
 
-from oracles import scalar_bernoulli_indices
+from helpers import structurally_equal
+from oracles import loop_barabasi_albert, loop_watts_strogatz, scalar_bernoulli_indices
 from polarnet.errors import ConfigError
 from polarnet.generators import (
     _CHUNK,
     MAX_NODES,
     GeneratorSpec,
+    _barabasi_albert_edges,
     _bernoulli_indices,
     _pair_from_triangular,
     _skips,
+    _watts_strogatz_edges,
     barabasi_albert,
     erdos_renyi,
     two_community,
     watts_strogatz,
 )
+from polarnet.graph import AnnotatedGraph
 from polarnet.metrics import (
     assortativity,
     average_clustering,
@@ -107,6 +111,64 @@ def test_skips_clip_before_the_int_cast():
     assert _bernoulli_indices(ER_PAIRS, 5e-324, _pcg(0)).size == 0
 
 
+def test_array_bounds_draw_as_scalar_calls():
+    # bounds below 2**32 draw 32-bit halves, larger ones whole words; an
+    # array of bounds must draw each as its own scalar call does
+    edges = [1, 2, 3, 113_038, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**62 + 3]
+    spread = (2.0 ** _pcg(1).uniform(0, 62, 5000)).astype(np.int64) + 1
+    bounds = np.concatenate([np.tile(edges, 20), spread])
+    ref, rng = _pcg(2), _pcg(2)
+    assert rng.integers(bounds).tolist() == [int(ref.integers(b)) for b in bounds.tolist()]
+    assert rng.random() == ref.random()
+
+
+def _canonical(n, edges):
+    return AnnotatedGraph.from_edge_array(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2)).edges()
+
+
+@pytest.mark.parametrize(
+    ("n", "m", "seed"),
+    [(2, 1, 0), (3, 1, 1), (2000, 1, 2), (3, 2, 3), (3000, 2, 4), (4, 3, 5), (800, 3, 6), (6, 5, 7), (500, 5, 8)],
+)
+def test_array_ba_equals_loop(n, m, seed):
+    # same edges and same next draw; n = m + 1 draws for one node only, and
+    # at m = 1 node 1 joins node 0 on integers(1), which draws nothing
+    ref, rng = _pcg(seed), _pcg(seed)
+    assert np.array_equal(_canonical(n, _barabasi_albert_edges(n, m, rng)), _canonical(n, loop_barabasi_albert(n, m, ref)))
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize(
+    ("n", "k_ring", "p_rewire", "seed"),
+    [
+        (10, 2, 0.0, 0),
+        (2000, 4, 0.1, 1),
+        (300, 6, 1.0, 2),
+        (5, 4, 0.5, 3),  # the lattice is complete: every node is saturated
+        (7, 6, 1.0, 4),
+        (9, 4, 1.0, 5),
+        # the first block of words runs out between two tests (seed 0) and
+        # within an integers(n) draw (seed 1)
+        (20, 16, 1.0, 0),
+        (20, 16, 1.0, 1),
+    ],
+)
+def test_array_ws_equals_loop(n, k_ring, p_rewire, seed):
+    got = _watts_strogatz_edges(n, k_ring, p_rewire, _pcg(seed))
+    assert np.array_equal(_canonical(n, got), _canonical(n, loop_watts_strogatz(n, k_ring, p_rewire, _pcg(seed))))
+
+
+def test_array_ws_and_ba_equal_loops_at_benchmark_size():
+    # at seed 0 WS draws one half that numpy's Lemire rule rejects, which a
+    # small n makes too rare to reach
+    n = 113_038
+    got = _watts_strogatz_edges(n, 4, 0.1, _pcg(0))
+    assert np.array_equal(_canonical(n, got), _canonical(n, loop_watts_strogatz(n, 4, 0.1, _pcg(0))))
+    ref, rng = _pcg(0), _pcg(0)
+    assert np.array_equal(_canonical(n, _barabasi_albert_edges(n, 2, rng)), _canonical(n, loop_barabasi_albert(n, 2, ref)))
+    assert rng.random() == ref.random()
+
+
 def test_skip_sampler_unbiased_per_position():
     total, p, trials = 12, 0.3, 20000
     counts = np.zeros(total)
@@ -147,8 +209,8 @@ def test_generators_deterministic_per_seed():
         lambda s: two_community(150, 150, 0.05, 0.005, s),
     ):
         a, b, c = build(42), build(42), build(43)
-        assert a.structurally_equal(b)
-        assert not a.structurally_equal(c)
+        assert structurally_equal(a, b)
+        assert not structurally_equal(a, c)
 
 
 def test_generators_outputs_validate():
