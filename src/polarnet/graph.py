@@ -92,61 +92,72 @@ class AnnotatedGraph:
 
         Duplicate pairs (in either orientation) collapse to a single edge.
         Self-loops are rejected; callers that ingest dirty data must strip
-        them first.
+        them first. ``opinions`` and ``labels``, when given, must have shape
+        ``(n,)``; the graph keeps copies of them, so the caller's arrays stay
+        writable and its own.
         """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise DataError("edge endpoint out of range")
-        if np.any(edges[:, 0] == edges[:, 1]):
+        u, v = edges[:, 0], edges[:, 1]
+        if np.any(u == v):
             raise DataError("self-loops are not allowed")
-        if opinions is None:
-            opinions = np.full(n, Opinion.PRO, dtype=np.uint8)
-        else:
-            opinions = np.asarray(opinions, dtype=np.uint8)
-            if opinions.shape != (n,):
-                raise DataError("opinions array must have one entry per node")
+        opinions = np.full(n, Opinion.PRO, dtype=np.uint8) if opinions is None else np.array(opinions, dtype=np.uint8)
+        if labels is not None:
+            labels = np.array(labels, dtype=np.int64)
 
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        keys = np.sort(lo * np.int64(n) + hi)
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        # both arcs of every edge as src * n + dst, sorted: the CSR order
-        arcs = np.sort(np.concatenate([keys, keys % n * n + keys // n]))
-        indices = arcs % n
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(arcs // n, minlength=n), out=indptr[1:])
+        # both arcs of every pair as src * n + dst in one buffer, sorted in
+        # place: the CSR order. Equal arcs are the same edge given twice.
+        k = len(edges)
+        arcs = np.empty(2 * k, dtype=np.int64)
+        np.multiply(u, n, out=arcs[:k])
+        arcs[:k] += v
+        np.multiply(v, n, out=arcs[k:])
+        arcs[k:] += u
+        arcs.sort()
+        fresh = arcs[1:] != arcs[:-1]
+        if not fresh.all():
+            arcs = arcs[np.concatenate(([True], fresh))]
+        del fresh
+        # row i starts at the first arc from i; the buffer then becomes the neighbour ids
+        indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)
+        arcs %= n
 
-        g = cls(
-            n=n,
-            indptr=indptr,
-            indices=indices,
-            opinions=opinions,
-            edge_count=int(keys.size),
-            labels=labels if labels is None else np.asarray(labels, dtype=np.int64),
-        )
+        g = cls(n=n, indptr=indptr, indices=arcs, opinions=opinions, edge_count=arcs.size // 2, labels=labels)
         g.validate()
         return g
 
     def validate(self) -> None:
-        """Full-scan structural check: simple, symmetric, consistent counts."""
-        if self.indptr.shape != (self.n + 1,) or self.indptr[0] != 0:
+        """Full-scan structural check: simple, symmetric, consistent counts,
+        one opinion and one label per node."""
+        n = self.n
+        indptr = self.indptr
+        if indptr.shape != (n + 1,) or indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1]):
             raise DataError("malformed indptr")
-        if int(self.indptr[-1]) != self.indices.size:
+        if int(indptr[-1]) != self.indices.size:
             raise DataError("indptr does not cover indices")
         if self.indices.size != 2 * self.edge_count:
             raise DataError("edge_count inconsistent with adjacency size")
+        if self.opinions.shape != (n,):
+            raise DataError("opinions array must have one entry per node")
+        if self.labels.shape != (n,):
+            raise DataError("labels array must have one entry per node")
         if self.indices.size:
-            if self.indices.min() < 0 or self.indices.max() >= self.n:
+            if self.indices.min() < 0 or self.indices.max() >= n:
                 raise DataError("neighbor id out of range")
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        if np.any(src == self.indices):
+        arcs = np.repeat(np.arange(n, dtype=np.int64), self.degrees)  # each arc's source
+        if np.any(arcs == self.indices):
             raise DataError("self-loop present")
+        reverse = self.indices * np.int64(n)
+        reverse += arcs
+        arcs *= n
+        arcs += self.indices
         # arcs as src * n + dst strictly increase <=> rows sorted and duplicate-free
-        fwd = src * np.int64(self.n) + self.indices
-        if np.any(np.diff(fwd) <= 0):
+        if np.any(arcs[1:] <= arcs[:-1]):
             raise DataError("adjacency rows must be strictly increasing")
         # symmetry: the reversed arc set must equal the arc set
-        if not np.array_equal(fwd, np.sort(self.indices * np.int64(self.n) + src)):
+        reverse.sort()
+        if not np.array_equal(arcs, reverse):
             raise DataError("adjacency is not symmetric")
 
 
@@ -277,6 +288,43 @@ def _read_rows(path, dtype: np.dtype, parsers) -> np.ndarray:
     return np.array(rows, dtype=dtype)
 
 
+def _annotations(attr_path) -> tuple[np.ndarray, np.ndarray]:
+    """(labels ascending, the opinion of each) of an attribute file.
+
+    A label may repeat with the same opinion; two opinions for one label
+    raise an AnnotationError.
+    """
+    attrs = _read_rows(attr_path, *_ATTR_ROWS)
+    labels, first, inverse = np.unique(attrs["node"], return_index=True, return_inverse=True)
+    opinions = attrs["opinion"][first]
+    clash = np.flatnonzero(attrs["opinion"] != opinions[inverse])
+    if clash.size:
+        node = int(attrs["node"][clash[0]])
+        raise AnnotationError(f"conflicting opinions for node {node}", offenders=[node])
+    return labels, opinions
+
+
+def _dense_ids(edges: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The (k, 2) dense ids of the label pairs ``edges``: positions in ``labels``.
+
+    Raises an AnnotationError listing the edge labels that ``labels`` lacks.
+    """
+    # the (src, dst) records side by side are one int64 array of the endpoints
+    ends, arc_end = np.unique(edges.view(np.int64), return_inverse=True)
+    dense = np.searchsorted(labels, ends)
+    known = dense < labels.size
+    known[known] = labels[dense[known]] == ends[known]
+    if not known.all():
+        missing = ends[~known].tolist()
+        shown = ", ".join(str(m) for m in missing[:_MAX_REPORTED_OFFENDERS])
+        more = "" if len(missing) <= _MAX_REPORTED_OFFENDERS else f" (+{len(missing) - _MAX_REPORTED_OFFENDERS} more)"
+        raise AnnotationError(
+            f"{len(missing)} node(s) in edges lack an opinion: {shown}{more}",
+            offenders=missing,
+        )
+    return dense[arc_end].reshape(-1, 2)
+
+
 def load_edge_list(path, attr_path) -> AnnotatedGraph:
     """Load and validate an annotated graph from an edge + attribute file.
 
@@ -290,30 +338,11 @@ def load_edge_list(path, attr_path) -> AnnotatedGraph:
     if loops.any():
         log.warning("dropped %d self-loop(s) while loading %s", int(loops.sum()), path)
         edges = edges[~loops]
-
-    attrs = _read_rows(attr_path, *_ATTR_ROWS)
-    labels, first, inverse = np.unique(attrs["node"], return_index=True, return_inverse=True)
-    opinions = attrs["opinion"][first]
-    clash = np.flatnonzero(attrs["opinion"] != opinions[inverse])
-    if clash.size:
-        node = int(attrs["node"][clash[0]])
-        raise AnnotationError(f"conflicting opinions for node {node}", offenders=[node])
-
-    ends, arc_end = np.unique(np.concatenate([edges["src"], edges["dst"]]), return_inverse=True)
-    dense = np.searchsorted(labels, ends)
-    known = dense < labels.size
-    known[known] = labels[dense[known]] == ends[known]
-    if not known.all():
-        missing = ends[~known].tolist()
-        shown = ", ".join(str(m) for m in missing[:_MAX_REPORTED_OFFENDERS])
-        more = "" if len(missing) <= _MAX_REPORTED_OFFENDERS else f" (+{len(missing) - _MAX_REPORTED_OFFENDERS} more)"
-        raise AnnotationError(
-            f"{len(missing)} node(s) in edges lack an opinion: {shown}{more}",
-            offenders=missing,
-        )
-    return AnnotatedGraph.from_edge_array(
-        n=labels.size, edges=dense[arc_end].reshape(2, -1).T, opinions=opinions, labels=labels
-    )
+    del loops
+    labels, opinions = _annotations(attr_path)
+    # rebinding frees the label pairs before the build
+    edges = _dense_ids(edges, labels)
+    return AnnotatedGraph.from_edge_array(labels.size, edges, opinions=opinions, labels=labels)
 
 
 def _label_bytes(labels: np.ndarray) -> np.ndarray:

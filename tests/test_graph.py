@@ -1,5 +1,6 @@
 import logging
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from helpers import (
     structurally_equal,
 )
 from polarnet.errors import AnnotationError, DataError, GraphFormatError
+from polarnet.generators import two_community
 from polarnet.graph import (
     AnnotatedGraph,
     Opinion,
@@ -364,6 +366,120 @@ def test_self_loop_rejected_by_builder():
 def test_duplicate_edges_collapse_in_builder():
     g = graph_from_edges(3, [(0, 1), (1, 0), (0, 1), (1, 2)])
     assert g.edge_count == 2
+
+
+def _csr(indptr, indices, edge_count, opinions=(0, 0, 0), labels=None):
+    """A 3-node AnnotatedGraph built directly, bypassing the builder."""
+    return AnnotatedGraph(
+        n=3,
+        indptr=np.array(indptr, dtype=np.int64),
+        indices=np.array(indices, dtype=np.int64),
+        opinions=np.array(opinions, dtype=np.uint8),
+        edge_count=edge_count,
+        labels=labels,
+    )
+
+
+# the path 0-1-2 is indptr [0, 1, 3, 4], indices [1, 0, 2, 1], edge_count 2
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: _csr([0, 1, 3], [1, 0, 2, 1], 2).validate(), "malformed indptr", id="indptr-shape"),
+        pytest.param(lambda: _csr([1, 1, 3, 4], [1, 0, 2, 1], 2).validate(), "malformed indptr", id="indptr-start"),
+        pytest.param(
+            lambda: _csr([0, 1, 3, 3], [1, 0, 2, 1], 2).validate(), "indptr does not cover indices", id="indptr-end"
+        ),
+        pytest.param(
+            lambda: _csr([0, 1, 3, 4], [1, 0, 2, 1], 3).validate(), "edge_count inconsistent", id="edge-count"
+        ),
+        pytest.param(
+            lambda: _csr([0, 1, 3, 4], [1, 0, 3, 1], 2).validate(), "neighbor id out of range", id="neighbour-high"
+        ),
+        pytest.param(
+            lambda: _csr([0, 1, 3, 4], [-1, 0, 2, 1], 2).validate(), "neighbor id out of range", id="neighbour-low"
+        ),
+        pytest.param(lambda: _csr([0, 1, 3, 4], [0, 0, 2, 1], 2).validate(), "self-loop present", id="self-loop"),
+        pytest.param(
+            lambda: _csr([0, 2, 3, 4], [1, 1, 0, 1], 2).validate(),
+            "rows must be strictly increasing",
+            id="row-duplicate",
+        ),
+        pytest.param(
+            lambda: _csr([0, 1, 3, 4], [1, 2, 0, 1], 2).validate(),
+            "rows must be strictly increasing",
+            id="row-unsorted",
+        ),
+        pytest.param(
+            lambda: _csr([0, 1, 3, 4], [1, 0, 2, 0], 2).validate(), "adjacency is not symmetric", id="asymmetric"
+        ),
+        pytest.param(
+            lambda: AnnotatedGraph.from_edge_array(3, [[0, 3]]), "edge endpoint out of range", id="builder-endpoint-high"
+        ),
+        pytest.param(
+            lambda: AnnotatedGraph.from_edge_array(3, [[-1, 2]]), "edge endpoint out of range", id="builder-endpoint-low"
+        ),
+        pytest.param(
+            lambda: AnnotatedGraph.from_edge_array(3, [[0, 1]], opinions=np.zeros(2, np.uint8)),
+            "opinions array must have one entry per node",
+            id="builder-opinions",
+        ),
+    ],
+)
+def test_structural_check_names_each_fault(build, message):
+    with pytest.raises(DataError, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(
+            lambda: _csr([0, 3, 1, 4], [1, 0, 2, 1], 2).validate(), "malformed indptr", id="indptr-decreasing"
+        ),
+        pytest.param(
+            lambda: _csr([0, 1, 3, 4], [1, 0, 2, 1], 2, opinions=(0, 1)).validate(),
+            "opinions array must have one entry per node",
+            id="opinions",
+        ),
+        pytest.param(
+            lambda: _csr([0, 1, 3, 4], [1, 0, 2, 1], 2, labels=np.arange(4)).validate(),
+            "labels array must have one entry per node",
+            id="labels",
+        ),
+        pytest.param(
+            lambda: AnnotatedGraph.from_edge_array(3, [[0, 1], [1, 2]], labels=np.array([5, 6])),
+            "labels array must have one entry per node",
+            id="builder-labels",
+        ),
+    ],
+)
+def test_structural_check_rejects_decreasing_indptr_and_misshapen_annotations(build, message):
+    with pytest.raises(DataError, match=message):
+        build()
+
+
+def test_builder_copies_the_callers_opinions_and_labels():
+    opinions = np.zeros(3, dtype=np.uint8)
+    labels = np.array([7, 8, 9], dtype=np.int64)
+    g = AnnotatedGraph.from_edge_array(3, [[0, 1], [1, 2]], opinions=opinions, labels=labels)
+    opinions[0] = PRO  # the caller's arrays stay writable
+    labels[0] = 5
+    assert g.opinions.tolist() == [ANTI, ANTI, ANTI]
+    assert g.labels.tolist() == [7, 8, 9]
+
+
+def test_load_allocates_at_most_ten_times_the_adjacency(tmp_path):
+    """The build keeps no pile of int64 copies of the arc keys alive."""
+    edges, attrs = tmp_path / "edges.csv", tmp_path / "attrs.csv"
+    save_edge_list(two_community(40_000, 10_000, 2e-4, 2e-6, 1), edges, attrs)
+    tracemalloc.start()
+    try:
+        g = load_edge_list(edges, attrs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count > 150_000
+    assert peak <= 10 * g.indices.nbytes
 
 
 def test_subgraph_two_triangles():
