@@ -9,6 +9,7 @@ from .epidemic import (
     contact_probability,
     delay_table,
     exposure_table,
+    infect,
     infectiousness_integral,
     initial_state,
     run_batch,

@@ -54,10 +54,12 @@ A run stops when nobody is infected or on day ``horizon``, so it lasts
 window at the horizon stay Infected.
 
 :func:`run_batch` steps several runs together over one flat ``run * n +
-node`` index, from one common day to the next. The runs of a batch share only
-the graph and the delay table, and each draws from its own Generator in the
-order above, so neither the batch size nor the number of threads running
-batches can change a result. :func:`run_epidemic` is the batch of one.
+node`` index, from one common day to the next, and returns one
+:class:`RunRecord` for the whole batch, a row per run. The runs of a batch
+share only the graph and the delay table, and each draws from its own
+Generator in the order above, so neither the batch size nor the number of
+threads running batches can change a result. :func:`run_epidemic` is the
+batch of one.
 """
 
 from __future__ import annotations
@@ -270,8 +272,7 @@ class SimulationState:
     vaccinated: np.ndarray  # bool, fixed for the whole run
     rngs: list[np.random.Generator]  # one per run
     tentative: np.ndarray  # int32: least day d + k drawn for a susceptible, else NEVER
-    # infected flat indices by infection day; read from day_infected by the first step
-    cohorts: dict[int, np.ndarray] | None = None
+    cohorts: dict[int, np.ndarray]  # infected flat indices by infection day, filed by infect
 
     @property
     def infected_count(self) -> int:
@@ -282,14 +283,9 @@ class SimulationState:
         return tuple(int(c) for c in np.bincount(self.status, minlength=3))
 
     @property
-    def new_unvacc(self) -> list[int]:
-        """Unvaccinated agents infected on each day 0..day, over all runs."""
-        return _new_cases(self, self.day + 1)[:, 0].sum(axis=0).tolist()
-
-    @property
-    def new_vacc(self) -> list[int]:
-        """Vaccinated agents infected on each day 0..day, over all runs."""
-        return _new_cases(self, self.day + 1)[:, 1].sum(axis=0).tolist()
+    def cases(self) -> np.ndarray:
+        """Agents infected per run on each day 0..day, laid out as in :class:`RunRecord`."""
+        return _new_cases(self, self.day + 1)
 
 
 def _new_cases(state: SimulationState, days: int) -> np.ndarray:
@@ -327,6 +323,7 @@ def initial_state(n: int, vaccinated: np.ndarray | None, rng) -> SimulationState
         vaccinated=vaccinated,
         rngs=rngs,
         tentative=np.full(size, NEVER, dtype=np.int32),
+        cohorts={},
     )
 
 
@@ -343,14 +340,17 @@ def _uniforms(state: SimulationState, flat: np.ndarray, *tail: int) -> np.ndarra
     return out
 
 
-def _infect(state: SimulationState, nodes: np.ndarray, vet_mode: str, vet: float) -> None:
-    """Infect ``nodes`` (ascending flat indices) on ``state.day``."""
+def infect(state: SimulationState, nodes: np.ndarray, params: EpidemicParams) -> None:
+    """Infect ``nodes`` (ascending flat indices, all of the day's cases) on
+    ``state.day``: status, infection day, transmitter flag and cohort."""
     vacc = state.vaccinated[nodes]
     state.status[nodes] = INFECTED
     state.day_infected[nodes] = state.day
     flags = ~vacc  # unvaccinated agents always transmit
-    flags[vacc] = _uniforms(state, nodes[vacc]) > vet if vet_mode == "once" else True
+    flags[vacc] = _uniforms(state, nodes[vacc]) > params.vet if params.vet_mode == "once" else True
     state.transmitter[nodes] = flags
+    if nodes.size:
+        state.cohorts[state.day] = nodes
 
 
 def seed_infections(
@@ -365,7 +365,7 @@ def seed_infections(
         if count > candidates.size:
             raise DataError(f"seed pool has {candidates.size} agent(s), cannot seed {count}")
         chosen.append(np.sort(rng.choice(candidates, size=count, replace=False)) + b * n)
-    _infect(state, np.concatenate(chosen), params.vet_mode, params.vet)
+    infect(state, np.concatenate(chosen), params)
     return state
 
 
@@ -386,10 +386,6 @@ def step_day(
     if table is None:
         table = delay_table(g, params)
     T, day, status = params.max_infectious_days, state.day, state.status
-    if state.cohorts is None:
-        infected = np.flatnonzero(status == INFECTED)
-        days = state.day_infected[infected]
-        state.cohorts = {int(d): infected[days == d] for d in np.unique(days)}
     cohorts = state.cohorts
     if day in cohorts:  # contract 2a and 2b
         sources = cohorts[day][state.transmitter[cohorts[day]]]
@@ -423,24 +419,22 @@ def step_day(
     newly = np.flatnonzero(state.tentative == nxt)
     state.tentative[newly] = NEVER
     state.day = nxt
-    _infect(state, newly, params.vet_mode, params.vet)
-    if newly.size:
-        cohorts[nxt] = newly
+    infect(state, newly, params)
     return state
 
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Raw output of one simulation run."""
+    """Raw output of a batch of runs, one row per run.
 
-    new_unvacc: np.ndarray  # int64 per day, day 0 = index cases
-    new_vacc: np.ndarray
-    final_status: np.ndarray
-    vaccinated: np.ndarray
+    ``cases[r, 0]`` and ``cases[r, 1]`` count run r's unvaccinated and
+    vaccinated agents infected on each day, day 0 holding the index cases;
+    the row is zero past the run's ``lengths[r]`` days.
+    """
 
-    @property
-    def days(self) -> int:
-        return self.new_unvacc.size
+    cases: np.ndarray  # (runs, 2, days) int64
+    lengths: np.ndarray  # (runs,) days of each run
+    final_status: np.ndarray  # (runs, n) int8
 
 
 def run_batch(
@@ -450,12 +444,14 @@ def run_batch(
     rngs: list,
     vaccinated: np.ndarray | None = None,
     table: DelayTable | None = None,
-) -> list[RunRecord]:
-    """One full run per entry of ``rngs`` (seeds or Generators), stepped together.
+) -> RunRecord:
+    """One full run per entry of ``rngs`` (seeds or Generators), stepped
+    together, as one record with a row per run.
 
     ``vaccinated`` is None, one (n,) row for every run or a (runs, n) array;
     ``table`` defaults to :func:`delay_table` of ``g`` and ``params``. Each
-    record equals the :func:`run_epidemic` record of its own Generator.
+    row, cut at its length, equals the :func:`run_epidemic` record of its
+    own Generator.
     """
     state = initial_state(g.n, vaccinated, list(rngs))
     seed_infections(state, seeding, params)
@@ -472,11 +468,7 @@ def run_batch(
     cases = _new_cases(state, int(end.max()) + 1)
     status = np.where(day >= (end - T)[:, None], INFECTED, RECOVERED).astype(np.int8)
     status[day < 0] = SUSCEPTIBLE
-    vacc = state.vaccinated.reshape(runs, g.n)
-    return [
-        RunRecord(cases[b, 0, : e + 1], cases[b, 1, : e + 1], status[b], vacc[b].copy())
-        for b, e in enumerate(end.tolist())
-    ]
+    return RunRecord(cases, end + 1, status)
 
 
 def run_epidemic(
@@ -488,6 +480,7 @@ def run_epidemic(
 ) -> RunRecord:
     """One full run: seed, then step cohort by cohort until extinction or the horizon.
 
-    ``seed`` may be an int, a SeedSequence, or a ready Generator.
+    ``seed`` may be an int, a SeedSequence, or a ready Generator. The record
+    is the batch of one.
     """
-    return run_batch(g, params, seeding, [seed], vaccinated)[0]
+    return run_batch(g, params, seeding, [seed], vaccinated)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .epidemic import RunRecord, delay_table, run_batch
+from .epidemic import delay_table, run_batch
 from .graph import AnnotatedGraph, Opinion
 
 SUBPOPS = ("unvaccinated", "vaccinated", "all")
@@ -51,15 +51,16 @@ class EnsembleSummary:
     ``daily``, ``lengths`` and ``sizes``.
 
     ``daily[r, i]`` is run r's daily new infections in subpopulation
-    ``SUBPOPS[i]`` divided by its size ``sizes[r, i]``, all zeros for an
-    empty subpopulation and zero-padded past the run's ``lengths[r]`` days,
-    so a run's attack rate is its row sum.
+    ``SUBPOPS[i]`` divided by its size ``sizes[i]``, all zeros for an empty
+    subpopulation and zero-padded past the run's ``lengths[r]`` days, so a
+    run's attack rate is its row sum. Both strategies give every run exactly
+    the pro count of doses, so the sizes are one row for all runs.
     """
 
     strategy: str
     daily: np.ndarray  # (runs, 3, days) daily new-infection fractions
     lengths: np.ndarray  # (runs,) days of each run
-    sizes: np.ndarray  # (runs, 3) subpopulation sizes
+    sizes: np.ndarray  # (3,) subpopulation sizes
     mean_curves: dict[str, np.ndarray]  # subpop -> padded daily mean fractions
     band_low: dict[str, np.ndarray]  # pointwise 10th percentile
     band_high: dict[str, np.ndarray]  # pointwise 90th percentile
@@ -75,19 +76,14 @@ class EnsembleSummary:
         return [run[row, :n] for run, n in zip(self.daily, self.lengths.tolist())]
 
 
-def _fractions(records: list[RunRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``daily``, ``lengths`` and ``sizes`` (see :class:`EnsembleSummary`) of a
-    batch's records, which need not outlive the batch."""
-    lengths = np.array([r.days for r in records])
-    n = records[0].vaccinated.size
-    n_vacc = np.array([int(r.vaccinated.sum()) for r in records])
-    sizes = np.column_stack((n - n_vacc, n_vacc, np.full(len(records), n)))
-    daily = np.zeros((len(records), len(SUBPOPS), int(lengths.max())))
-    for counts, r in zip(daily, records):
-        counts[:2, : r.days] = r.new_unvacc, r.new_vacc
+def _fractions(cases: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``daily`` (see :class:`EnsembleSummary`) of the (runs, 2, days) case
+    counts of :class:`~polarnet.epidemic.RunRecord` and the (3,) ``sizes``."""
+    daily = np.empty((len(cases), len(SUBPOPS), cases.shape[2]))
+    daily[:, :2] = cases
     daily[:, 2] = daily[:, 0] + daily[:, 1]
-    daily /= np.maximum(sizes, 1)[:, :, None]  # an empty subpopulation's row stays 0
-    return daily, lengths, sizes
+    daily /= np.maximum(sizes, 1)[:, None]  # an empty subpopulation's row stays 0
+    return daily
 
 
 def _aggregate(
@@ -102,7 +98,7 @@ def _aggregate(
         # each run's own unpadded row sum, then one mean over the runs: the
         # padded stack would sum in another order and round differently
         ars = [run[:n].sum() for run, n in zip(curves, lengths.tolist())]
-        mean_ar[subpop] = float(np.mean(np.where(sizes[:, row] > 0, ars, math.nan)))
+        mean_ar[subpop] = float(np.mean(ars)) if sizes[row] > 0 else math.nan
         # runs where the subpop saw no infection have no peak; average the rest
         seen = curves.any(axis=1)
         mean_tp[subpop] = float(np.mean(curves.argmax(axis=1)[seen])) if seen.any() else math.nan
@@ -158,13 +154,14 @@ def _ensemble(
     size = max(1, min(cfg.n_runs, BATCH_NODES // max(g.n, 1)))
     batches = [range(i, min(i + size, cfg.n_runs)) for i in range(0, cfg.n_runs, size)]
 
-    def job(batch: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def job(batch: range) -> tuple[np.ndarray, np.ndarray]:
         rngs = [np.random.default_rng(children[i + 1]) for i in batch]
         if fixed is not None:
             vaccinated = fixed
         else:
             vaccinated = np.array([allocate_vaccines(g, strategy, rng) for rng in rngs])
-        return _fractions(run_batch(g, cfg.params, cfg.seeding, rngs, vaccinated, table))
+        record = run_batch(g, cfg.params, cfg.seeding, rngs, vaccinated, table)
+        return record.cases, record.lengths  # no (runs, n) final states outlive the job
 
     workers = resolve_threads(cfg.threads, len(batches), g.indices.size)
     if workers == 1:
@@ -172,11 +169,13 @@ def _ensemble(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(job, batches))
-    stacks, lengths, sizes = zip(*parts)
-    daily = np.zeros((cfg.n_runs, len(SUBPOPS), max(stack.shape[2] for stack in stacks)))
+    stacks, lengths = zip(*parts)
+    cases = np.zeros((cfg.n_runs, 2, max(stack.shape[2] for stack in stacks)), dtype=np.int64)
     for batch, stack in zip(batches, stacks):
-        daily[batch.start : batch.stop, :, : stack.shape[2]] = stack
-    return _aggregate(strategy, daily, np.concatenate(lengths), np.concatenate(sizes))
+        cases[batch.start : batch.stop, :, : stack.shape[2]] = stack
+    pro = int((g.opinions == int(Opinion.PRO)).sum())  # the dose count of either strategy
+    sizes = np.array([g.n - pro, pro, g.n])
+    return _aggregate(strategy, _fractions(cases, sizes), np.concatenate(lengths), sizes)
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,6 @@ class Comparison:
     polarized: EnsembleSummary
     homogeneous: EnsembleSummary
     ar_ratio: dict[str, float]  # polarized mean AR / homogeneous mean AR
-    t_peak_diff: dict[str, float]  # polarized mean minus homogeneous mean
 
 
 def compare_scenarios(g: AnnotatedGraph, cfg: RunConfig) -> Comparison:
@@ -197,5 +195,4 @@ def compare_scenarios(g: AnnotatedGraph, cfg: RunConfig) -> Comparison:
     hom = _ensemble(g, cfg, "homogeneous", hom_ss)
     pol_ar, hom_ar = pol.mean_attack_rate, hom.mean_attack_rate
     ratio = {s: pol_ar[s] / hom_ar[s] if hom_ar[s] else math.nan for s in SUBPOPS}
-    diff = {s: pol.mean_t_peak[s] - hom.mean_t_peak[s] for s in SUBPOPS}
-    return Comparison(polarized=pol, homogeneous=hom, ar_ratio=ratio, t_peak_diff=diff)
+    return Comparison(polarized=pol, homogeneous=hom, ar_ratio=ratio)

@@ -29,9 +29,6 @@ class DegreeDistribution:
     counts: dict[int, int]
     n: int
 
-    def probability(self, k: int) -> float:
-        return self.counts.get(k, 0) / self.n
-
 
 @dataclass(frozen=True)
 class PowerLawFit:
@@ -176,12 +173,9 @@ def mixing_matrix(g: AnnotatedGraph, labels: np.ndarray) -> np.ndarray:
         raise DataError("labels must be binary (0 or 1)")
     if g.edge_count == 0:
         raise DataError("mixing matrix is undefined for an empty edge set")
-    e = g.edges()
-    a, b = labels[e[:, 0]], labels[e[:, 1]]
-    m = np.zeros((2, 2), dtype=np.float64)
-    np.add.at(m, (a, b), 1.0)
-    np.add.at(m, (b, a), 1.0)
-    return m / (2 * g.edge_count)
+    # the CSR arcs hold each edge in both orientations
+    pairs = np.bincount(2 * np.repeat(labels, g.degrees) + labels[g.indices], minlength=4)
+    return pairs.reshape(2, 2) / (2 * g.edge_count)
 
 
 def assortativity(m: np.ndarray) -> float:

@@ -348,12 +348,12 @@ def test_criterion_10_conservation_invariants():
         while state.day < params.horizon and state.infected_count > 0:
             step_day(g, state, params, table)
             s, i, r = state.counts()
-            cumulative += state.new_unvacc[-1] + state.new_vacc[-1]
+            new = state.cases[0, :, -1]
+            cumulative += int(new.sum())
             touched = set(np.flatnonzero(state.status != SUSCEPTIBLE).tolist())
             if (
                 s + i + r != n
-                or state.new_unvacc[-1] < 0
-                or state.new_vacc[-1] < 0
+                or (new < 0).any()
                 or not ever <= touched
                 or len(touched) != cumulative
             ):

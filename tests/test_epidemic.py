@@ -21,6 +21,7 @@ from polarnet.epidemic import (
     contact_probability,
     delay_table,
     exposure_table,
+    infect,
     initial_state,
     infectiousness_integral,
     run_batch,
@@ -96,7 +97,7 @@ def test_seed_infections_all_pool_exhaustive():
     state = initial_state(6, None, rng=1)
     seed_infections(state, Seeding(6, "all"), EpidemicParams())
     assert (state.status == INFECTED).all()
-    assert state.new_unvacc == [6] and state.new_vacc == [0]
+    assert state.cases.tolist() == [[[6], [0]]]
 
 
 def test_seed_infections_pool_too_small():
@@ -135,7 +136,7 @@ def test_step_day_no_infected_only_increments_day():
     step_day(g, state, EpidemicParams())
     assert state.day == 1
     assert np.array_equal(state.status, before)
-    assert state.new_unvacc == [0, 0] and state.new_vacc == [0, 0]  # days 0 and 1
+    assert state.cases.tolist() == [[[0, 0], [0, 0]]]  # days 0 and 1
 
 
 def test_step_day_hand_trace_on_path():
@@ -149,9 +150,8 @@ def test_step_day_hand_trace_on_path():
     assert transmission_table(params)[1] == 1.0 and contact_probability(g, params) == 1.0
     table = delay_table(g, params)
     state = initial_state(5, None, rng=0)
-    state.status[2] = INFECTED
-    state.day_infected[2] = 0
-    state.transmitter[2] = True
+    infect(state, np.array([2]), params)
+    assert 0 in state.cohorts
 
     step_day(g, state, params, table)  # day 1: 2 infects 1 and 3
     assert state.status.tolist() == [0, 1, 1, 1, 0]
@@ -163,7 +163,7 @@ def test_step_day_hand_trace_on_path():
     assert state.status.tolist() == [1, 2, 2, 2, 1]
     step_day(g, state, params, table)  # day 5: 0 and 4 expire
     assert state.status.tolist() == [2, 2, 2, 2, 2]
-    assert state.new_unvacc == [1, 2, 2, 0, 0, 0]
+    assert state.cases[0, 0].tolist() == [1, 2, 2, 0, 0, 0]
 
 
 def test_contact_probability_from_mean_degree():
@@ -192,11 +192,10 @@ def test_step_day_daily_contacts_on_star():
     infected = []
     for s in range(seeds):
         state = initial_state(leaves + 1, None, rng=s)
-        state.status[0] = INFECTED
-        state.day_infected[0] = 0
-        state.transmitter[0] = True
+        infect(state, np.array([0]), params)
+        assert 0 in state.cohorts
         step_day(g, state, params)
-        infected.append(state.new_unvacc[-1])
+        infected.append(state.cases[0, 0, -1])
     sigma = math.sqrt(leaves * q * (1 - q) / seeds)
     assert abs(float(np.mean(infected)) - q * leaves) <= 3 * sigma
 
@@ -206,13 +205,13 @@ def test_vet_one_blocks_all_vaccinated_transmission():
     params = EpidemicParams(vet=1.0, infection_rate=50.0)
     vacc = np.ones(8, dtype=bool)
     rec = run_epidemic(g, params, Seeding(2, "all"), seed=5, vaccinated=vacc)
-    assert int(rec.new_vacc.sum()) == 2  # nothing beyond the index cases
+    assert int(rec.cases[0, 1].sum()) == 2  # nothing beyond the index cases
 
 
 def test_run_epidemic_edgeless_single_case():
     g = graph_from_edges(5, [])
     rec = run_epidemic(g, EpidemicParams(), Seeding(1, "all"), seed=2)
-    assert int(rec.new_unvacc.sum() + rec.new_vacc.sum()) == 1
+    assert int(rec.cases.sum()) == 1
     assert (rec.final_status == RECOVERED).sum() == 1
 
 
@@ -220,7 +219,7 @@ def test_run_epidemic_saturates_complete_graph():
     g = graph_from_edges(10, complete_edges(10))
     params = EpidemicParams(infection_rate=100.0)
     rec = run_epidemic(g, params, Seeding(1, "all"), seed=1)
-    assert int(rec.new_unvacc.sum()) == 10
+    assert int(rec.cases[0, 0].sum()) == 10
 
 
 def test_run_epidemic_deterministic():
@@ -230,8 +229,8 @@ def test_run_epidemic_deterministic():
     vacc = rng.random(40) < 0.4
     a = run_epidemic(g, params, Seeding(3, "all"), seed=77, vaccinated=vacc)
     b = run_epidemic(g, params, Seeding(3, "all"), seed=77, vaccinated=vacc)
-    assert np.array_equal(a.new_unvacc, b.new_unvacc)
-    assert np.array_equal(a.new_vacc, b.new_vacc)
+    assert np.array_equal(a.cases, b.cases)
+    assert np.array_equal(a.lengths, b.lengths)
     assert np.array_equal(a.final_status, b.final_status)
 
 
@@ -265,10 +264,9 @@ def test_run_matches_reference_implementation(vet_mode):
             max_infectious_days=params.max_infectious_days,
             horizon=params.horizon,
         )
-        assert rec.new_unvacc.tolist() == ref_u
-        assert rec.new_vacc.tolist() == ref_v
+        assert rec.cases[0].tolist() == [ref_u, ref_v]
         code = {"S": SUSCEPTIBLE, "I": INFECTED, "R": RECOVERED}
-        assert rec.final_status.tolist() == [code[s] for s in ref_status]
+        assert rec.final_status[0].tolist() == [code[s] for s in ref_status]
     assert min(contact_probs) < 1.0  # the daily edge-activity factor is exercised
 
 
@@ -288,11 +286,11 @@ def test_run_length_and_final_status_rule(horizon):
             vet_mode="daily" if trial % 2 else "once",
         )
         rec = run_epidemic(g, params, Seeding(2, "all"), seed=trial, vaccinated=rng.random(n) < 0.3)
-        daily = rec.new_unvacc + rec.new_vacc
+        daily = rec.cases[0].sum(axis=0)
         last = int(np.flatnonzero(daily)[-1])
-        assert rec.days == min(horizon, last + T + 1) + 1
-        end = rec.days - 1
-        counts = np.bincount(rec.final_status, minlength=3)
+        assert rec.lengths[0] == daily.size == min(horizon, last + T + 1) + 1
+        end = daily.size - 1
+        counts = np.bincount(rec.final_status[0], minlength=3)
         assert counts[INFECTED] == daily[max(end - T, 0) :].sum()
         assert counts[RECOVERED] == daily[: max(end - T, 0)].sum()
         assert counts[SUSCEPTIBLE] == n - daily.sum()
@@ -306,8 +304,9 @@ def test_run_length_and_final_status_rule(horizon):
 @pytest.mark.parametrize("pool", ["all", "unvaccinated"])
 @pytest.mark.parametrize("vet_mode", ["once", "daily"])
 def test_run_batch_equals_per_run_records(vet_mode, pool, horizon):
-    # Runs stepped together in batches of 1, 3 and all 7 give each run the
-    # record run_epidemic gives it alone, from the same Generator seed. Near
+    # Runs stepped together in batches of 1, 3 and all 7 give each run, as its
+    # row cut at its length, the record run_epidemic gives it alone, from the
+    # same Generator seed; past its length the row is zero. Near
     # its threshold the graph lets some runs die out while others go on, so
     # the whole batch keeps stepping runs that are already over.
     g = two_community(60, 60, 0.06, 0.01, seed=3)
@@ -319,18 +318,20 @@ def test_run_batch_equals_per_run_records(vet_mode, pool, horizon):
         run_epidemic(g, params, seeding, np.random.default_rng(s), vaccinated[s]) for s in range(runs)
     ]
     for size in (1, 3, runs):
-        got = []
         for start in range(0, runs, size):
             batch = range(start, min(start + size, runs))
             rngs = [np.random.default_rng(s) for s in batch]
-            got += run_batch(g, params, seeding, rngs, vaccinated[start : batch.stop])
-        for a, b in zip(got, expected, strict=True):
-            assert np.array_equal(a.new_unvacc, b.new_unvacc)
-            assert np.array_equal(a.new_vacc, b.new_vacc)
-            assert np.array_equal(a.final_status, b.final_status)
-            assert np.array_equal(a.vaccinated, b.vaccinated)
-    last = [int(np.flatnonzero(r.new_unvacc + r.new_vacc)[-1]) for r in expected]
-    ends = [r.days - 1 for r in expected]
+            got = run_batch(g, params, seeding, rngs, vaccinated[start : batch.stop])
+            assert got.cases.shape[:2] == (len(batch), 2)
+            assert got.final_status.shape == (len(batch), g.n)
+            for row, want in enumerate(expected[start : batch.stop]):
+                length = int(got.lengths[row])
+                assert length == want.lengths[0]
+                assert np.array_equal(got.cases[row, :, :length], want.cases[0])
+                assert not got.cases[row, :, length:].any()
+                assert np.array_equal(got.final_status[row], want.final_status[0])
+    last = [int(np.flatnonzero(r.cases[0].sum(axis=0))[-1]) for r in expected]
+    ends = [int(r.lengths[0]) - 1 for r in expected]
     if horizon == 365:  # some run is extinct before another's last infection
         assert min(ends) < max(last) and max(ends) < horizon
     else:  # the horizon cuts some run with cases still infectious
@@ -348,7 +349,7 @@ def test_run_epidemic_leaves_scipy_sparse_unloaded():
         "from polarnet.generators import two_community\n"
         "g = two_community(200, 200, 0.02, 0.001, seed=1)\n"
         "rec = run_epidemic(g, EpidemicParams(), Seeding(5, 'all'), seed=3)\n"
-        "assert rec.new_unvacc.sum() + rec.new_vacc.sum() > 5\n"
+        "assert rec.cases.sum() > 5\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -381,7 +382,7 @@ def _sweep_and_engine_runs(n, edges, params, vaccinated, runs):
         )
         sweep.append((sum(ref_u) + sum(ref_v), len(ref_u)))
         rec = run_epidemic(g, params, Seeding(1, "all"), seed=s, vaccinated=vaccinated)
-        engine.append((int(rec.new_unvacc.sum() + rec.new_vacc.sum()), rec.days))
+        engine.append((int(rec.cases.sum()), int(rec.lengths[0])))
     return np.array(sweep), np.array(engine)
 
 
@@ -450,7 +451,7 @@ def test_conservation_and_single_infection():
         step_day(g, state, params, table)
         s, i, r = state.counts()
         assert s + i + r == 30
-        new_today = state.new_unvacc[-1] + state.new_vacc[-1]
+        new_today = int(state.cases[0, :, -1].sum())
         assert new_today >= 0
         cumulative += new_today
         now_infected = set(np.flatnonzero(state.status != SUSCEPTIBLE).tolist())
@@ -475,9 +476,8 @@ def test_vei_monotone_per_exposure(seed, vei_pair):
         g = graph_from_edges(2, [(0, 1)])
         params = EpidemicParams(vei=vei, max_infectious_days=3)
         state = initial_state(2, np.array([False, True]), rng=seed)
-        state.status[0] = INFECTED
-        state.day_infected[0] = 0
-        state.transmitter[0] = True
+        infect(state, np.array([0]), params)
+        assert 0 in state.cohorts
         step_day(g, state, params)
         outcomes.append(int(state.status[1] == INFECTED))
     assert outcomes[1] <= outcomes[0]
