@@ -13,8 +13,8 @@ from .epidemic import (
     infectiousness_integral,
     initial_state,
     run_batch,
-    run_epidemic,
     seed_infections,
+    status_on,
     step_day,
     transmission_probability,
     transmission_table,

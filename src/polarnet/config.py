@@ -130,12 +130,8 @@ def parse_config(path) -> RunConfig:
     if graph and "kind" not in graph:
         keys = ", ".join(_KEY_OF.get(name, name) for name in graph)
         raise ConfigError(f"key(s) {keys} set without key 'generator'")
-    try:
-        params = EpidemicParams(**values[EpidemicParams])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     return RunConfig(
-        graph=GeneratorSpec(**graph) if graph else None, params=params,
+        graph=GeneratorSpec(**graph) if graph else None, params=EpidemicParams(**values[EpidemicParams]),
         seeding=Seeding(**values[Seeding]), **values[RunConfig],
     )
 

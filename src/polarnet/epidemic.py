@@ -49,17 +49,19 @@ share one random stream):
       nodes whose tentative day it is are infected, and each vaccinated one,
       ascending, draws a uniform for its transmitter flag (once mode).
 
-A run stops when nobody is infected or on day ``horizon``, so it lasts
-``min(horizon, last infection day + T + 1) + 1`` days; cases still in their
-window at the horizon stay Infected.
+A node's whole history is its infection day d: Susceptible before it,
+Infected on days d..d + T, Recovered after; :func:`status_on` derives the
+status from it. A run stops when nobody is infected or on day ``horizon``,
+so it lasts ``min(horizon, last infection day + T + 1) + 1`` days; cases
+still in their window at the horizon stay Infected.
 
-:func:`run_batch` steps several runs together over one flat ``run * n +
-node`` index, from one common day to the next, and returns one
-:class:`RunRecord` for the whole batch, a row per run. The runs of a batch
-share only the graph and the delay table, and each draws from its own
-Generator in the order above, so neither the batch size nor the number of
-threads running batches can change a result. :func:`run_epidemic` is the
-batch of one.
+:func:`run_batch` is the engine's one entry. It steps several runs together
+over one flat ``run * n + node`` index, from one common day to the next, and
+returns one :class:`RunRecord` for the whole batch, a row per run; a single
+run is ``run_batch(g, params, seeding, [seed])``. The runs of a batch share
+only the graph and the delay table, and each draws from its own Generator in
+the order above, so neither the batch size nor the number of threads running
+batches can change a result.
 """
 
 from __future__ import annotations
@@ -114,20 +116,20 @@ class EpidemicParams:
         )
         for key, value in positive:  # false for NaN too
             if not 0 < value < math.inf:
-                raise ValueError(f"{key} must be positive and finite, got {value}")
+                raise ConfigError(f"{key} must be positive and finite, got {value}")
         if not 0 <= self.infection_rate < math.inf:
-            raise ValueError(f"R must be non-negative and finite, got {self.infection_rate}")
+            raise ConfigError(f"R must be non-negative and finite, got {self.infection_rate}")
         for key, value in (("VET", self.vet), ("VEI", self.vei)):
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{key} must lie in [0, 1], got {value}")
+                raise ConfigError(f"{key} must lie in [0, 1], got {value}")
         if not 1 <= self.max_infectious_days <= MAX_INFECTIOUS_DAYS:
-            raise ValueError(f"t_max_infectious must lie in [1, {MAX_INFECTIOUS_DAYS}]")
+            raise ConfigError(f"t_max_infectious must lie in [1, {MAX_INFECTIOUS_DAYS}]")
         # every day d + k and recovery day d + T + 1 must stay below NEVER (int32)
         last = NEVER - self.max_infectious_days - 2
         if not 1 <= self.horizon <= last:
-            raise ValueError(f"horizon must lie in [1, {last}]")
+            raise ConfigError(f"horizon must lie in [1, {last}]")
         if self.vet_mode not in VET_MODES:
-            raise ValueError(f"vet_mode must be one of {VET_MODES}")
+            raise ConfigError(f"vet_mode must be one of {VET_MODES}")
 
 
 @dataclass(frozen=True)
@@ -150,8 +152,8 @@ def infectiousness_integral(t: int, curve_mean: float, curve_sd: float) -> float
     The gamma is parameterized by mean and standard deviation:
     shape = (mean/sd)^2, scale = sd^2/mean.
     """
-    if curve_mean <= 0 or curve_sd <= 0:
-        raise ValueError("curve mean and sd must be positive")
+    if not (0 < curve_mean < math.inf and 0 < curve_sd < math.inf):  # false for NaN too
+        raise ValueError("curve mean and sd must be positive and finite")
     if t <= 0:
         return 0.0
     shape = (curve_mean / curve_sd) ** 2
@@ -261,31 +263,36 @@ class SimulationState:
     """Mutable state of a batch of runs on one graph of ``n`` nodes.
 
     Node ``v`` of run ``b`` sits at flat index ``b * n + v`` of every array;
-    a single run is the batch of one. ``day`` is the batch's common day.
+    a single run is the batch of one. ``day`` is the batch's common day. A
+    node's infection day is all of its history: ``status_on(day_infected,
+    day, T)`` is its status, and a node is susceptible while it is -1.
     """
 
     n: int
     day: int
-    status: np.ndarray  # int8: SUSCEPTIBLE / INFECTED / RECOVERED
-    day_infected: np.ndarray  # int32, -1 while never infected
-    transmitter: np.ndarray  # bool, meaningful while INFECTED
+    day_infected: np.ndarray  # int32, -1 while susceptible
     vaccinated: np.ndarray  # bool, fixed for the whole run
     rngs: list[np.random.Generator]  # one per run
     tentative: np.ndarray  # int32: least day d + k drawn for a susceptible, else NEVER
-    cohorts: dict[int, np.ndarray]  # infected flat indices by infection day, filed by infect
-
-    @property
-    def infected_count(self) -> int:
-        return int((self.status == INFECTED).sum())
-
-    def counts(self) -> tuple[int, int, int]:
-        """(susceptible, infected, recovered) agents, over all runs."""
-        return tuple(int(c) for c in np.bincount(self.status, minlength=3))
+    # the transmitting cases of each infection day not yet recovered, filed by infect
+    cohorts: dict[int, np.ndarray]
 
     @property
     def cases(self) -> np.ndarray:
         """Agents infected per run on each day 0..day, laid out as in :class:`RunRecord`."""
         return _new_cases(self, self.day + 1)
+
+
+def status_on(day_infected: np.ndarray, day, max_infectious_days: int) -> np.ndarray:
+    """SUSCEPTIBLE, INFECTED or RECOVERED (int8) of each node on ``day``: a
+    case of day d is Infected on days d..d + T and Recovered after.
+
+    ``day`` broadcasts against ``day_infected``: a state's ``day``, or
+    ``lengths[:, None] - 1``, the last day of each run of a :class:`RunRecord`.
+    """
+    status = np.where(day_infected + max_infectious_days < day, RECOVERED, INFECTED).astype(np.int8)
+    status[day_infected < 0] = SUSCEPTIBLE
+    return status
 
 
 def _new_cases(state: SimulationState, days: int) -> np.ndarray:
@@ -317,9 +324,7 @@ def initial_state(n: int, vaccinated: np.ndarray | None, rng) -> SimulationState
     return SimulationState(
         n=n,
         day=0,
-        status=np.zeros(size, dtype=np.int8),
         day_infected=np.full(size, -1, dtype=np.int32),
-        transmitter=np.zeros(size, dtype=bool),
         vaccinated=vaccinated,
         rngs=rngs,
         tentative=np.full(size, NEVER, dtype=np.int32),
@@ -342,15 +347,17 @@ def _uniforms(state: SimulationState, flat: np.ndarray, *tail: int) -> np.ndarra
 
 def infect(state: SimulationState, nodes: np.ndarray, params: EpidemicParams) -> None:
     """Infect ``nodes`` (ascending flat indices, all of the day's cases) on
-    ``state.day``: status, infection day, transmitter flag and cohort."""
-    vacc = state.vaccinated[nodes]
-    state.status[nodes] = INFECTED
+    ``state.day``: set their infection day and, if there is a case, file the
+    transmitters among them, possibly none, as the day's cohort."""
     state.day_infected[nodes] = state.day
-    flags = ~vacc  # unvaccinated agents always transmit
-    flags[vacc] = _uniforms(state, nodes[vacc]) > params.vet if params.vet_mode == "once" else True
-    state.transmitter[nodes] = flags
+    sources = nodes  # in daily mode every case transmits, on its active days
+    if params.vet_mode == "once":
+        vacc = state.vaccinated[nodes]
+        transmits = ~vacc  # unvaccinated agents always transmit
+        transmits[vacc] = _uniforms(state, nodes[vacc]) > params.vet
+        sources = nodes[transmits]
     if nodes.size:
-        state.cohorts[state.day] = nodes
+        state.cohorts[state.day] = sources
 
 
 def seed_infections(
@@ -385,10 +392,9 @@ def step_day(
     """
     if table is None:
         table = delay_table(g, params)
-    T, day, status = params.max_infectious_days, state.day, state.status
-    cohorts = state.cohorts
+    T, day, cohorts = params.max_infectious_days, state.day, state.cohorts
     if day in cohorts:  # contract 2a and 2b
-        sources = cohorts[day][state.transmitter[cohorts[day]]]
+        sources = cohorts[day]
         if params.vet_mode == "daily":
             vacc_src = state.vaccinated[sources]
             active = _uniforms(state, sources[vacc_src], T) > params.vet
@@ -396,7 +402,7 @@ def step_day(
         neighbours, lengths = gather_rows(g.indptr, g.indices, node)
         if len(state.rngs) > 1:
             neighbours = neighbours + np.repeat(sources - node, lengths)  # run * n
-        open_ = status[neighbours] == SUSCEPTIBLE
+        open_ = state.day_infected[neighbours] < 0
         targets = neighbours[open_]
         u = _uniforms(state, targets)
         row = state.vaccinated[targets]
@@ -415,7 +421,7 @@ def step_day(
         nxt = min(cohorts) + T + 1 if cohorts else day + 1
     nxt = min(nxt, max(params.horizon, day + 1))
     for d in [d for d in cohorts if d + T < nxt]:
-        status[cohorts.pop(d)] = RECOVERED
+        del cohorts[d]  # recovered
     newly = np.flatnonzero(state.tentative == nxt)
     state.tentative[newly] = NEVER
     state.day = nxt
@@ -429,12 +435,15 @@ class RunRecord:
 
     ``cases[r, 0]`` and ``cases[r, 1]`` count run r's unvaccinated and
     vaccinated agents infected on each day, day 0 holding the index cases;
-    the row is zero past the run's ``lengths[r]`` days.
+    the row is zero past the run's ``lengths[r]`` days. ``day_infected[r]``
+    holds the infection day of each of run r's nodes, -1 if never;
+    ``status_on(day_infected, lengths[:, None] - 1, T)`` is the status of
+    each node at the end of its run.
     """
 
     cases: np.ndarray  # (runs, 2, days) int64
     lengths: np.ndarray  # (runs,) days of each run
-    final_status: np.ndarray  # (runs, n) int8
+    day_infected: np.ndarray  # (runs, n) int32, a view of the state's array
 
 
 def run_batch(
@@ -445,13 +454,14 @@ def run_batch(
     vaccinated: np.ndarray | None = None,
     table: DelayTable | None = None,
 ) -> RunRecord:
-    """One full run per entry of ``rngs`` (seeds or Generators), stepped
-    together, as one record with a row per run.
+    """One full run per entry of ``rngs`` (ints, SeedSequences or
+    Generators), each seeded and then stepped cohort by cohort until
+    extinction or the horizon, together, as one record with a row per run.
 
     ``vaccinated`` is None, one (n,) row for every run or a (runs, n) array;
     ``table`` defaults to :func:`delay_table` of ``g`` and ``params``. Each
-    row, cut at its length, equals the :func:`run_epidemic` record of its
-    own Generator.
+    row, cut at its length, equals the record of the batch of its own
+    Generator alone.
     """
     state = initial_state(g.n, vaccinated, list(rngs))
     seed_infections(state, seeding, params)
@@ -460,27 +470,7 @@ def run_batch(
     step_day(g, state, params, table)
     while state.day < params.horizon and state.day in state.cohorts:
         step_day(g, state, params, table)
-    # every run lasts min(horizon, last infection day + T + 1) + 1 days and
-    # ends with the cases of its last T + 1 days Infected
-    T, runs = params.max_infectious_days, len(state.rngs)
-    day = state.day_infected.reshape(runs, g.n)
-    end = np.minimum(params.horizon, day.max(axis=1) + T + 1)
-    cases = _new_cases(state, int(end.max()) + 1)
-    status = np.where(day >= (end - T)[:, None], INFECTED, RECOVERED).astype(np.int8)
-    status[day < 0] = SUSCEPTIBLE
-    return RunRecord(cases, end + 1, status)
-
-
-def run_epidemic(
-    g: AnnotatedGraph,
-    params: EpidemicParams,
-    seeding: Seeding,
-    seed,
-    vaccinated: np.ndarray | None = None,
-) -> RunRecord:
-    """One full run: seed, then step cohort by cohort until extinction or the horizon.
-
-    ``seed`` may be an int, a SeedSequence, or a ready Generator. The record
-    is the batch of one.
-    """
-    return run_batch(g, params, seeding, [seed], vaccinated)
+    # every run lasts min(horizon, last infection day + T + 1) + 1 days
+    day = state.day_infected.reshape(len(state.rngs), g.n)
+    end = np.minimum(params.horizon, day.max(axis=1) + params.max_infectious_days + 1)
+    return RunRecord(_new_cases(state, int(end.max()) + 1), end + 1, day)

@@ -15,6 +15,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,8 +48,8 @@ def allocate_vaccines(g: AnnotatedGraph, strategy: str, rng) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnsembleSummary:
-    """Aggregates over an ensemble; every field is recomputable from
-    ``daily``, ``lengths`` and ``sizes``.
+    """The runs of an ensemble; its statistics are derived from them, each
+    on first use.
 
     ``daily[r, i]`` is run r's daily new infections in subpopulation
     ``SUBPOPS[i]`` divided by its size ``sizes[i]``, all zeros for an empty
@@ -61,15 +62,36 @@ class EnsembleSummary:
     daily: np.ndarray  # (runs, 3, days) daily new-infection fractions
     lengths: np.ndarray  # (runs,) days of each run
     sizes: np.ndarray  # (3,) subpopulation sizes
-    mean_curves: dict[str, np.ndarray]  # subpop -> padded daily mean fractions
-    band_low: dict[str, np.ndarray]  # pointwise 10th percentile
-    band_high: dict[str, np.ndarray]  # pointwise 90th percentile
-    mean_attack_rate: dict[str, float]  # NaN for an empty subpopulation
-    mean_t_peak: dict[str, float]  # mean earliest peak day of the runs with a case
 
     @property
     def days(self) -> int:
-        return self.mean_curves["all"].size
+        return self.daily.shape[2]
+
+    @cached_property
+    def mean_curves(self) -> dict[str, np.ndarray]:
+        """Subpopulation -> padded daily mean fractions."""
+        return {subpop: self.daily[:, row].mean(axis=0) for row, subpop in enumerate(SUBPOPS)}
+
+    @cached_property
+    def mean_attack_rate(self) -> dict[str, float]:
+        """Subpopulation -> mean of the runs' attack rates; NaN if it is empty."""
+        mean_ar = {}
+        for row, subpop in enumerate(SUBPOPS):
+            # each run's own unpadded row sum, then one mean over the runs: the
+            # padded stack would sum in another order and round differently
+            ars = [run[:n].sum() for run, n in zip(self.daily[:, row], self.lengths.tolist())]
+            mean_ar[subpop] = float(np.mean(ars)) if self.sizes[row] > 0 else math.nan
+        return mean_ar
+
+    @cached_property
+    def mean_t_peak(self) -> dict[str, float]:
+        """Subpopulation -> mean earliest peak day of the runs with a case in it."""
+        mean_tp = {}
+        for row, subpop in enumerate(SUBPOPS):
+            curves = self.daily[:, row]
+            seen = curves.any(axis=1)  # a run with no case in the subpopulation has no peak
+            mean_tp[subpop] = float(np.mean(curves.argmax(axis=1)[seen])) if seen.any() else math.nan
+        return mean_tp
 
     def series(self, row: int) -> list[np.ndarray]:
         """Row ``row`` of each run's ``daily``, cut at the run's own length."""
@@ -84,35 +106,6 @@ def _fractions(cases: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     daily[:, 2] = daily[:, 0] + daily[:, 1]
     daily /= np.maximum(sizes, 1)[:, None]  # an empty subpopulation's row stays 0
     return daily
-
-
-def _aggregate(
-    strategy: str, daily: np.ndarray, lengths: np.ndarray, sizes: np.ndarray
-) -> EnsembleSummary:
-    mean_curves, lo, hi, mean_ar, mean_tp = {}, {}, {}, {}, {}
-    for row, subpop in enumerate(SUBPOPS):
-        curves = daily[:, row]
-        mean_curves[subpop] = curves.mean(axis=0)
-        lo[subpop] = np.quantile(curves, 0.1, axis=0)
-        hi[subpop] = np.quantile(curves, 0.9, axis=0)
-        # each run's own unpadded row sum, then one mean over the runs: the
-        # padded stack would sum in another order and round differently
-        ars = [run[:n].sum() for run, n in zip(curves, lengths.tolist())]
-        mean_ar[subpop] = float(np.mean(ars)) if sizes[row] > 0 else math.nan
-        # runs where the subpop saw no infection have no peak; average the rest
-        seen = curves.any(axis=1)
-        mean_tp[subpop] = float(np.mean(curves.argmax(axis=1)[seen])) if seen.any() else math.nan
-    return EnsembleSummary(
-        strategy=strategy,
-        daily=daily,
-        lengths=lengths,
-        sizes=sizes,
-        mean_curves=mean_curves,
-        band_low=lo,
-        band_high=hi,
-        mean_attack_rate=mean_ar,
-        mean_t_peak=mean_tp,
-    )
 
 
 def resolve_threads(threads: int, n_batches: int, arc_count: int) -> int:
@@ -161,7 +154,7 @@ def _ensemble(
         else:
             vaccinated = np.array([allocate_vaccines(g, strategy, rng) for rng in rngs])
         record = run_batch(g, cfg.params, cfg.seeding, rngs, vaccinated, table)
-        return record.cases, record.lengths  # no (runs, n) final states outlive the job
+        return record.cases, record.lengths  # no (runs, n) infection days outlive the job
 
     workers = resolve_threads(cfg.threads, len(batches), g.indices.size)
     if workers == 1:
@@ -175,7 +168,7 @@ def _ensemble(
         cases[batch.start : batch.stop, :, : stack.shape[2]] = stack
     pro = int((g.opinions == int(Opinion.PRO)).sum())  # the dose count of either strategy
     sizes = np.array([g.n - pro, pro, g.n])
-    return _aggregate(strategy, _fractions(cases, sizes), np.concatenate(lengths), sizes)
+    return EnsembleSummary(strategy, _fractions(cases, sizes), np.concatenate(lengths), sizes)
 
 
 @dataclass(frozen=True)
@@ -184,15 +177,16 @@ class Comparison:
 
     polarized: EnsembleSummary
     homogeneous: EnsembleSummary
-    ar_ratio: dict[str, float]  # polarized mean AR / homogeneous mean AR
+
+    @property
+    def ar_ratio(self) -> dict[str, float]:
+        """Subpopulation -> polarized mean AR / homogeneous mean AR."""
+        pol_ar, hom_ar = self.polarized.mean_attack_rate, self.homogeneous.mean_attack_rate
+        return {s: pol_ar[s] / hom_ar[s] if hom_ar[s] else math.nan for s in SUBPOPS}
 
 
 def compare_scenarios(g: AnnotatedGraph, cfg: RunConfig) -> Comparison:
     """Run both strategies on the same graph and report paired statistics;
     ``cfg.strategy`` plays no part."""
     pol_ss, hom_ss = np.random.SeedSequence(cfg.master_seed).spawn(2)
-    pol = _ensemble(g, cfg, "polarized", pol_ss)
-    hom = _ensemble(g, cfg, "homogeneous", hom_ss)
-    pol_ar, hom_ar = pol.mean_attack_rate, hom.mean_attack_rate
-    ratio = {s: pol_ar[s] / hom_ar[s] if hom_ar[s] else math.nan for s in SUBPOPS}
-    return Comparison(polarized=pol, homogeneous=hom, ar_ratio=ratio)
+    return Comparison(_ensemble(g, cfg, "polarized", pol_ss), _ensemble(g, cfg, "homogeneous", hom_ss))

@@ -57,7 +57,6 @@ class AnnotatedGraph:
     indptr: np.ndarray  # int64, shape (n+1,)
     indices: np.ndarray  # int64, shape (2*edge_count,), sorted per row
     opinions: np.ndarray  # uint8 of Opinion values, shape (n,)
-    edge_count: int
     labels: np.ndarray = field(default=None)  # external node labels, shape (n,)
 
     def __post_init__(self):
@@ -67,6 +66,10 @@ class AnnotatedGraph:
             arr.setflags(write=False)
 
     # -- queries ---------------------------------------------------------
+
+    @property
+    def edge_count(self) -> int:
+        return self.indices.size // 2
 
     @property
     def degrees(self) -> np.ndarray:
@@ -123,7 +126,7 @@ class AnnotatedGraph:
         indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)
         arcs %= n
 
-        g = cls(n=n, indptr=indptr, indices=arcs, opinions=opinions, edge_count=arcs.size // 2, labels=labels)
+        g = cls(n=n, indptr=indptr, indices=arcs, opinions=opinions, labels=labels)
         g.validate()
         return g
 
@@ -136,8 +139,6 @@ class AnnotatedGraph:
             raise DataError("malformed indptr")
         if int(indptr[-1]) != self.indices.size:
             raise DataError("indptr does not cover indices")
-        if self.indices.size != 2 * self.edge_count:
-            raise DataError("edge_count inconsistent with adjacency size")
         if self.opinions.shape != (n,):
             raise DataError("opinions array must have one entry per node")
         if self.labels.shape != (n,):

@@ -375,7 +375,8 @@ def first_passage_run(
 ):
     """Loop-based first-passage run following the engine's stream contract.
 
-    Same arguments and result as :func:`reference_run`. Each step draws the
+    Same arguments as :func:`reference_run`, and its result followed by each
+    node's infection day (-1 if never). Each step draws the
     arcs of the cohort infected on the current day once, turns each uniform
     into a delay through the per-day hazards c * (q * P(t)) of its target,
     and moves on to the next day on which someone is infected or recovers.
@@ -452,4 +453,4 @@ def first_passage_run(
         infect(newly, nxt)
         day = nxt
         if day >= horizon or "I" not in status:
-            return new_unvacc, new_vacc, status
+            return new_unvacc, new_vacc, status, day_infected

@@ -25,6 +25,7 @@ from polarnet.epidemic import (
     initial_state,
     infectiousness_integral,
     seed_infections,
+    status_on,
     step_day,
 )
 from polarnet.errors import SingleGroupError
@@ -343,14 +344,16 @@ def test_criterion_10_conservation_invariants():
         state = initial_state(n, vaccinated, rng=int(rng.integers(0, 2**31)))
         seed_infections(state, Seeding(1, "all"), params)
         table = delay_table(g, params)
-        ever = set(np.flatnonzero(state.status == INFECTED).tolist())
+        status = status_on(state.day_infected, state.day, params.max_infectious_days)
+        ever = set(np.flatnonzero(status == INFECTED).tolist())
         cumulative = 1
-        while state.day < params.horizon and state.infected_count > 0:
+        while state.day < params.horizon and (status == INFECTED).any():
             step_day(g, state, params, table)
-            s, i, r = state.counts()
+            status = status_on(state.day_infected, state.day, params.max_infectious_days)
+            s, i, r = np.bincount(status, minlength=3)
             new = state.cases[0, :, -1]
             cumulative += int(new.sum())
-            touched = set(np.flatnonzero(state.status != SUSCEPTIBLE).tolist())
+            touched = set(np.flatnonzero(status != SUSCEPTIBLE).tolist())
             if (
                 s + i + r != n
                 or (new < 0).any()

@@ -373,3 +373,23 @@ def test_cli_outputs_pinned(tmp_path):
         for f in (tmp_path / d).iterdir()
     }
     assert digests == PINNED_OUTPUTS
+
+
+# SHA-256 of the compare files in daily vet mode with one frozen homogeneous
+# allocation, the two settings the pins above leave at their defaults
+PINNED_DAILY_FROZEN = {
+    "curves_all.svg": "b3390a4fc301b25d1998c70a13d26e654e277711618f1378a1580f7b3bf73ef9",
+    "curves_homogeneous.csv": "a1488232df87b0e7d952304f6a01af6877ffa6df451247caedaacc0160cac00d",
+    "curves_polarized.csv": "ee2f4c4dea17dca53a1ea416be264c127a440d4e44ef0e980b70450e00566d5f",
+    "curves_unvaccinated.svg": "756f67b5eee84fc3a092b851169d408bb76496edc576c9208bc0a6015524b944",
+    "curves_vaccinated.svg": "1be3278987296a7d99eeb557fd1713b23d366dbf0dcf909cd458bf319ce45723",
+    "summary.csv": "f23891226004973121b65fa9c2f81e807f402cb4acb4e8b79a7bfecd3c14b370",
+}
+
+
+def test_cli_daily_frozen_compare_pinned(tmp_path):
+    cfg = _write_config(tmp_path, "vet_mode=daily\nhomogeneous_redraw=false\n")
+    out = tmp_path / "compare"
+    assert run_cli("compare", "--config", str(cfg), "--out", str(out)) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert digests == PINNED_DAILY_FROZEN

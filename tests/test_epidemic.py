@@ -25,14 +25,24 @@ from polarnet.epidemic import (
     initial_state,
     infectiousness_integral,
     run_batch,
-    run_epidemic,
     seed_infections,
+    status_on,
     step_day,
     transmission_probability,
     transmission_table,
 )
-from polarnet.errors import DataError
+from polarnet.errors import ConfigError, DataError
 from polarnet.generators import two_community
+
+
+def _status(state, params):
+    """S/I/R code of each node of ``state`` on its day."""
+    return status_on(state.day_infected, state.day, params.max_infectious_days)
+
+
+def _final_status(rec, params):
+    """S/I/R code of each node of ``rec`` on the last day of its run."""
+    return status_on(rec.day_infected, rec.lengths[:, None] - 1, params.max_infectious_days)
 
 
 def test_integral_zero_before_onset():
@@ -56,6 +66,11 @@ def test_integral_param_validation():
         infectiousness_integral(3, -1.0, 2.0)
     with pytest.raises(ValueError):
         infectiousness_integral(3, 5.5, 0.0)
+    # NaN and infinite parameters are rejected, not turned into NaN, 0.0 or a
+    # ZeroDivisionError
+    for mean, sd in ((math.nan, 2.0), (5.5, math.nan), (math.inf, 2.0), (5.5, math.inf)):
+        with pytest.raises(ValueError):
+            infectiousness_integral(3, mean, sd)
 
 
 def test_transmission_probability_formula_oracle():
@@ -85,18 +100,18 @@ def test_transmission_probability_bounds_and_monotonicity():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         EpidemicParams(vet=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         EpidemicParams(daily_interactions=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         EpidemicParams(vet_mode="sometimes")
 
 
 def test_seed_infections_all_pool_exhaustive():
     state = initial_state(6, None, rng=1)
     seed_infections(state, Seeding(6, "all"), EpidemicParams())
-    assert (state.status == INFECTED).all()
+    assert (_status(state, EpidemicParams()) == INFECTED).all()
     assert state.cases.tolist() == [[[6], [0]]]
 
 
@@ -112,7 +127,7 @@ def test_seed_infections_deterministic():
     b = initial_state(50, None, rng=9)
     seed_infections(a, Seeding(5, "all"), EpidemicParams())
     seed_infections(b, Seeding(5, "all"), EpidemicParams())
-    assert np.array_equal(a.status, b.status)
+    assert np.array_equal(a.day_infected, b.day_infected)
 
 
 def test_seed_infections_uniform_over_pool():
@@ -124,7 +139,7 @@ def test_seed_infections_uniform_over_pool():
     for s in range(draws):
         state = initial_state(n, vacc, rng=s)
         seed_infections(state, Seeding(1, "all"), EpidemicParams())
-        hits += int(state.vaccinated[state.status == INFECTED][0])
+        hits += int(state.vaccinated[state.day_infected >= 0][0])
     sigma = math.sqrt(draws * frac * (1 - frac))
     assert abs(hits - draws * frac) <= 3 * sigma
 
@@ -132,10 +147,10 @@ def test_seed_infections_uniform_over_pool():
 def test_step_day_no_infected_only_increments_day():
     g = graph_from_edges(4, complete_edges(4))
     state = initial_state(4, None, rng=3)
-    before = state.status.copy()
+    before = state.day_infected.copy()
     step_day(g, state, EpidemicParams())
     assert state.day == 1
-    assert np.array_equal(state.status, before)
+    assert np.array_equal(state.day_infected, before)
     assert state.cases.tolist() == [[[0, 0], [0, 0]]]  # days 0 and 1
 
 
@@ -154,15 +169,15 @@ def test_step_day_hand_trace_on_path():
     assert 0 in state.cohorts
 
     step_day(g, state, params, table)  # day 1: 2 infects 1 and 3
-    assert state.status.tolist() == [0, 1, 1, 1, 0]
+    assert _status(state, params).tolist() == [0, 1, 1, 1, 0]
     step_day(g, state, params, table)  # day 2: 1 infects 0, 3 infects 4
-    assert state.status.tolist() == [1, 1, 1, 1, 1]
+    assert _status(state, params).tolist() == [1, 1, 1, 1, 1]
     step_day(g, state, params, table)  # day 3: node 2 expires; no S left
-    assert state.status.tolist() == [1, 1, 2, 1, 1]
+    assert _status(state, params).tolist() == [1, 1, 2, 1, 1]
     step_day(g, state, params, table)  # day 4: 1 and 3 expire
-    assert state.status.tolist() == [1, 2, 2, 2, 1]
+    assert _status(state, params).tolist() == [1, 2, 2, 2, 1]
     step_day(g, state, params, table)  # day 5: 0 and 4 expire
-    assert state.status.tolist() == [2, 2, 2, 2, 2]
+    assert _status(state, params).tolist() == [2, 2, 2, 2, 2]
     assert state.cases[0, 0].tolist() == [1, 2, 2, 0, 0, 0]
 
 
@@ -204,21 +219,21 @@ def test_vet_one_blocks_all_vaccinated_transmission():
     g = graph_from_edges(8, complete_edges(8))
     params = EpidemicParams(vet=1.0, infection_rate=50.0)
     vacc = np.ones(8, dtype=bool)
-    rec = run_epidemic(g, params, Seeding(2, "all"), seed=5, vaccinated=vacc)
+    rec = run_batch(g, params, Seeding(2, "all"), [5], vacc)
     assert int(rec.cases[0, 1].sum()) == 2  # nothing beyond the index cases
 
 
 def test_run_epidemic_edgeless_single_case():
     g = graph_from_edges(5, [])
-    rec = run_epidemic(g, EpidemicParams(), Seeding(1, "all"), seed=2)
+    rec = run_batch(g, EpidemicParams(), Seeding(1, "all"), [2])
     assert int(rec.cases.sum()) == 1
-    assert (rec.final_status == RECOVERED).sum() == 1
+    assert (_final_status(rec, EpidemicParams()) == RECOVERED).sum() == 1
 
 
 def test_run_epidemic_saturates_complete_graph():
     g = graph_from_edges(10, complete_edges(10))
     params = EpidemicParams(infection_rate=100.0)
-    rec = run_epidemic(g, params, Seeding(1, "all"), seed=1)
+    rec = run_batch(g, params, Seeding(1, "all"), [1])
     assert int(rec.cases[0, 0].sum()) == 10
 
 
@@ -227,11 +242,11 @@ def test_run_epidemic_deterministic():
     g = graph_from_edges(40, random_edges(rng, 40, 0.1))
     params = EpidemicParams()
     vacc = rng.random(40) < 0.4
-    a = run_epidemic(g, params, Seeding(3, "all"), seed=77, vaccinated=vacc)
-    b = run_epidemic(g, params, Seeding(3, "all"), seed=77, vaccinated=vacc)
+    a = run_batch(g, params, Seeding(3, "all"), [77], vacc)
+    b = run_batch(g, params, Seeding(3, "all"), [77], vacc)
     assert np.array_equal(a.cases, b.cases)
     assert np.array_equal(a.lengths, b.lengths)
-    assert np.array_equal(a.final_status, b.final_status)
+    assert np.array_equal(a.day_infected, b.day_infected)
 
 
 @pytest.mark.parametrize("vet_mode", ["once", "daily"])
@@ -245,11 +260,11 @@ def test_run_matches_reference_implementation(vet_mode):
         vacc = rng.random(n) < 0.5
         params = EpidemicParams(max_infectious_days=6, horizon=40, vet_mode=vet_mode)
         seed = int(rng.integers(0, 2**31))
-        rec = run_epidemic(g, params, Seeding(2, "all"), seed=seed, vaccinated=vacc)
+        rec = run_batch(g, params, Seeding(2, "all"), [seed], vacc)
         contact_probs.append(
             oracles.brute_contact_probability(n, edges, params.daily_interactions)
         )
-        ref_u, ref_v, ref_status = oracles.first_passage_run(
+        ref_u, ref_v, ref_status, ref_day = oracles.first_passage_run(
             n,
             edges,
             transmission_table(params),
@@ -265,8 +280,9 @@ def test_run_matches_reference_implementation(vet_mode):
             horizon=params.horizon,
         )
         assert rec.cases[0].tolist() == [ref_u, ref_v]
+        assert rec.day_infected[0].tolist() == ref_day
         code = {"S": SUSCEPTIBLE, "I": INFECTED, "R": RECOVERED}
-        assert rec.final_status[0].tolist() == [code[s] for s in ref_status]
+        assert _final_status(rec, params)[0].tolist() == [code[s] for s in ref_status]
     assert min(contact_probs) < 1.0  # the daily edge-activity factor is exercised
 
 
@@ -285,12 +301,12 @@ def test_run_length_and_final_status_rule(horizon):
             infection_rate=6.0, max_infectious_days=T, horizon=horizon,
             vet_mode="daily" if trial % 2 else "once",
         )
-        rec = run_epidemic(g, params, Seeding(2, "all"), seed=trial, vaccinated=rng.random(n) < 0.3)
+        rec = run_batch(g, params, Seeding(2, "all"), [trial], rng.random(n) < 0.3)
         daily = rec.cases[0].sum(axis=0)
         last = int(np.flatnonzero(daily)[-1])
         assert rec.lengths[0] == daily.size == min(horizon, last + T + 1) + 1
         end = daily.size - 1
-        counts = np.bincount(rec.final_status[0], minlength=3)
+        counts = np.bincount(_final_status(rec, params)[0], minlength=3)
         assert counts[INFECTED] == daily[max(end - T, 0) :].sum()
         assert counts[RECOVERED] == daily[: max(end - T, 0)].sum()
         assert counts[SUSCEPTIBLE] == n - daily.sum()
@@ -305,7 +321,7 @@ def test_run_length_and_final_status_rule(horizon):
 @pytest.mark.parametrize("vet_mode", ["once", "daily"])
 def test_run_batch_equals_per_run_records(vet_mode, pool, horizon):
     # Runs stepped together in batches of 1, 3 and all 7 give each run, as its
-    # row cut at its length, the record run_epidemic gives it alone, from the
+    # row cut at its length, the record it gets as a batch of one, from the
     # same Generator seed; past its length the row is zero. Near
     # its threshold the graph lets some runs die out while others go on, so
     # the whole batch keeps stepping runs that are already over.
@@ -315,7 +331,7 @@ def test_run_batch_equals_per_run_records(vet_mode, pool, horizon):
     runs = 7
     vaccinated = np.random.default_rng(4).random((runs, g.n)) < 0.4
     expected = [
-        run_epidemic(g, params, seeding, np.random.default_rng(s), vaccinated[s]) for s in range(runs)
+        run_batch(g, params, seeding, [np.random.default_rng(s)], vaccinated[s]) for s in range(runs)
     ]
     for size in (1, 3, runs):
         for start in range(0, runs, size):
@@ -323,13 +339,13 @@ def test_run_batch_equals_per_run_records(vet_mode, pool, horizon):
             rngs = [np.random.default_rng(s) for s in batch]
             got = run_batch(g, params, seeding, rngs, vaccinated[start : batch.stop])
             assert got.cases.shape[:2] == (len(batch), 2)
-            assert got.final_status.shape == (len(batch), g.n)
+            assert got.day_infected.shape == (len(batch), g.n)
             for row, want in enumerate(expected[start : batch.stop]):
                 length = int(got.lengths[row])
                 assert length == want.lengths[0]
                 assert np.array_equal(got.cases[row, :, :length], want.cases[0])
                 assert not got.cases[row, :, length:].any()
-                assert np.array_equal(got.final_status[row], want.final_status[0])
+                assert np.array_equal(got.day_infected[row], want.day_infected[0])
     last = [int(np.flatnonzero(r.cases[0].sum(axis=0))[-1]) for r in expected]
     ends = [int(r.lengths[0]) - 1 for r in expected]
     if horizon == 365:  # some run is extinct before another's last infection
@@ -345,10 +361,10 @@ def test_run_epidemic_leaves_scipy_sparse_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys\n"
-        "from polarnet.epidemic import EpidemicParams, Seeding, run_epidemic\n"
+        "from polarnet.epidemic import EpidemicParams, Seeding, run_batch\n"
         "from polarnet.generators import two_community\n"
         "g = two_community(200, 200, 0.02, 0.001, seed=1)\n"
-        "rec = run_epidemic(g, EpidemicParams(), Seeding(5, 'all'), seed=3)\n"
+        "rec = run_batch(g, EpidemicParams(), Seeding(5, 'all'), [3])\n"
         "assert rec.cases.sum() > 5\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
     )
@@ -381,7 +397,7 @@ def _sweep_and_engine_runs(n, edges, params, vaccinated, runs):
             horizon=params.horizon,
         )
         sweep.append((sum(ref_u) + sum(ref_v), len(ref_u)))
-        rec = run_epidemic(g, params, Seeding(1, "all"), seed=s, vaccinated=vaccinated)
+        rec = run_batch(g, params, Seeding(1, "all"), [s], vaccinated)
         engine.append((int(rec.cases.sum()), int(rec.lengths[0])))
     return np.array(sweep), np.array(engine)
 
@@ -445,16 +461,17 @@ def test_conservation_and_single_infection():
     state = initial_state(30, rng.random(30) < 0.3, rng=8)
     seed_infections(state, Seeding(3, "all"), params)
     table = delay_table(g, params)
-    ever_infected = set(np.flatnonzero(state.status == INFECTED).tolist())
+    ever_infected = set(np.flatnonzero(_status(state, params) == INFECTED).tolist())
     cumulative = 3
-    while state.day < params.horizon and state.infected_count > 0:
+    while state.day < params.horizon and (_status(state, params) == INFECTED).any():
         step_day(g, state, params, table)
-        s, i, r = state.counts()
+        status = _status(state, params)
+        s, i, r = np.bincount(status, minlength=3)
         assert s + i + r == 30
         new_today = int(state.cases[0, :, -1].sum())
         assert new_today >= 0
         cumulative += new_today
-        now_infected = set(np.flatnonzero(state.status != SUSCEPTIBLE).tolist())
+        now_infected = set(np.flatnonzero(status != SUSCEPTIBLE).tolist())
         assert ever_infected <= now_infected  # S -> I -> R, never back
         assert len(now_infected) == cumulative  # each agent infected at most once
         ever_infected = now_infected
@@ -479,5 +496,5 @@ def test_vei_monotone_per_exposure(seed, vei_pair):
         infect(state, np.array([0]), params)
         assert 0 in state.cohorts
         step_day(g, state, params)
-        outcomes.append(int(state.status[1] == INFECTED))
+        outcomes.append(int(_status(state, params)[1] == INFECTED))
     assert outcomes[1] <= outcomes[0]

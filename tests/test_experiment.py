@@ -6,15 +6,15 @@ import pytest
 
 from helpers import complete_edges, graph_from_edges
 from polarnet.config import RunConfig
-from polarnet.epidemic import EpidemicParams, Seeding, run_epidemic
+from polarnet.epidemic import EpidemicParams, Seeding, run_batch
 from polarnet.experiment import (
     AUTO_THREADS_MIN_ARCS,
     BATCH_NODES,
+    EnsembleSummary,
     allocate_vaccines,
     compare_scenarios,
     resolve_threads,
     run_ensemble,
-    _aggregate,
     _fractions,
 )
 from polarnet.generators import two_community
@@ -58,7 +58,7 @@ def _summary(cases, lengths, n_unvacc, n_vacc):
     """The ensemble of hand-built (runs, 2, days) case counts and run lengths."""
     sizes = np.array([n_unvacc, n_vacc, n_unvacc + n_vacc])
     daily = _fractions(np.array(cases, dtype=np.int64), sizes)
-    return _aggregate("polarized", daily, np.array(lengths), sizes)
+    return EnsembleSummary("polarized", daily, np.array(lengths), sizes)
 
 
 def _summary_from_counts(new_unvacc, new_vacc, n_unvacc, n_vacc):
@@ -165,7 +165,7 @@ def test_batched_ensemble_equals_per_run_records_for_any_threads():
             rng = np.random.Generator(np.random.PCG64(child))
             alloc_rng = rng if strategy == "homogeneous" else 0
             vaccinated = allocate_vaccines(g, strategy, alloc_rng)
-            records.append(run_epidemic(g, params, seeding, rng, vaccinated))
+            records.append(run_batch(g, params, seeding, [rng], vaccinated))
         lengths = np.concatenate([r.lengths for r in records])
         cases = np.zeros((len(records), 2, lengths.max()), dtype=np.int64)
         for row, r in zip(cases, records):
@@ -185,10 +185,9 @@ def test_batched_ensemble_equals_per_run_records_for_any_threads():
 def test_ensemble_aggregation_order_invariant():
     g = two_community(60, 60, 0.08, 0.01, seed=9)
     ens = run_ensemble(g, RunConfig(n_runs=6, master_seed=5))
-    again = _aggregate(ens.strategy, ens.daily[::-1], ens.lengths[::-1], ens.sizes)
+    again = EnsembleSummary(ens.strategy, ens.daily[::-1], ens.lengths[::-1], ens.sizes)
     for s in ("unvaccinated", "vaccinated", "all"):
         assert np.allclose(ens.mean_curves[s], again.mean_curves[s])
-        assert np.allclose(ens.band_low[s], again.band_low[s])
         assert ens.mean_attack_rate[s] == pytest.approx(again.mean_attack_rate[s])
 
 

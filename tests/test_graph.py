@@ -368,49 +368,45 @@ def test_duplicate_edges_collapse_in_builder():
     assert g.edge_count == 2
 
 
-def _csr(indptr, indices, edge_count, opinions=(0, 0, 0), labels=None):
+def _csr(indptr, indices, opinions=(0, 0, 0), labels=None):
     """A 3-node AnnotatedGraph built directly, bypassing the builder."""
     return AnnotatedGraph(
         n=3,
         indptr=np.array(indptr, dtype=np.int64),
         indices=np.array(indices, dtype=np.int64),
         opinions=np.array(opinions, dtype=np.uint8),
-        edge_count=edge_count,
         labels=labels,
     )
 
 
-# the path 0-1-2 is indptr [0, 1, 3, 4], indices [1, 0, 2, 1], edge_count 2
+# the path 0-1-2 is indptr [0, 1, 3, 4], indices [1, 0, 2, 1]
 @pytest.mark.parametrize(
     "build, message",
     [
-        pytest.param(lambda: _csr([0, 1, 3], [1, 0, 2, 1], 2).validate(), "malformed indptr", id="indptr-shape"),
-        pytest.param(lambda: _csr([1, 1, 3, 4], [1, 0, 2, 1], 2).validate(), "malformed indptr", id="indptr-start"),
+        pytest.param(lambda: _csr([0, 1, 3], [1, 0, 2, 1]).validate(), "malformed indptr", id="indptr-shape"),
+        pytest.param(lambda: _csr([1, 1, 3, 4], [1, 0, 2, 1]).validate(), "malformed indptr", id="indptr-start"),
         pytest.param(
-            lambda: _csr([0, 1, 3, 3], [1, 0, 2, 1], 2).validate(), "indptr does not cover indices", id="indptr-end"
+            lambda: _csr([0, 1, 3, 3], [1, 0, 2, 1]).validate(), "indptr does not cover indices", id="indptr-end"
         ),
         pytest.param(
-            lambda: _csr([0, 1, 3, 4], [1, 0, 2, 1], 3).validate(), "edge_count inconsistent", id="edge-count"
+            lambda: _csr([0, 1, 3, 4], [1, 0, 3, 1]).validate(), "neighbor id out of range", id="neighbour-high"
         ),
         pytest.param(
-            lambda: _csr([0, 1, 3, 4], [1, 0, 3, 1], 2).validate(), "neighbor id out of range", id="neighbour-high"
+            lambda: _csr([0, 1, 3, 4], [-1, 0, 2, 1]).validate(), "neighbor id out of range", id="neighbour-low"
         ),
+        pytest.param(lambda: _csr([0, 1, 3, 4], [0, 0, 2, 1]).validate(), "self-loop present", id="self-loop"),
         pytest.param(
-            lambda: _csr([0, 1, 3, 4], [-1, 0, 2, 1], 2).validate(), "neighbor id out of range", id="neighbour-low"
-        ),
-        pytest.param(lambda: _csr([0, 1, 3, 4], [0, 0, 2, 1], 2).validate(), "self-loop present", id="self-loop"),
-        pytest.param(
-            lambda: _csr([0, 2, 3, 4], [1, 1, 0, 1], 2).validate(),
+            lambda: _csr([0, 2, 3, 4], [1, 1, 0, 1]).validate(),
             "rows must be strictly increasing",
             id="row-duplicate",
         ),
         pytest.param(
-            lambda: _csr([0, 1, 3, 4], [1, 2, 0, 1], 2).validate(),
+            lambda: _csr([0, 1, 3, 4], [1, 2, 0, 1]).validate(),
             "rows must be strictly increasing",
             id="row-unsorted",
         ),
         pytest.param(
-            lambda: _csr([0, 1, 3, 4], [1, 0, 2, 0], 2).validate(), "adjacency is not symmetric", id="asymmetric"
+            lambda: _csr([0, 1, 3, 4], [1, 0, 2, 0]).validate(), "adjacency is not symmetric", id="asymmetric"
         ),
         pytest.param(
             lambda: AnnotatedGraph.from_edge_array(3, [[0, 3]]), "edge endpoint out of range", id="builder-endpoint-high"
@@ -434,15 +430,15 @@ def test_structural_check_names_each_fault(build, message):
     "build, message",
     [
         pytest.param(
-            lambda: _csr([0, 3, 1, 4], [1, 0, 2, 1], 2).validate(), "malformed indptr", id="indptr-decreasing"
+            lambda: _csr([0, 3, 1, 4], [1, 0, 2, 1]).validate(), "malformed indptr", id="indptr-decreasing"
         ),
         pytest.param(
-            lambda: _csr([0, 1, 3, 4], [1, 0, 2, 1], 2, opinions=(0, 1)).validate(),
+            lambda: _csr([0, 1, 3, 4], [1, 0, 2, 1], opinions=(0, 1)).validate(),
             "opinions array must have one entry per node",
             id="opinions",
         ),
         pytest.param(
-            lambda: _csr([0, 1, 3, 4], [1, 0, 2, 1], 2, labels=np.arange(4)).validate(),
+            lambda: _csr([0, 1, 3, 4], [1, 0, 2, 1], labels=np.arange(4)).validate(),
             "labels array must have one entry per node",
             id="labels",
         ),
