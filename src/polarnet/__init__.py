@@ -6,9 +6,7 @@ from .epidemic import (
     RunRecord,
     Seeding,
     SimulationState,
-    contact_probability,
     delay_table,
-    exposure_table,
     infect,
     infectiousness_integral,
     initial_state,
@@ -16,8 +14,6 @@ from .epidemic import (
     seed_infections,
     status_on,
     step_day,
-    transmission_probability,
-    transmission_table,
 )
 from .errors import (
     AnnotationError,

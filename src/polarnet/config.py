@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from typing import get_args, get_type_hints
 
 from .epidemic import EpidemicParams, Seeding
-from .errors import ConfigError
+from .errors import ConfigError, require_integers
 from .generators import GeneratorSpec
 from .graph import AnnotatedGraph, load_edge_list
 
@@ -41,6 +41,7 @@ class RunConfig:
     threads: int = 0
 
     def __post_init__(self):
+        require_integers(("n_runs", self.n_runs), ("master_seed", self.master_seed), ("threads", self.threads))
         for key, valid, rule in (
             ("strategy", self.strategy in ("polarized", "homogeneous"), "'polarized' or 'homogeneous'"),
             ("n_runs", 1 <= self.n_runs <= MAX_RUNS, f"in [1, {MAX_RUNS}]"),

@@ -34,29 +34,31 @@ share one random stream):
    the ``Seeding``'s pool and count, then one uniform per *vaccinated* index
    case in ascending node order for the transmitter flag u > vet (skipped in
    ``vet_mode="daily"``).
-2. A step from day d draws for the cohort infected on day d:
+2. A step from day d draws for the transmitters infected on day d, if any:
    a. ``vet_mode="daily"`` only: one (m, T) uniform array for its m
       vaccinated members, ascending; a member is active on day t of its
       window iff its row's entry t exceeds vet.
-   b. One uniform u per arc from a transmitter of the cohort to a node
+   b. One uniform u per arc from a transmitter of the day to a node
       susceptible at the start of the step, transmitters ascending, arcs in
       adjacency order. The arc's delay is the least k with u < F_s(k) (in
       daily mode through the source's active days), none if u >= F_s(T);
       the target's tentative day becomes the least of its own and d + k.
-   c. The step moves to the least tentative day, else to the first
-      recovery day (infection day + T + 1), else to d + 1; never past
-      ``horizon`` unless d is there. Agents past their window recover; the
-      nodes whose tentative day it is are infected, and each vaccinated one,
-      ascending, draws a uniform for its transmitter flag (once mode).
+   c. The step moves to the least tentative day, never past ``horizon``
+      unless d is there; with nothing pending it moves to the horizon (or
+      d + 1 past it). The nodes whose tentative day it is are infected, and
+      each vaccinated one, ascending, draws a uniform for its transmitter
+      flag (once mode).
 
 A node's whole history is its infection day d: Susceptible before it,
 Infected on days d..d + T, Recovered after; :func:`status_on` derives the
-status from it. A run stops when nobody is infected or on day ``horizon``,
-so it lasts ``min(horizon, last infection day + T + 1) + 1`` days; cases
-still in their window at the horizon stay Infected.
+status from it. Nothing is drawn or written on a recovery day, so the steps
+land only on infection days and finally on the horizon. A run still ends on
+its first day with nobody infected, or on day ``horizon``: it lasts
+``min(horizon, last infection day + T + 1) + 1`` days, derived from its
+infection days, and cases still in their window at the horizon stay Infected.
 
 :func:`run_batch` is the engine's one entry. It steps several runs together
-over one flat ``run * n + node`` index, from one common day to the next, and
+over one flat ``run * n + node`` index, from one infection day to the next, and
 returns one :class:`RunRecord` for the whole batch, a row per run; a single
 run is ``run_batch(g, params, seeding, [seed])``. The runs of a batch share
 only the graph and the delay table, and each draws from its own Generator in
@@ -72,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_integers
 from .graph import AnnotatedGraph, gather_rows
 
 SUSCEPTIBLE, INFECTED, RECOVERED = 0, 1, 2
@@ -106,6 +108,7 @@ class EpidemicParams:
     vet_mode: str = "once"  # "once": u drawn at infection; "daily": per day
 
     def __post_init__(self):
+        require_integers(("t_max_infectious", self.max_infectious_days), ("horizon", self.horizon))
         positive = (
             ("S_as", self.age_scale),
             ("A_si", self.asymptomatic_scale),
@@ -124,7 +127,7 @@ class EpidemicParams:
                 raise ConfigError(f"{key} must lie in [0, 1], got {value}")
         if not 1 <= self.max_infectious_days <= MAX_INFECTIOUS_DAYS:
             raise ConfigError(f"t_max_infectious must lie in [1, {MAX_INFECTIOUS_DAYS}]")
-        # every day d + k and recovery day d + T + 1 must stay below NEVER (int32)
+        # every day d + k and run end d + T + 1 must stay below NEVER (int32)
         last = NEVER - self.max_infectious_days - 2
         if not 1 <= self.horizon <= last:
             raise ConfigError(f"horizon must lie in [1, {last}]")
@@ -140,6 +143,7 @@ class Seeding:
     pool: str = "all"  # "all" or "unvaccinated" (seed_pool)
 
     def __post_init__(self):
+        require_integers(("seed_count", self.count))
         if self.pool not in SEED_POOLS:
             raise ConfigError(f"key 'seed_pool' must be one of {SEED_POOLS}")
         if self.count < 1:
@@ -193,44 +197,6 @@ def _gamma_p(a: float, x: float) -> float:
     return 1.0 - prefix * h
 
 
-def transmission_probability(t: int, params: EpidemicParams) -> float:
-    """Per-interaction infection probability on day t since infection."""
-    if t < 1:
-        raise ValueError("transmission probability is defined for t >= 1")
-    rate = (
-        params.infection_rate
-        * params.age_scale
-        * params.asymptomatic_scale
-        * params.network_scale
-        / params.daily_interactions
-    )
-    mass = infectiousness_integral(t, params.curve_mean, params.curve_sd)
-    return -math.expm1(-rate * mass)
-
-
-def transmission_table(params: EpidemicParams) -> np.ndarray:
-    """P(t) for t = 0..max_infectious_days (index 0 is unused and 0)."""
-    days = range(1, params.max_infectious_days + 1)
-    return np.array([0.0] + [transmission_probability(t, params) for t in days])
-
-
-def contact_probability(g: AnnotatedGraph, params: EpidemicParams) -> float:
-    """Daily probability q that an edge is active: min(1, I_bar / <k>).
-
-    q is 1 when the mean degree <k> is at most I_bar (every neighbour met
-    every day) and on an edgeless graph.
-    """
-    if g.edge_count == 0:
-        return 1.0
-    mean_degree = 2.0 * g.edge_count / g.n
-    return min(1.0, params.daily_interactions / mean_degree)
-
-
-def exposure_table(g: AnnotatedGraph, params: EpidemicParams) -> np.ndarray:
-    """Per-exposure infection probability q * P(t), indexed like the P table."""
-    return contact_probability(g, params) * transmission_table(params)
-
-
 _UNIT = 2.0**53  # rng.random() draws multiples of 2**-53
 
 
@@ -250,8 +216,24 @@ class DelayTable:
 
 
 def delay_table(g: AnnotatedGraph, params: EpidemicParams) -> DelayTable:
-    """The table :func:`step_day` inverts each arc's uniform with."""
-    hazard = np.outer([1.0, 1.0 - params.vei], exposure_table(g, params)[1:])
+    """The table :func:`step_day` inverts each arc's uniform with.
+
+    ``P(t) = 1 - exp(-rate * mass(t))`` for t = 1..T, with ``rate = R * S_as *
+    A_si * B_n / I_bar`` and ``mass`` the :func:`infectiousness_integral`;
+    ``q = min(1, I_bar / <k>)``, and 1 on an edgeless graph.
+    """
+    rate = (
+        params.infection_rate
+        * params.age_scale
+        * params.asymptomatic_scale
+        * params.network_scale
+        / params.daily_interactions
+    )
+    mean, sd = params.curve_mean, params.curve_sd
+    days = range(1, params.max_infectious_days + 1)
+    p = np.array([-math.expm1(-rate * infectiousness_integral(t, mean, sd)) for t in days])
+    q = 1.0 if g.edge_count == 0 else min(1.0, params.daily_interactions / (2.0 * g.edge_count / g.n))
+    hazard = np.outer([1.0, 1.0 - params.vei], q * p)
     keys = np.ceil((1.0 - np.cumprod(1.0 - hazard, axis=1)) * _UNIT).astype(np.int64)
     keys = np.concatenate((keys[0], [1 << 53], keys[1] + (1 << 53)))
     span = np.append(np.arange(1, params.max_infectious_days + 1), NEVER)
@@ -266,6 +248,8 @@ class SimulationState:
     a single run is the batch of one. ``day`` is the batch's common day. A
     node's infection day is all of its history: ``status_on(day_infected,
     day, T)`` is its status, and a node is susceptible while it is -1.
+    ``sources`` are the transmitters infected on ``day``, the only cases the
+    next step draws for.
     """
 
     n: int
@@ -274,8 +258,7 @@ class SimulationState:
     vaccinated: np.ndarray  # bool, fixed for the whole run
     rngs: list[np.random.Generator]  # one per run
     tentative: np.ndarray  # int32: least day d + k drawn for a susceptible, else NEVER
-    # the transmitting cases of each infection day not yet recovered, filed by infect
-    cohorts: dict[int, np.ndarray]
+    sources: np.ndarray  # flat indices, ascending, set by infect
 
     @property
     def cases(self) -> np.ndarray:
@@ -303,16 +286,12 @@ def _new_cases(state: SimulationState, days: int) -> np.ndarray:
     return np.bincount(key, minlength=runs * 2 * days).reshape(runs, 2, days)
 
 
-def initial_state(n: int, vaccinated: np.ndarray | None, rng) -> SimulationState:
-    """Day-0 state of one run, or of one run per entry if ``rng`` is a list.
-
-    ``rng`` entries are seeds or Generators; ``vaccinated`` is None, one
-    (n,) row shared by every run, or a (runs, n) array.
+def initial_state(n: int, vaccinated: np.ndarray | None, rngs: list) -> SimulationState:
+    """Day-0 state of one run per entry of ``rngs`` (seeds, SeedSequences or
+    Generators); ``vaccinated`` is None, one (n,) row shared by every run, or
+    a (runs, n) array.
     """
-    rngs = [
-        r if isinstance(r, np.random.Generator) else np.random.Generator(np.random.PCG64(r))
-        for r in (rng if isinstance(rng, list) else [rng])
-    ]
+    rngs = [np.random.default_rng(r) for r in rngs]
     size = len(rngs) * n
     if vaccinated is None:
         vaccinated = np.zeros(size, dtype=bool)
@@ -328,7 +307,7 @@ def initial_state(n: int, vaccinated: np.ndarray | None, rng) -> SimulationState
         vaccinated=vaccinated,
         rngs=rngs,
         tentative=np.full(size, NEVER, dtype=np.int32),
-        cohorts={},
+        sources=np.empty(0, dtype=np.intp),
     )
 
 
@@ -347,17 +326,15 @@ def _uniforms(state: SimulationState, flat: np.ndarray, *tail: int) -> np.ndarra
 
 def infect(state: SimulationState, nodes: np.ndarray, params: EpidemicParams) -> None:
     """Infect ``nodes`` (ascending flat indices, all of the day's cases) on
-    ``state.day``: set their infection day and, if there is a case, file the
-    transmitters among them, possibly none, as the day's cohort."""
+    ``state.day``: set their infection day, and the transmitters among them,
+    possibly none, as the state's ``sources``."""
     state.day_infected[nodes] = state.day
-    sources = nodes  # in daily mode every case transmits, on its active days
+    state.sources = nodes  # in daily mode every case transmits, on its active days
     if params.vet_mode == "once":
         vacc = state.vaccinated[nodes]
         transmits = ~vacc  # unvaccinated agents always transmit
         transmits[vacc] = _uniforms(state, nodes[vacc]) > params.vet
-        sources = nodes[transmits]
-    if nodes.size:
-        state.cohorts[state.day] = sources
+        state.sources = nodes[transmits]
 
 
 def seed_infections(
@@ -377,24 +354,18 @@ def seed_infections(
 
 
 def step_day(
-    g: AnnotatedGraph,
-    state: SimulationState,
-    params: EpidemicParams,
-    table: DelayTable | None = None,
+    g: AnnotatedGraph, state: SimulationState, params: EpidemicParams, table: DelayTable
 ) -> SimulationState:
-    """One cohort step of every run in the batch (mutates state): step 2 of the
+    """One step of every run in the batch (mutates state): step 2 of the
     determinism contract.
 
-    Draws the arcs of the cohorts infected on ``state.day``, then moves to
-    the next day on which a node of some run is infected or recovers (one
-    day on if nothing is pending). ``table`` defaults to :func:`delay_table`
-    of ``g`` and ``params``.
+    Draws the arcs of ``state.sources``, the transmitters infected on
+    ``state.day``, then moves to the next day on which a node of some run is
+    infected, else to the horizon (one day on past it). ``table`` is
+    :func:`delay_table` of ``g`` and ``params``.
     """
-    if table is None:
-        table = delay_table(g, params)
-    T, day, cohorts = params.max_infectious_days, state.day, state.cohorts
-    if day in cohorts:  # contract 2a and 2b
-        sources = cohorts[day]
+    T, day, sources = params.max_infectious_days, state.day, state.sources
+    if sources.size:  # contract 2a and 2b
         if params.vet_mode == "daily":
             vacc_src = state.vaccinated[sources]
             active = _uniforms(state, sources[vacc_src], T) > params.vet
@@ -416,12 +387,7 @@ def step_day(
         hit = delay < NEVER
         np.minimum.at(state.tentative, targets[hit], day + delay[hit])
 
-    nxt = int(state.tentative.min())  # contract 2c
-    if nxt == NEVER:
-        nxt = min(cohorts) + T + 1 if cohorts else day + 1
-    nxt = min(nxt, max(params.horizon, day + 1))
-    for d in [d for d in cohorts if d + T < nxt]:
-        del cohorts[d]  # recovered
+    nxt = min(int(state.tentative.min()), max(params.horizon, day + 1))  # contract 2c
     newly = np.flatnonzero(state.tentative == nxt)
     state.tentative[newly] = NEVER
     state.day = nxt
@@ -455,20 +421,19 @@ def run_batch(
     table: DelayTable | None = None,
 ) -> RunRecord:
     """One full run per entry of ``rngs`` (ints, SeedSequences or
-    Generators), each seeded and then stepped cohort by cohort until
-    extinction or the horizon, together, as one record with a row per run.
+    Generators), each seeded and then stepped from one infection day to the
+    next up to the horizon, together, as one record with a row per run.
 
     ``vaccinated`` is None, one (n,) row for every run or a (runs, n) array;
     ``table`` defaults to :func:`delay_table` of ``g`` and ``params``. Each
     row, cut at its length, equals the record of the batch of its own
     Generator alone.
     """
-    state = initial_state(g.n, vaccinated, list(rngs))
+    state = initial_state(g.n, vaccinated, rngs)
     seed_infections(state, seeding, params)
     if table is None:
         table = delay_table(g, params)
-    step_day(g, state, params, table)
-    while state.day < params.horizon and state.day in state.cohorts:
+    while state.day < params.horizon:
         step_day(g, state, params, table)
     # every run lasts min(horizon, last infection day + T + 1) + 1 days
     day = state.day_infected.reshape(len(state.rngs), g.n)

@@ -4,6 +4,8 @@ Two broad families matter for the CLI exit codes: configuration/usage
 problems (exit 1) and data/validation problems (exit 2).
 """
 
+from numbers import Integral
+
 
 class PolarnetError(Exception):
     """Base class for all package-specific errors."""
@@ -11,6 +13,14 @@ class PolarnetError(Exception):
 
 class ConfigError(PolarnetError):
     """Bad configuration: unknown key, type mismatch, constraint violation."""
+
+
+def require_integers(*settings: tuple[str, object]) -> None:
+    """Raise ConfigError naming the config key of the first (key, value) pair
+    whose value is not an integer (a bool is none)."""
+    for key, value in settings:
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
 
 
 class DataError(PolarnetError):

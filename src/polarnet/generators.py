@@ -22,11 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_integers
 from .graph import AnnotatedGraph, Opinion
 
 
 def _rng(seed) -> np.random.Generator:
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -380,6 +382,8 @@ class GeneratorSpec:
             raise ConfigError(
                 f"unknown generator kind {self.kind!r}; expected one of {GENERATOR_KINDS}"
             )
+        counts = [(key, getattr(self, key)) for key in ("n", "k_ring", "m", "n_pro", "n_anti")]
+        require_integers(("graph_seed", self.seed), *[(key, v) for key, v in counts if v is not None])
         for key in ("p", "p_rewire", "p_in", "p_out"):
             value = getattr(self, key)
             if value is not None and not 0.0 <= value <= 1.0:

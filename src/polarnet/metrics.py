@@ -166,11 +166,12 @@ def mixing_matrix(g: AnnotatedGraph, labels: np.ndarray) -> np.ndarray:
     is the fraction of directed arcs whose endpoints carry labels (a, b);
     the result is symmetric and sums to 1.
     """
-    labels = np.asarray(labels).astype(np.int64)
+    labels = np.asarray(labels)
     if labels.shape != (g.n,):
         raise DataError("labels must provide one value per node")
-    if labels.size and (labels.min() < 0 or labels.max() > 1):
+    if not ((labels == 0) | (labels == 1)).all():  # before the cast, which would truncate 0.5
         raise DataError("labels must be binary (0 or 1)")
+    labels = labels.astype(np.int64)
     if g.edge_count == 0:
         raise DataError("mixing matrix is undefined for an empty edge set")
     # the CSR arcs hold each edge in both orientations

@@ -3,8 +3,9 @@
 Everything here works from primitive data (node counts, edge lists, plain
 Python dicts) with naive enumeration, so it shares no code path with the
 implementations under test. The epidemic reference below shares only the
-documented random-stream contract and the precomputed per-day transmission
-table, whose values have their own quadrature oracle.
+documented random-stream contract and the per-day transmission table
+:func:`ptable`, built from the package's infectiousness integral, whose values
+have their own quadrature oracle.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from polarnet.epidemic import infectiousness_integral
 
 
 # -- structural metrics ----------------------------------------------------
@@ -245,6 +248,22 @@ def integral_oracle(t: int, mean: float, sd: float) -> float:
 
 
 # -- reference epidemic (plain dict/loop implementation) --------------------
+
+
+def ptable(params) -> np.ndarray:
+    """Per-interaction transmission probability P(t) for t = 0..T (index 0
+    unused and 0): ``1 - exp(-rate * mass(t))`` with ``rate = R * S_as * A_si
+    * B_n / I_bar`` and ``mass`` the curve's mass on [t - 1, t]."""
+    rate = (
+        params.infection_rate
+        * params.age_scale
+        * params.asymptomatic_scale
+        * params.network_scale
+        / params.daily_interactions
+    )
+    days = range(1, params.max_infectious_days + 1)
+    masses = [infectiousness_integral(t, params.curve_mean, params.curve_sd) for t in days]
+    return np.array([0.0] + [-math.expm1(-rate * mass) for mass in masses])
 
 
 def brute_contact_probability(n: int, edges, daily_interactions: float) -> float:

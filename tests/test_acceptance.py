@@ -341,7 +341,7 @@ def test_criterion_10_conservation_invariants():
             vet_mode="daily" if rng.random() < 0.5 else "once",
         )
         vaccinated = rng.random(n) < float(rng.uniform(0.0, 0.8))
-        state = initial_state(n, vaccinated, rng=int(rng.integers(0, 2**31)))
+        state = initial_state(n, vaccinated, [int(rng.integers(0, 2**31))])
         seed_infections(state, Seeding(1, "all"), params)
         table = delay_table(g, params)
         status = status_on(state.day_infected, state.day, params.max_infectious_days)

@@ -1,7 +1,9 @@
 import re
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -184,3 +186,24 @@ def test_readme_config_table_lists_every_key():
 def test_dataclass_validation_through_parse_config(tmp_path, text, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    ("cls", "name", "value", "key"),
+    [
+        (EpidemicParams, "horizon", 10.5, "horizon"),
+        (EpidemicParams, "max_infectious_days", 3.5, "t_max_infectious"),
+        (Seeding, "count", 2.5, "seed_count"),
+        (Seeding, "count", True, "seed_count"),
+        (RunConfig, "n_runs", 2.5, "n_runs"),
+        (RunConfig, "master_seed", 1.5, "master_seed"),
+        (RunConfig, "threads", 1.5, "threads"),
+        (partial(GeneratorSpec, "er"), "n", 10.5, "n"),
+        (partial(GeneratorSpec, "ba"), "m", 2.5, "m"),
+        (partial(GeneratorSpec, "er"), "seed", 1.5, "graph_seed"),
+    ],
+)
+def test_integer_settings_reject_non_integers(cls, name, value, key):
+    with pytest.raises(ConfigError, match=re.escape(f"key {key!r} must be an integer, got {value!r}")):
+        cls(**{name: value})
+    assert getattr(cls(**{name: np.int64(3)}), name) == 3  # numpy integers are integers

@@ -14,13 +14,12 @@ import polarnet
 from helpers import complete_edges, graph_from_edges, path_edges, random_edges, star_edges
 from polarnet.epidemic import (
     INFECTED,
+    NEVER,
     RECOVERED,
     SUSCEPTIBLE,
     EpidemicParams,
     Seeding,
-    contact_probability,
     delay_table,
-    exposure_table,
     infect,
     initial_state,
     infectiousness_integral,
@@ -28,8 +27,6 @@ from polarnet.epidemic import (
     seed_infections,
     status_on,
     step_day,
-    transmission_probability,
-    transmission_table,
 )
 from polarnet.errors import ConfigError, DataError
 from polarnet.generators import two_community
@@ -73,30 +70,61 @@ def test_integral_param_validation():
             infectiousness_integral(3, mean, sd)
 
 
+_PATH = graph_from_edges(5, path_edges(5))  # <k> = 1.6 <= I_bar: q = 1, hazard[0] is P
+
+
 def test_transmission_probability_formula_oracle():
     params = EpidemicParams()  # I_bar = 2
     rate = 4.0 * 1.14 * 0.88 / 2.0
     expected = 1.0 - math.exp(-rate * oracles.integral_oracle(6, 5.5, 2.14))
-    assert transmission_probability(6, params) == pytest.approx(expected, abs=1e-8)
+    assert oracles.ptable(params)[6] == pytest.approx(expected, abs=1e-8)
+    assert delay_table(_PATH, params).hazard[0, 5] == pytest.approx(expected, abs=1e-8)
 
 
 def test_transmission_probability_zero_cases():
-    zero_rate = EpidemicParams(infection_rate=0.0)
-    assert all(transmission_probability(t, zero_rate) == 0.0 for t in range(1, 22))
+    zero_rate = delay_table(_PATH, EpidemicParams(infection_rate=0.0))
+    assert zero_rate.hazard.shape == (2, 21) and not zero_rate.hazard.any()
+    assert zero_rate.delays[zero_rate.keys.searchsorted(0, side="right")] == NEVER  # u = 0 misses
     # integral vanishes far beyond the curve: probability follows
-    late = transmission_probability(200, EpidemicParams(max_infectious_days=300))
+    late = delay_table(_PATH, EpidemicParams(max_infectious_days=300)).hazard[0, 199]
     assert late == pytest.approx(0.0, abs=1e-12)
 
 
 def test_transmission_probability_bounds_and_monotonicity():
     params = EpidemicParams()
-    probs = [transmission_probability(t, params) for t in range(1, 22)]
-    assert all(0.0 <= p < 1.0 for p in probs)
+    probs = delay_table(_PATH, params).hazard[0]
+    assert ((0.0 <= probs) & (probs < 1.0)).all()
     masses = [infectiousness_integral(t, 5.5, 2.14) for t in range(1, 22)]
     order = np.argsort(masses)
     assert np.array_equal(np.argsort(probs), order)  # monotone in the integral
-    with pytest.raises(ValueError):
-        transmission_probability(0, params)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        EpidemicParams(),
+        EpidemicParams(infection_rate=7.5, vei=0.25, max_infectious_days=9, curve_mean=3.0, curve_sd=1.0),
+        EpidemicParams(daily_interactions=0.7, network_scale=1.3, vei=1.0, max_infectious_days=40),
+        EpidemicParams(infection_rate=0.0, vei=0.0, max_infectious_days=1),
+    ],
+)
+def test_delay_table_hazard_equals_oracle_exactly(params):
+    # the engine's one constructor of the delay law gives, bit for bit, the
+    # reference table c_s * q * P(t) on graphs with q < 1 and q = 1
+    rng = np.random.default_rng(6)
+    qs = []
+    for n, edges in (
+        (5, path_edges(5)),
+        (10, complete_edges(10)),
+        (6, []),
+        (40, random_edges(rng, 40, 0.3)),
+    ):
+        q = oracles.brute_contact_probability(n, edges, params.daily_interactions)
+        expected = np.outer([1, 1 - params.vei], q * oracles.ptable(params)[1:])
+        hazard = delay_table(graph_from_edges(n, edges), params).hazard
+        assert hazard.shape == expected.shape and (hazard == expected).all()
+        qs.append(q)
+    assert min(qs) < 1.0 == max(qs)
 
 
 def test_params_validation():
@@ -109,7 +137,7 @@ def test_params_validation():
 
 
 def test_seed_infections_all_pool_exhaustive():
-    state = initial_state(6, None, rng=1)
+    state = initial_state(6, None, [1])
     seed_infections(state, Seeding(6, "all"), EpidemicParams())
     assert (_status(state, EpidemicParams()) == INFECTED).all()
     assert state.cases.tolist() == [[[6], [0]]]
@@ -117,14 +145,14 @@ def test_seed_infections_all_pool_exhaustive():
 
 def test_seed_infections_pool_too_small():
     vacc = np.array([True, True, False])
-    state = initial_state(3, vacc, rng=1)
+    state = initial_state(3, vacc, [1])
     with pytest.raises(DataError):
         seed_infections(state, Seeding(2, "unvaccinated"), EpidemicParams())
 
 
 def test_seed_infections_deterministic():
-    a = initial_state(50, None, rng=9)
-    b = initial_state(50, None, rng=9)
+    a = initial_state(50, None, [9])
+    b = initial_state(50, None, [np.random.default_rng(9)])
     seed_infections(a, Seeding(5, "all"), EpidemicParams())
     seed_infections(b, Seeding(5, "all"), EpidemicParams())
     assert np.array_equal(a.day_infected, b.day_infected)
@@ -137,21 +165,24 @@ def test_seed_infections_uniform_over_pool():
     vacc[: int(n * frac)] = True
     hits = 0
     for s in range(draws):
-        state = initial_state(n, vacc, rng=s)
+        state = initial_state(n, vacc, [s])
         seed_infections(state, Seeding(1, "all"), EpidemicParams())
         hits += int(state.vaccinated[state.day_infected >= 0][0])
     sigma = math.sqrt(draws * frac * (1 - frac))
     assert abs(hits - draws * frac) <= 3 * sigma
 
 
-def test_step_day_no_infected_only_increments_day():
+def test_step_day_no_infected_moves_to_horizon():
     g = graph_from_edges(4, complete_edges(4))
-    state = initial_state(4, None, rng=3)
+    params = EpidemicParams(horizon=6)
+    state = initial_state(4, None, [3])
     before = state.day_infected.copy()
-    step_day(g, state, EpidemicParams())
-    assert state.day == 1
+    step_day(g, state, params, delay_table(g, params))
+    assert state.day == 6  # nothing pending: straight to the horizon
     assert np.array_equal(state.day_infected, before)
-    assert state.cases.tolist() == [[[0, 0], [0, 0]]]  # days 0 and 1
+    assert state.cases.tolist() == [[[0] * 7, [0] * 7]]  # days 0..6
+    step_day(g, state, params, delay_table(g, params))
+    assert state.day == 7  # past the horizon, one day on
 
 
 def test_step_day_hand_trace_on_path():
@@ -162,34 +193,39 @@ def test_step_day_hand_trace_on_path():
     params = EpidemicParams(
         max_infectious_days=2, horizon=10, curve_mean=0.5, curve_sd=0.1, infection_rate=1e6
     )
-    assert transmission_table(params)[1] == 1.0 and contact_probability(g, params) == 1.0
     table = delay_table(g, params)
-    state = initial_state(5, None, rng=0)
+    assert table.hazard[0, 0] == 1.0  # q = 1 and P(1) = 1
+    state = initial_state(5, None, [0])
     infect(state, np.array([2]), params)
-    assert 0 in state.cohorts
+    assert state.sources.tolist() == [2]
 
     step_day(g, state, params, table)  # day 1: 2 infects 1 and 3
+    assert state.day == 1 and state.sources.tolist() == [1, 3]
     assert _status(state, params).tolist() == [0, 1, 1, 1, 0]
     step_day(g, state, params, table)  # day 2: 1 infects 0, 3 infects 4
+    assert state.day == 2 and state.sources.tolist() == [0, 4]
     assert _status(state, params).tolist() == [1, 1, 1, 1, 1]
-    step_day(g, state, params, table)  # day 3: node 2 expires; no S left
-    assert _status(state, params).tolist() == [1, 1, 2, 1, 1]
-    step_day(g, state, params, table)  # day 4: 1 and 3 expire
-    assert _status(state, params).tolist() == [1, 2, 2, 2, 1]
-    step_day(g, state, params, table)  # day 5: 0 and 4 expire
+    step_day(g, state, params, table)  # no S left: nothing pending, so the horizon
+    assert state.day == 10 and state.sources.size == 0
+    # the statuses between follow from the infection days alone
+    on = [status_on(state.day_infected, day, params.max_infectious_days).tolist() for day in (3, 4, 5)]
+    assert on[0] == [1, 1, 2, 1, 1]  # day 3: node 2 expires
+    assert on[1] == [1, 2, 2, 2, 1]  # day 4: 1 and 3 expire
+    assert on[2] == [2, 2, 2, 2, 2]  # day 5: 0 and 4 expire
     assert _status(state, params).tolist() == [2, 2, 2, 2, 2]
-    assert state.cases[0, 0].tolist() == [1, 2, 2, 0, 0, 0]
+    assert state.cases[0, 0].tolist() == [1, 2, 2] + [0] * 8
 
 
 def test_contact_probability_from_mean_degree():
     params = EpidemicParams()  # I_bar = 2
-    path = graph_from_edges(5, path_edges(5))  # <k> = 1.6: every neighbour daily
-    assert contact_probability(path, params) == 1.0
-    assert np.array_equal(exposure_table(path, params), transmission_table(params))
+    ptable = oracles.ptable(params)[1:]
+    # <k> = 1.6 on the path: every neighbour daily
+    assert np.array_equal(delay_table(_PATH, params).hazard[0], ptable)
     k10 = graph_from_edges(10, complete_edges(10))  # <k> = 9
-    assert contact_probability(k10, params) == pytest.approx(2.0 / 9.0)
-    assert np.allclose(exposure_table(k10, params), transmission_table(params) * 2.0 / 9.0)
-    assert contact_probability(graph_from_edges(5, []), params) == 1.0  # no edges
+    assert oracles.brute_contact_probability(10, complete_edges(10), 2.0) == pytest.approx(2.0 / 9.0)
+    assert np.allclose(delay_table(k10, params).hazard[0], ptable * 2.0 / 9.0)
+    no_edges = delay_table(graph_from_edges(5, []), params)
+    assert np.array_equal(no_edges.hazard[0], ptable)  # q = 1
 
 
 def test_step_day_daily_contacts_on_star():
@@ -201,16 +237,17 @@ def test_step_day_daily_contacts_on_star():
     params = EpidemicParams(
         daily_interactions=0.5, curve_mean=0.5, curve_sd=0.1, infection_rate=1e6
     )
-    assert transmission_table(params)[1] == 1.0
-    q = contact_probability(g, params)
+    assert oracles.ptable(params)[1] == 1.0
+    table = delay_table(g, params)
+    q = table.hazard[0, 0]
     assert q == pytest.approx(0.5 / (2.0 * leaves / (leaves + 1)))
     infected = []
     for s in range(seeds):
-        state = initial_state(leaves + 1, None, rng=s)
+        state = initial_state(leaves + 1, None, [s])
         infect(state, np.array([0]), params)
-        assert 0 in state.cohorts
-        step_day(g, state, params)
-        infected.append(state.cases[0, 0, -1])
+        assert state.sources.tolist() == [0]
+        step_day(g, state, params, table)
+        infected.append(state.cases[0, 0, -1])  # day 1, or 0 at the horizon
     sigma = math.sqrt(leaves * q * (1 - q) / seeds)
     assert abs(float(np.mean(infected)) - q * leaves) <= 3 * sigma
 
@@ -267,7 +304,7 @@ def test_run_matches_reference_implementation(vet_mode):
         ref_u, ref_v, ref_status, ref_day = oracles.first_passage_run(
             n,
             edges,
-            transmission_table(params),
+            oracles.ptable(params),
             daily_interactions=params.daily_interactions,
             count=2,
             pool="all",
@@ -378,7 +415,7 @@ def _sweep_and_engine_runs(n, edges, params, vaccinated, runs):
     The two samples use disjoint seeds, so they are independent.
     """
     g = graph_from_edges(n, edges)
-    table = transmission_table(params)
+    table = oracles.ptable(params)
     sweep, engine = [], []
     for s in range(runs):
         ref_u, ref_v, _ = oracles.reference_run(
@@ -458,7 +495,7 @@ def test_conservation_and_single_infection():
     rng = np.random.default_rng(55)
     g = graph_from_edges(30, random_edges(rng, 30, 0.15))
     params = EpidemicParams(max_infectious_days=5, horizon=50)
-    state = initial_state(30, rng.random(30) < 0.3, rng=8)
+    state = initial_state(30, rng.random(30) < 0.3, [8])
     seed_infections(state, Seeding(3, "all"), params)
     table = delay_table(g, params)
     ever_infected = set(np.flatnonzero(_status(state, params) == INFECTED).tolist())
@@ -492,9 +529,9 @@ def test_vei_monotone_per_exposure(seed, vei_pair):
     for vei in (lo, hi):
         g = graph_from_edges(2, [(0, 1)])
         params = EpidemicParams(vei=vei, max_infectious_days=3)
-        state = initial_state(2, np.array([False, True]), rng=seed)
+        state = initial_state(2, np.array([False, True]), [seed])
         infect(state, np.array([0]), params)
-        assert 0 in state.cohorts
-        step_day(g, state, params)
+        assert state.sources.tolist() == [0]
+        step_day(g, state, params, delay_table(g, params))
         outcomes.append(int(_status(state, params)[1] == INFECTED))
     assert outcomes[1] <= outcomes[0]

@@ -312,6 +312,17 @@ def test_generator_spec_rejects_negative_seed_and_oversize(fields, message):
         GeneratorSpec(**fields)
 
 
+def test_generators_reject_negative_seed():
+    for build in (
+        lambda: erdos_renyi(10, 0.1, -1),
+        lambda: watts_strogatz(10, 4, 0.1, -1),
+        lambda: barabasi_albert(10, 2, -1),
+        lambda: two_community(5, 5, 0.2, 0.0, -1),
+    ):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            build()
+
+
 def test_generator_spec_dispatch_and_validation():
     g = GeneratorSpec(kind="er", n=50, p=0.1, seed=1).build()
     assert g.n == 50

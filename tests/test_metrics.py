@@ -219,6 +219,9 @@ def test_mixing_matrix_label_validation():
         mixing_matrix(g, np.array([0, 1]))
     with pytest.raises(DataError):
         mixing_matrix(g, np.array([0, 1, 2]))
+    with pytest.raises(DataError):  # not truncated to 0 by an integer cast
+        mixing_matrix(g, np.array([0, 0.5, 1]))
+    assert np.array_equal(mixing_matrix(g, np.array([0.0, 1.0, 1.0])), mixing_matrix(g, np.array([0, 1, 1])))
 
 
 def test_assortativity_single_group_degenerate():
