@@ -17,7 +17,7 @@ from typing import get_args, get_type_hints
 from .epidemic import EpidemicParams, Seeding
 from .errors import ConfigError, require_integers
 from .generators import GeneratorSpec
-from .graph import AnnotatedGraph, load_edge_list
+from .graph import AnnotatedGraph, load_edge_list, text_lines
 
 
 # most runs of one ensemble: spawning their seeds alone takes about a second
@@ -112,21 +112,20 @@ def _convert(key: str, raw: str, target_type, lineno: int):
 def parse_config(path) -> RunConfig:
     """Parse and validate a config file, applying defaults for unset keys."""
     values: dict[type, dict] = {cls: {} for cls in _SECTIONS}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            cls, name, target_type = CONFIG_KEYS[key]
-            if name in values[cls]:
-                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            values[cls][name] = _convert(key, value, target_type, lineno)
+    for lineno, raw in text_lines(path, lambda message, line: ConfigError(f"line {line}: {message}")):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        cls, name, target_type = CONFIG_KEYS[key]
+        if name in values[cls]:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        values[cls][name] = _convert(key, value, target_type, lineno)
     graph = values[GeneratorSpec]
     if graph and "kind" not in graph:
         keys = ", ".join(_KEY_OF.get(name, name) for name in graph)

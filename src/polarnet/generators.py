@@ -2,17 +2,19 @@
 
 Every generator is deterministic given its parameters and a non-negative
 seed, and returns a validated :class:`~polarnet.graph.AnnotatedGraph`. Each
-works over whole numpy arrays, yet draws its edges, and reads its random
-stream, exactly as a loop drawing one value at a time would:
+works over whole numpy arrays:
 
 - random-graph and two-community edges by geometric skip sampling, so cost
   scales with the number of edges rather than of node pairs; the skips are
-  drawn in chunks and the generator is rewound to the last one used;
-- Watts-Strogatz from raw 64-bit words: one array comparison tests every
-  lattice edge for rewiring, and only the rewire events are walked in Python;
+  drawn in chunks and the generator is rewound to the last one used, so
+  edges and stream equal those of drawing one skip at a time;
+- Watts-Strogatz by one array comparison that picks the rewired lattice
+  edges, and blocks of uniform targets for them; only the rewire events are
+  walked in Python;
 - Barabasi-Albert by drawing the targets of a chunk of nodes at once and
   resolving them over the endpoint list in rounds; a node that draws a
-  target twice is redrawn alone after a rewind.
+  target twice is redrawn alone after a rewind, so edges and stream equal
+  those of a loop drawing one target at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +26,22 @@ import numpy as np
 
 from .errors import ConfigError, require_integers
 from .graph import AnnotatedGraph, Opinion
+
+
+# most nodes of a generated graph: every pair index n(n-1)/2 then fits in int64
+MAX_NODES = 2**31 - 1
+
+
+def _check_counts(**counts) -> None:
+    """Raise ConfigError unless each count (the seed too) is an integer and
+    the node count, n or n_pro + n_anti, is at most MAX_NODES."""
+    require_integers(*counts.items())
+    nodes = [("n", counts.get("n"))]
+    if "n_pro" in counts and "n_anti" in counts:
+        nodes.append(("n_pro + n_anti", int(counts["n_pro"]) + int(counts["n_anti"])))
+    for key, value in nodes:
+        if value is not None and value > MAX_NODES:
+            raise ConfigError(f"{key} must be <= {MAX_NODES}, got {value}")
 
 
 def _rng(seed) -> np.random.Generator:
@@ -92,6 +110,7 @@ def _pair_from_triangular(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def erdos_renyi(n: int, p: float, seed) -> AnnotatedGraph:
     """G(n, p): each unordered pair is an edge independently with prob p."""
+    _check_counts(seed=seed, n=n)
     if n < 2:
         raise ConfigError("erdos_renyi requires n >= 2")
     if not 0.0 <= p <= 1.0:
@@ -101,78 +120,35 @@ def erdos_renyi(n: int, p: float, seed) -> AnnotatedGraph:
     return AnnotatedGraph.from_edge_array(n, np.column_stack([i, j]))
 
 
-_MASK32 = (1 << 32) - 1
-
-
-def _more_words(words: np.ndarray, hits: list[int], rng: np.random.Generator, cut: int, count: int) -> np.ndarray:
-    """``words`` with ``count`` more raw 64-bit draws appended; the positions
-    of new words that pass the ``random() < p`` test join ``hits``."""
-    new = rng.bit_generator.random_raw(count)
-    hits.extend((np.flatnonzero((new >> 11) < cut) + words.size).tolist())
-    return np.concatenate([words, new])
-
-
 def _watts_strogatz_edges(n: int, k_ring: int, p_rewire: float, rng: np.random.Generator) -> np.ndarray:
-    """Edges of the rewired ring lattice, with the random stream of a loop
-    that, for each lattice edge (u, v) taken ring by ring, draws
-    ``rng.random() < p_rewire`` and, unless u is saturated, draws
-    ``rng.integers(n)`` until w is neither u nor a neighbour of u, then
-    replaces (u, v) by (u, w).
+    """Edges of the ring lattice with each lattice edge (u, v), taken ring by
+    ring, rewired with probability p_rewire: unless u is saturated, v is
+    replaced by a uniform target w that is neither u nor a neighbour of u.
 
-    ``random()`` is one raw 64-bit word, ``(word >> 11) * 2**-53``.
-    ``integers(n)`` (n < 2**32) reads 32-bit halves, the low half of a fresh
-    word first and its high half on the next call, and rejects by numpy's
-    32-bit Lemire rule; ``random()`` leaves a kept high half alone. The tests
-    of all words are one array comparison, and Python walks only the rewire
-    events. Lattice edge e joins ``e % n`` and ``(e % n + e // n + 1) % n``;
-    it is still in the graph until its own turn, so neighbourhoods follow
-    from the ring arithmetic, the lattice edges removed so far and the set
-    of rewired edges.
+    One ``rng.random(total) < p_rewire`` array picks the rewired edges, and
+    their targets come from blocks of ``rng.integers(n, size=...)``, drawn
+    again while a target is refused. Lattice edge e joins ``e % n`` and
+    ``(e % n + e // n + 1) % n``; it is still in the graph until its own
+    turn, so neighbourhoods follow from the ring arithmetic, the lattice
+    edges removed so far and the set of rewired edges.
     """
     reach = k_ring // 2
     total = n * reach
-    cut = math.ceil(p_rewire * 2.0**53)  # random() < p  <=>  word >> 11 < cut
-    reject = (1 << 32) % n  # Lemire: a half x is redrawn while x * n % 2**32 < reject
-    hits: list[int] = []
-    # one word per test, and two per rewire where half a word is expected;
-    # more are drawn should they run out
-    words = _more_words(np.empty(0, dtype=np.uint64), hits, rng, cut, total + int(p_rewire * total) + 64)
+    hits = np.flatnonzero(rng.random(total) < p_rewire).tolist()
     removed = bytearray(total)  # lattice edges rewired away
     rewired: set[int] = set()  # edges added by rewiring, as min * n + max
     degree = [k_ring] * n
-    spare = None  # the kept high half
-    pos = edge = 0  # next unread word, and the lattice edge it tests
-    i = 0
-    while True:
-        if i == len(hits):
-            if pos + total - edge <= words.size:
-                break  # every remaining test fails
-            words = _more_words(words, hits, rng, cut, total - edge + 1024)
-            continue
-        j = hits[i]
-        i += 1
-        if j < pos:
-            continue  # the word went to integers(n)
-        e = edge + j - pos
-        edge, pos = e + 1, j + 1
-        if e >= total:
-            break
+    targets: list[int] = []
+    t = 0  # next unused target
+    for e in hits:
         u = e % n
         if degree[u] >= n - 1:
             continue  # u saturated
         while True:
-            if spare is None:
-                if pos == words.size:
-                    words = _more_words(words, hits, rng, cut, total - edge + 1024)
-                word = int(words[pos])
-                pos += 1
-                x, spare = word & _MASK32, word >> 32
-            else:
-                x, spare = spare, None
-            x *= n
-            if (x & _MASK32) < reject:
-                continue
-            w = x >> 32
+            if t == len(targets):
+                targets, t = rng.integers(n, size=len(hits) + 64).tolist(), 0
+            w = targets[t]
+            t += 1
             d = (w - u) % n
             if d == 0:
                 continue
@@ -293,6 +269,7 @@ def watts_strogatz(n: int, k_ring: int, p_rewire: float, seed) -> AnnotatedGraph
     the far endpoint is replaced, with probability p_rewire, by a uniform
     target that creates neither a self-loop nor a duplicate edge.
     """
+    _check_counts(seed=seed, n=n, k_ring=k_ring)
     if k_ring < 2 or k_ring % 2 != 0:
         raise ConfigError("k_ring must be a positive even integer")
     if k_ring >= n:
@@ -310,6 +287,7 @@ def barabasi_albert(n: int, m: int, seed) -> AnnotatedGraph:
     probability proportional to degree; duplicate targets are resolved by
     rejection sampling, keeping the graph simple.
     """
+    _check_counts(seed=seed, n=n, m=m)
     if m < 1:
         raise ConfigError("barabasi_albert requires m >= 1")
     if n <= m:
@@ -326,6 +304,7 @@ def two_community(
     pairs with p_out <= p_in (equality gives the random-mixing control).
     Nodes [0, n_pro) are pro, the rest anti.
     """
+    _check_counts(seed=seed, n_pro=n_pro, n_anti=n_anti)
     if n_pro < 1 or n_anti < 1:
         raise ConfigError("both communities need at least one node")
     if not (0.0 <= p_out <= 1.0 and 0.0 <= p_in <= 1.0):
@@ -347,9 +326,6 @@ def two_community(
     opinions[n_pro:] = Opinion.ANTI
     return AnnotatedGraph.from_edge_array(n, edges, opinions=opinions)
 
-
-# most nodes of a generated graph: every pair index n(n-1)/2 then fits in int64
-MAX_NODES = 2**31 - 1
 
 # the parameters each generator kind needs
 _REQUIRED = {
@@ -382,18 +358,14 @@ class GeneratorSpec:
             raise ConfigError(
                 f"unknown generator kind {self.kind!r}; expected one of {GENERATOR_KINDS}"
             )
-        counts = [(key, getattr(self, key)) for key in ("n", "k_ring", "m", "n_pro", "n_anti")]
-        require_integers(("graph_seed", self.seed), *[(key, v) for key, v in counts if v is not None])
+        counts = {key: getattr(self, key) for key in ("n", "k_ring", "m", "n_pro", "n_anti")}
+        _check_counts(graph_seed=self.seed, **{key: v for key, v in counts.items() if v is not None})
         for key in ("p", "p_rewire", "p_in", "p_out"):
             value = getattr(self, key)
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{key} must lie in [0, 1], got {value}")
         if self.seed < 0:
             raise ConfigError(f"key 'graph_seed' (generate --seed) must be >= 0, got {self.seed}")
-        both = None if None in (self.n_pro, self.n_anti) else self.n_pro + self.n_anti
-        for key, value in (("n", self.n), ("n_pro + n_anti", both)):
-            if value is not None and value > MAX_NODES:
-                raise ConfigError(f"{key} must be <= {MAX_NODES}, got {value}")
 
     def build(self) -> AnnotatedGraph:
         missing = [name for name in _REQUIRED[self.kind] if getattr(self, name) is None]

@@ -235,29 +235,36 @@ _EDGE_ROWS = (np.dtype([("src", np.int64), ("dst", np.int64)]), (_label, _label)
 _ATTR_ROWS = (np.dtype([("node", np.int64), ("opinion", np.uint8)]), (_label, _opinion_code))
 
 
+def text_lines(path, error):
+    """Yield (line number, line) of a UTF-8 text file, a leading byte-order
+    mark dropped. A file that does not decode raises ``error(message, line)``
+    naming the first line that does not."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+            return
+        except UnicodeDecodeError:
+            pass
+    with open(path, "rb") as raw:
+        lineno = next(i for i, b in enumerate(raw, 1) if b.decode("utf-8", "replace").encode() != b)
+    raise error(f"{path} is not UTF-8 text", lineno)
+
+
 def _data_lines(path):
     """Yield (line_number, stripped fields) for each data line of a 2-column CSV."""
     first = True
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                fields = [f.strip() for f in line.split(",")]
-                if len(fields) != 2:
-                    raise GraphFormatError(
-                        f"expected 2 comma-separated fields, got {len(fields)}", line=lineno
-                    )
-                if first:
-                    first = False
-                    if not _is_int(fields[0]):  # header row
-                        continue
-                yield lineno, fields
-        except UnicodeDecodeError:
-            with open(path, "rb") as raw:  # the first line that does not decode
-                lineno = next(i for i, b in enumerate(raw, 1) if b.decode("utf-8", "replace").encode() != b)
-            raise GraphFormatError(f"{path} is not UTF-8 text", line=lineno) from None
+    for lineno, raw in text_lines(path, GraphFormatError):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != 2:
+            raise GraphFormatError(f"expected 2 comma-separated fields, got {len(fields)}", line=lineno)
+        if first:
+            first = False
+            if not _is_int(fields[0]):  # header row
+                continue
+        yield lineno, fields
 
 
 def _read_rows(path, dtype: np.dtype, parsers) -> np.ndarray:
@@ -276,7 +283,7 @@ def _read_rows(path, dtype: np.dtype, parsers) -> np.ndarray:
     try:
         return np.loadtxt(
             path, dtype=dtype, delimiter=",", comments=None, converters=converters,
-            skiprows=first[0] - 1, ndmin=1, encoding="utf-8",
+            skiprows=first[0] - 1, ndmin=1, encoding="utf-8-sig",
         )
     except ValueError:
         pass

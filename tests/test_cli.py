@@ -251,6 +251,16 @@ def test_metrics_non_utf8_file_exit_code_2(tmp_path, capsys, bad):
     assert "line 3" in err and str(files[bad]) in err and "UTF-8" in err
 
 
+def test_non_utf8_config_exit_code_1(tmp_path, capsys):
+    # once an uncaught UnicodeDecodeError traceback
+    cfg = _write_config(tmp_path)
+    cfg.write_bytes(cfg.read_bytes() + b"# caf\xe9\nn_runs=2\n")
+    bad = len(cfg.read_bytes().splitlines()) - 1
+    assert run_cli("compare", "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"line {bad}: {cfg} is not UTF-8 text" in err
+
+
 def test_import_cli_leaves_scipy_unloaded(tmp_path):
     # importing the CLI, then simulating, comparing and computing the metrics
     # of a whole graph and of a subgraph, loads no scipy module
@@ -334,9 +344,10 @@ PINNED_OUTPUTS = {
     "metrics/edges.csv": "7cbf021915146a64b2a3ee3f305e6fa3002cfb06ffd8c93301c9812e1286dec8",
     "metrics/report_all.csv": "cc4fe1db7ca270c1c8a7ec22ba5254121d3622c33b52251eb780331af7ba0b20",
     "metrics/report_pro.csv": "993d939d4b6e7020aa0efd4f8760d00ba2fff7db96cc5c719cc059279ec7ba83",
-    # the scalar-loop generators and the f-string writer wrote these
+    # the scalar-loop generators and the f-string writer wrote the ER and BA
+    # files; the WS file is the array generator's, drawn by the law alone
     "generate/er_edges.csv": "978739439645ee4fd091306d1d2442edda383c9c45d3ec723e6dd860b88584ae",
-    "generate/ws_edges.csv": "8645287ffbf13612712136bf6e9e39bcd7143cc0a08644af87c3068a4e40bcb9",
+    "generate/ws_edges.csv": "d64c2b7f2bd09b90e1be4c32af64685ef6bdcbad2f9917271bfd022aae3f1a3e",
     "generate/ba_edges.csv": "3094d54c95d45a630a2fb051d6a8edd416804372fcb607dfeca3ce73d7673e39",
     # 500 nodes labelled 0..499, all pro
     "generate/er_attrs.csv": "efd3da037194eb313e7d69b29ad2836d7aebdbc001fba470f0c730098beb5fa7",

@@ -188,6 +188,14 @@ def test_dataclass_validation_through_parse_config(tmp_path, text, match):
         parse_config(write(tmp_path, text))
 
 
+def test_config_with_a_byte_order_mark_parses(tmp_path):
+    # once the mark made the first key the unknown '\ufeffn_runs'
+    path = tmp_path / "run.cfg"
+    path.write_bytes("\ufeffn_runs=5\nmaster_seed=3\n".encode("utf-8"))
+    cfg = parse_config(path)
+    assert (cfg.n_runs, cfg.master_seed) == (5, 3)
+
+
 @pytest.mark.parametrize(
     ("cls", "name", "value", "key"),
     [

@@ -142,28 +142,52 @@ def test_array_ba_equals_loop(n, m, seed):
     ("n", "k_ring", "p_rewire", "seed"),
     [
         (10, 2, 0.0, 0),
-        (2000, 4, 0.1, 1),
-        (300, 6, 1.0, 2),
         (5, 4, 0.5, 3),  # the lattice is complete: every node is saturated
         (7, 6, 1.0, 4),
-        (9, 4, 1.0, 5),
-        # the first block of words runs out between two tests (seed 0) and
-        # within an integers(n) draw (seed 1)
-        (20, 16, 1.0, 0),
-        (20, 16, 1.0, 1),
     ],
 )
 def test_array_ws_equals_loop(n, k_ring, p_rewire, seed):
+    # nothing is rewired, so the graph is the lattice whatever the stream
     got = _watts_strogatz_edges(n, k_ring, p_rewire, _pcg(seed))
     assert np.array_equal(_canonical(n, got), _canonical(n, loop_watts_strogatz(n, k_ring, p_rewire, _pcg(seed))))
 
 
-def test_array_ws_and_ba_equal_loops_at_benchmark_size():
-    # at seed 0 WS draws one half that numpy's Lemire rule rejects, which a
-    # small n makes too rare to reach
+@pytest.mark.parametrize(
+    ("n", "k_ring", "p_rewire", "seed"),
+    [(9, 4, 1.0, 5), (300, 6, 1.0, 2), (20, 16, 1.0, 0), (20, 16, 1.0, 1), (113_038, 4, 0.1, 0)],
+)
+def test_ws_rewired_graph_is_simple(n, k_ring, p_rewire, seed):
+    # rewiring keeps the edge count, and each node keeps the k_ring / 2
+    # lattice edges it starts, whether their far ends moved or not
+    edges = _watts_strogatz_edges(n, k_ring, p_rewire, _pcg(seed))
+    lo, hi = edges.min(axis=1), edges.max(axis=1)
+    assert edges.shape == (n * k_ring // 2, 2)
+    assert (lo < hi).all() and lo.min() >= 0 and hi.max() < n
+    assert np.unique(lo * n + hi).size == edges.shape[0]
+    assert np.bincount(edges.ravel(), minlength=n).min() >= k_ring // 2
+
+
+def _edge_frequencies(n, draw, seeds):
+    counts = np.zeros((n, n))
+    for seed in seeds:
+        e = np.asarray(draw(seed), dtype=np.int64).reshape(-1, 2)
+        counts[e.min(axis=1), e.max(axis=1)] += 1
+    return counts[np.triu_indices(n, 1)] / len(seeds)
+
+
+@pytest.mark.parametrize(("n", "k_ring", "p_rewire"), [(10, 4, 0.3), (7, 4, 1.0), (12, 6, 0.6)])
+def test_ws_edge_law_equals_loop(n, k_ring, p_rewire):
+    # every node pair is an edge as often as under the loop, within 4.5
+    # combined binomial standard errors, on disjoint seeds of 2,000 each
+    runs = 2000
+    got = _edge_frequencies(n, lambda s: _watts_strogatz_edges(n, k_ring, p_rewire, _pcg(s)), range(runs))
+    want = _edge_frequencies(n, lambda s: loop_watts_strogatz(n, k_ring, p_rewire, _pcg(s)), range(runs, 2 * runs))
+    se = np.sqrt((got * (1 - got) + want * (1 - want)) / runs)
+    assert (np.abs(got - want) <= 4.5 * se).all()
+
+
+def test_array_ba_equals_loop_at_benchmark_size():
     n = 113_038
-    got = _watts_strogatz_edges(n, 4, 0.1, _pcg(0))
-    assert np.array_equal(_canonical(n, got), _canonical(n, loop_watts_strogatz(n, 4, 0.1, _pcg(0))))
     ref, rng = _pcg(0), _pcg(0)
     assert np.array_equal(_canonical(n, _barabasi_albert_edges(n, 2, rng)), _canonical(n, loop_barabasi_albert(n, 2, ref)))
     assert rng.random() == ref.random()
@@ -321,6 +345,29 @@ def test_generators_reject_negative_seed():
     ):
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             build()
+
+
+@pytest.mark.parametrize(
+    ("build", "args", "message"),
+    [
+        (erdos_renyi, (10.5, 0.1, 0), "key 'n' must be an integer, got 10.5"),
+        (erdos_renyi, (10, 0.1, 1.5), "key 'seed' must be an integer, got 1.5"),
+        (barabasi_albert, (20, 2.5, 0), "key 'm' must be an integer, got 2.5"),
+        (watts_strogatz, (20.0, 4, 0.1, 0), "key 'n' must be an integer, got 20.0"),
+        (watts_strogatz, (20, True, 0.1, 0), "key 'k_ring' must be an integer, got True"),
+        (two_community, (5.5, 5, 0.2, 0.0, 0), "key 'n_pro' must be an integer, got 5.5"),
+        (two_community, (5, 5, 0.2, 0.0, 1.5), "key 'seed' must be an integer, got 1.5"),
+        # once numpy's bare TypeError above, and here an allocation of more
+        # than 17 GB in from_edge_array
+        (erdos_renyi, (MAX_NODES + 1, 0.0, 0), "n must be <= 2147483647, got 2147483648"),
+        (watts_strogatz, (MAX_NODES + 1, 4, 0.0, 0), "n must be <= 2147483647"),
+        (barabasi_albert, (MAX_NODES + 1, 2, 0), "n must be <= 2147483647"),
+        (two_community, (2**30, 2**30, 0.0, 0.0, 0), "n_pro + n_anti must be <= 2147483647"),
+    ],
+)
+def test_generators_check_counts_before_drawing(build, args, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build(*args)
 
 
 def test_generator_spec_dispatch_and_validation():

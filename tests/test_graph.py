@@ -164,6 +164,21 @@ def test_load_tolerates_blank_lines_spaces_and_crlf(tmp_path):
     assert g.opinions.tolist() == [PRO, ANTI, PRO]
 
 
+@pytest.mark.parametrize("bom", ["", "\ufeff"])
+@pytest.mark.parametrize("header", [False, True])
+def test_load_drops_a_byte_order_mark(tmp_path, bom, header):
+    # once the mark made a header-less first row look like a header, and
+    # lost the first edge and the first opinion
+    edge_text, attr_text = "1,2\n2,3\n3,1\n", "1,pro\n2,anti\n3,pro\n"
+    if header:
+        edge_text, attr_text = "src,dst\n" + edge_text, "node,opinion\n" + attr_text
+    g = load_edge_list(*write_raw(tmp_path, bom + edge_text, bom + attr_text))
+    assert g.edge_count == 3
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    assert structurally_equal(g, load_edge_list(*write_files(clean, ["1,2", "2,3", "3,1"], ["1,pro", "2,anti", "3,pro"])))
+
+
 @pytest.mark.parametrize("line", ["# comment", "0,1 # note", "#0,1", "0,#1", "0,1#"])
 def test_load_has_no_comment_syntax_in_edges(tmp_path, line):
     edges, attrs = write_files(tmp_path, ["0,1", line], ["0,pro", "1,anti"])
