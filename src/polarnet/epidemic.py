@@ -85,6 +85,8 @@ NEVER = np.iinfo(np.int32).max  # tentative day of a node no arc reaches
 # longest infectious window, one year: the P(t) table and, in daily mode, each
 # vaccinated infector's draws grow with it
 MAX_INFECTIOUS_DAYS = 365
+# bounds of the curve's mean and width, days: each mass of days 1..365 is then finite and in [0, 1]
+CURVE_RANGE = (0.01, 100.0)
 
 
 @dataclass(frozen=True)
@@ -122,9 +124,10 @@ class EpidemicParams:
                 raise ConfigError(f"{key} must be positive and finite, got {value}")
         if not 0 <= self.infection_rate < math.inf:
             raise ConfigError(f"R must be non-negative and finite, got {self.infection_rate}")
-        for key, value in (("VET", self.vet), ("VEI", self.vei)):
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{key} must lie in [0, 1], got {value}")
+        for key, value, lo, hi in (("VET", self.vet, 0, 1), ("VEI", self.vei, 0, 1),
+                                   ("mu", self.curve_mean, *CURVE_RANGE), ("sigma", self.curve_sd, *CURVE_RANGE)):
+            if not lo <= value <= hi:
+                raise ConfigError(f"{key} must lie in [{lo:g}, {hi:g}], got {value}")
         if not 1 <= self.max_infectious_days <= MAX_INFECTIOUS_DAYS:
             raise ConfigError(f"t_max_infectious must lie in [1, {MAX_INFECTIOUS_DAYS}]")
         # every day d + k and run end d + T + 1 must stay below NEVER (int32)
@@ -156,13 +159,13 @@ def infectiousness_integral(t: int, curve_mean: float, curve_sd: float) -> float
     The gamma is parameterized by mean and standard deviation:
     shape = (mean/sd)^2, scale = sd^2/mean.
     """
-    if not (0 < curve_mean < math.inf and 0 < curve_sd < math.inf):  # false for NaN too
-        raise ValueError("curve mean and sd must be positive and finite")
+    if not all(CURVE_RANGE[0] <= value <= CURVE_RANGE[1] for value in (curve_mean, curve_sd)):  # false for NaN
+        raise ValueError("curve mean and sd must lie in [{:g}, {:g}]".format(*CURVE_RANGE))
     if t <= 0:
         return 0.0
     shape = (curve_mean / curve_sd) ** 2
     scale = curve_sd**2 / curve_mean
-    return _gamma_p(shape, t / scale) - _gamma_p(shape, (t - 1) / scale)
+    return max(0.0, _gamma_p(shape, t / scale) - _gamma_p(shape, (t - 1) / scale))  # no rounding residue
 
 
 def _gamma_p(a: float, x: float) -> float:

@@ -1,20 +1,19 @@
 """Synthetic network generators: random, small-world, scale-free, planted.
 
 Every generator is deterministic given its parameters and a non-negative
-seed, and returns a validated :class:`~polarnet.graph.AnnotatedGraph`. Each
-works over whole numpy arrays:
+seed, draws by ``Generator.random`` and ``Generator.integers`` alone, and
+returns a validated :class:`~polarnet.graph.AnnotatedGraph`. Each works over
+whole numpy arrays:
 
 - random-graph and two-community edges by geometric skip sampling, so cost
   scales with the number of edges rather than of node pairs; the skips are
-  drawn in chunks and the generator is rewound to the last one used, so
-  edges and stream equal those of drawing one skip at a time;
+  drawn in chunks;
 - Watts-Strogatz by one array comparison that picks the rewired lattice
   edges, and blocks of uniform targets for them; only the rewire events are
   walked in Python;
 - Barabasi-Albert by drawing the targets of a chunk of nodes at once and
   resolving them over the endpoint list in rounds; a node that draws a
-  target twice is redrawn alone after a rewind, so edges and stream equal
-  those of a loop drawing one target at a time.
+  target twice draws on alone until its targets are distinct.
 """
 
 from __future__ import annotations
@@ -53,50 +52,33 @@ def _rng(seed) -> np.random.Generator:
 _CHUNK = 1 << 18  # most skips drawn per rng.random call
 
 
-def _skips(r: np.ndarray, log_q: float, total: int) -> np.ndarray:
-    """Geometric skips ``1 + int(log1p(-r) / log_q)``, each at most ``total + 1``.
-
-    numpy's log1p may differ from math.log1p in the last bit, which moves
-    the truncation only where the quotient lies at an integer; quotients
-    within a relative 1e-9 of one are recomputed with math.log1p, as the
-    scalar loop had them.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # a subnormal p gives inf
-        x = np.log1p(-r) / log_q
-        near = np.flatnonzero(np.abs(x - np.rint(x)) <= 1e-9 * x)
-    x[near] = [math.log1p(-v) / log_q for v in r[near].tolist()]
-    return 1 + np.minimum(x, total).astype(np.int64)
-
-
 def _bernoulli_indices(total: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Indices in [0, total) kept independently with probability p, as int64.
 
-    Geometric skips (Batagelj & Brandes 2005) are drawn in chunks and summed;
-    then the generator is rewound to just past the draw that crossed
-    ``total``. Indices and stream equal those of drawing one skip at a time.
+    Geometric skip sampling (Batagelj & Brandes 2005): the gap to the next
+    kept index is ``1 + floor(log(1 - r) / log(1 - p))`` for a uniform r.
+    Skips are drawn in chunks sized to cross ``total`` with high
+    probability; the draws beyond ``total`` go unused.
     """
     if total <= 0 or p <= 0.0:
         return np.empty(0, dtype=np.int64)
     if p >= 1.0:
         return np.arange(total, dtype=np.int64)
     log_q = math.log1p(-p)
-    start = rng.bit_generator.state
     # k skips of at most total + 1 (give or take the float rounding of a
     # clipped skip) keep every position of a chunk below 2^63
     limit = max(1, min(_CHUNK, (1 << 62) // (total + 1)))
-    parts, pos, used = [], -1, 0
-    while True:
+    parts, pos = [], -1
+    while pos < total:
         # the draws expected to cross total, plus four standard deviations
         expected = (total - 1 - pos) * p + 1
         k = min(limit, int(expected + 4 * math.sqrt(expected)) + 16)
-        positions = pos + np.cumsum(_skips(rng.random(k), log_q, total))
-        end = int(np.searchsorted(positions, total))
-        parts.append(positions[:end])
-        if end < k:
-            rng.bit_generator.state = start
-            rng.bit_generator.advance(used + end + 1)
-            return np.concatenate(parts)
-        pos, used = int(positions[-1]), used + k
+        with np.errstate(over="ignore", invalid="ignore"):  # a subnormal p gives inf
+            skips = 1 + np.minimum(np.log1p(-rng.random(k)) / log_q, total).astype(np.int64)
+        positions = pos + np.cumsum(skips)
+        parts.append(positions[positions < total])
+        pos = int(positions[-1])
+    return np.concatenate(parts)
 
 
 def _pair_from_triangular(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,14 +160,15 @@ _BA_CHUNKS = (1 << 8, 1 << 16)  # fewest and most nodes drawn per rng.integers c
 
 
 def _attach(draws: np.ndarray, targets: np.ndarray, first: int, ends: np.ndarray) -> int:
-    """Resolve the draws of the chunk of nodes from row ``first`` of ``targets``.
+    """Resolve each node's first m draws (one row of ``draws`` per node) into
+    its sorted row of ``targets``, from row ``first``.
 
-    ``draws`` holds each node's first m draws, one row per node. Draw i
-    indexes the list of all edge endpoints: the seed clique's ``ends``, then
-    for each later node w its sorted targets, each followed by w itself.
-    A draw on an earlier node of the chunk waits for that node's row, and
-    the rows are filled in rounds. Returns the index of the first node whose
-    m draws repeat a target, or the chunk size if none does.
+    Draw i picks entry i of the list of all edge endpoints: the seed clique's
+    ``ends``, then for each later node w its sorted targets, each followed by
+    w itself, so a node is picked with probability proportional to degree. A
+    draw on an earlier node of the chunk waits for that node's row, and the
+    rows are filled in rounds. Returns the index of the first node whose m
+    draws repeat a target (its row holds them all), or the chunk size.
     """
     size, m = draws.shape
     c0 = ends.size
@@ -220,37 +203,33 @@ def _attach(draws: np.ndarray, targets: np.ndarray, first: int, ends: np.ndarray
 
 
 def _barabasi_albert_edges(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Edges of preferential attachment from an m-clique, with the random
-    stream of a loop that, for each new node v, draws
-    ``rng.integers(len(endpoints))`` until it holds m distinct targets, then
-    appends (t, v) for each target t in ascending order.
+    """Edges of preferential attachment (Barabasi & Albert 1999) from an
+    m-clique: each new node v draws uniform indices into the list of all
+    edge endpoints so far, i.e. existing nodes with probability proportional
+    to degree, until it holds m distinct targets, then joins each of them.
 
-    Node v's draws all share the bound ``m(m-1) + 2m(v-m)``, and an array
-    of bounds draws what the scalar calls draw, so a chunk of nodes takes
-    its first m draws each at once. A node whose m draws repeat a target
-    draws more: the nodes before it are kept, the stream is rewound and
-    replayed up to it, and that node is drawn one call at a time.
+    Node v's draws all share the bound ``m(m-1) + 2m(v-m)``, so a chunk of
+    nodes takes its first m draws each from one ``rng.integers`` call. A
+    node whose m draws repeat a target keeps the distinct ones and draws on,
+    one at a time; the rows after it are dropped and drawn again.
     """
     ends = np.column_stack(np.triu_indices(m, 1)).ravel()
     c0 = ends.size
     targets = np.empty((n - m, m), dtype=np.int64)  # row w - m: sorted targets of node w
     v = m
-    if c0 == 0:  # m = 1: node 1 joins node 0 by integers(1), which draws nothing
+    if c0 == 0:  # m = 1: no endpoints yet, so node 1 joins node 0
         targets[0] = 0
         v += 1
     chunk = _BA_CHUNKS[0]
     while v < n:
         size = min(chunk, n - v)
         bounds = np.repeat(c0 + 2 * m * (np.arange(v, v + size) - m), m)
-        start = rng.bit_generator.state
         kept = _attach(rng.integers(bounds).reshape(size, m), targets, v - m, ends)
         v += kept
         if kept == size:
             chunk = min(2 * chunk, _BA_CHUNKS[1])
             continue
-        rng.bit_generator.state = start
-        rng.integers(bounds[: kept * m])
-        picked: set[int] = set()
+        picked = set(targets[v - m].tolist())
         while len(picked) < m:
             i = int(rng.integers(bounds[kept * m]))
             row, slot = divmod(i - c0, 2 * m)
@@ -358,6 +337,9 @@ class GeneratorSpec:
             raise ConfigError(
                 f"unknown generator kind {self.kind!r}; expected one of {GENERATOR_KINDS}"
             )
+        unused = [k for k, v in vars(self).items() if v is not None and k not in ("kind", "seed", *_REQUIRED[self.kind])]
+        if unused:
+            raise ConfigError(f"generator {self.kind!r} takes no parameter(s): {', '.join(unused)}")
         counts = {key: getattr(self, key) for key in ("n", "k_ring", "m", "n_pro", "n_anti")}
         _check_counts(graph_seed=self.seed, **{key: v for key, v in counts.items() if v is not None})
         for key in ("p", "p_rewire", "p_in", "p_out"):

@@ -161,6 +161,18 @@ def test_config_error_exit_code_1(tmp_path, capsys):
                 "--p-in", "0", "--p-out", "0"], "n_pro + n_anti must be <= 2147483647"),
         # once a hang in SeedSequence.spawn
         ("n_runs=1000000000000\n", [], "key 'n_runs' must be in [1, 100000]"),
+        # once hangs in _gamma_p's series, an OverflowError, a math domain
+        # error, a ZeroDivisionError and negative hazards
+        ("mu=1e-200\nsigma=1e-40\n", [], "mu must lie in [0.01, 100], got 1e-200"),
+        ("mu=1\nsigma=1e-8\n", [], "sigma must lie in [0.01, 100], got 1e-08"),
+        ("mu=3\nsigma=1e-160\n", [], "sigma must lie in [0.01, 100], got 1e-160"),
+        ("mu=1e-300\n", [], "mu must lie in [0.01, 100], got 1e-300"),
+        ("mu=1e-300\nsigma=1e-300\n", [], "mu must lie in [0.01, 100], got 1e-300"),
+        ("mu=1e-3\nsigma=1e3\nt_max_infectious=365\n", [], "mu must lie in [0.01, 100], got 0.001"),
+        # another kind's parameters were ignored: an all-pro ER graph gave a NaN ratio
+        ("generator=er\nn=100\np=0.1\n", [], "generator 'er' takes no parameter(s): n_pro, n_anti, p_in, p_out"),
+        (None, ["--kind", "er", "--n", "100", "--p", "0.1", "--k-ring", "4", "--p-in", "0.9"],
+         "generator 'er' takes no parameter(s): k_ring, p_in"),
     ],
 )
 def test_invalid_values_exit_code_1(tmp_path, capsys, extra, flags, message):
@@ -325,30 +337,30 @@ def test_readme_library_example_runs(tmp_path):
     )
     ratio, assortativity = map(float, out.stdout.split())
     # the figures the example's comments quote
-    assert ratio == pytest.approx(11.9, abs=0.05)
-    assert assortativity == pytest.approx(0.94, abs=0.005)
+    assert ratio == pytest.approx(12.3, abs=0.05)
+    assert assortativity == pytest.approx(0.95, abs=0.005)
 
 
 # SHA-256 of every file the commands below write, pinned so that changes to
 # the graph layer and to import order keep the outputs byte for byte. The
 # simulate/* and compare/* digests follow the epidemic engine's stream contract.
 PINNED_OUTPUTS = {
-    "simulate/curves.csv": "19a74a19ffcb79f61ed2300970a0cf48c1422257186fe826c44664eac5c4ec77",
-    "compare/curves_all.svg": "0b8d91e4b082b31f1db5252594fe981e289ba758ceb2d870a2426f32dfeffea6",
-    "compare/curves_homogeneous.csv": "709eb36d83b944368927599c5ca77e8b384b57c756618974cd0700e2c8eb9bbb",
-    "compare/curves_polarized.csv": "2b39352a0748031106f3a26db642435dfbac4069bfaf6786f0cc5b8a4224a265",
-    "compare/curves_unvaccinated.svg": "c3639af17fb91cc27164a146f9d8053b7180db0828d8626a99b2c4190008d176",
-    "compare/curves_vaccinated.svg": "34a477a3905ca0a687ff582f897db47b332f03bcd6bc2ac76bfff1813ab37657",
-    "compare/summary.csv": "3564e72fcf594d5a6b689f35c35ae4a0a4f79dac28eeb93784e31920fedb905f",
+    "simulate/curves.csv": "1663d06d1f94995453a8b836e9371ab8871c4e03b3967b88e3add3546be8c1d2",
+    "compare/curves_all.svg": "64545575407b4dd02be19137f2c50367b2421bc4b18e992213e9e91091dcc7c3",
+    "compare/curves_homogeneous.csv": "ec9a5e4264330bd2b57003dc558eca906e12abb49b69f571115b609fae139e5a",
+    "compare/curves_polarized.csv": "68c9e264d81be1392815cdea0a5ea1948ed59612f29dd3f8655854fe9c7be3e0",
+    "compare/curves_unvaccinated.svg": "cf7aaaf885cd7c0a2c5584bb65af4884a1c29a691bfed26e584227c01c9da39e",
+    "compare/curves_vaccinated.svg": "4379fa95580d3b6f2b18e11668c551449722c49afb50004381836caa42585bce",
+    "compare/summary.csv": "7d8f934f0599003a1c25ee516848d620334b56be29349900552bcd42cead1bf3",
     "metrics/attrs.csv": "cf5dcf13037dac55da46103428f29d7673e6f3c01d35cf4d28af3127e11ada81",
-    "metrics/edges.csv": "7cbf021915146a64b2a3ee3f305e6fa3002cfb06ffd8c93301c9812e1286dec8",
-    "metrics/report_all.csv": "cc4fe1db7ca270c1c8a7ec22ba5254121d3622c33b52251eb780331af7ba0b20",
+    "metrics/edges.csv": "f0d07f8269c0428ac90b234b8e14497ce5caabfd3e333ae57c7724c97c2f583f",
+    "metrics/report_all.csv": "117e50aa6d69a582c799455dca91b77981adf7cc6c792a36d88693525ddc857b",
     "metrics/report_pro.csv": "993d939d4b6e7020aa0efd4f8760d00ba2fff7db96cc5c719cc059279ec7ba83",
-    # the scalar-loop generators and the f-string writer wrote the ER and BA
-    # files; the WS file is the array generator's, drawn by the law alone
+    # the scalar-loop generator and the f-string writer wrote the ER file;
+    # the WS and BA files are the array generators', drawn by their laws alone
     "generate/er_edges.csv": "978739439645ee4fd091306d1d2442edda383c9c45d3ec723e6dd860b88584ae",
     "generate/ws_edges.csv": "d64c2b7f2bd09b90e1be4c32af64685ef6bdcbad2f9917271bfd022aae3f1a3e",
-    "generate/ba_edges.csv": "3094d54c95d45a630a2fb051d6a8edd416804372fcb607dfeca3ce73d7673e39",
+    "generate/ba_edges.csv": "277a56ca489a4d77baaa1b1ee1aa727abc53b5574046fac7fa0fff5ba816d913",
     # 500 nodes labelled 0..499, all pro
     "generate/er_attrs.csv": "efd3da037194eb313e7d69b29ad2836d7aebdbc001fba470f0c730098beb5fa7",
     "generate/ws_attrs.csv": "efd3da037194eb313e7d69b29ad2836d7aebdbc001fba470f0c730098beb5fa7",
@@ -389,12 +401,12 @@ def test_cli_outputs_pinned(tmp_path):
 # SHA-256 of the compare files in daily vet mode with one frozen homogeneous
 # allocation, the two settings the pins above leave at their defaults
 PINNED_DAILY_FROZEN = {
-    "curves_all.svg": "b3390a4fc301b25d1998c70a13d26e654e277711618f1378a1580f7b3bf73ef9",
-    "curves_homogeneous.csv": "a1488232df87b0e7d952304f6a01af6877ffa6df451247caedaacc0160cac00d",
-    "curves_polarized.csv": "ee2f4c4dea17dca53a1ea416be264c127a440d4e44ef0e980b70450e00566d5f",
-    "curves_unvaccinated.svg": "756f67b5eee84fc3a092b851169d408bb76496edc576c9208bc0a6015524b944",
-    "curves_vaccinated.svg": "1be3278987296a7d99eeb557fd1713b23d366dbf0dcf909cd458bf319ce45723",
-    "summary.csv": "f23891226004973121b65fa9c2f81e807f402cb4acb4e8b79a7bfecd3c14b370",
+    "curves_all.svg": "6b55379d156d00920aeef9398227baadb7e093e6328cb599850a9fa2cbacfc60",
+    "curves_homogeneous.csv": "060a363dab3a532dca9b741b3fc5284c484c6d4e5172d05c625aaabbf2523a63",
+    "curves_polarized.csv": "44f1fd9777d1d7052179b9c232703fc131830a7c7ce488e8b5a1d7cae4296b19",
+    "curves_unvaccinated.svg": "35c07c8251b3ef8e3d6225bef59411387b693664dfb70726a1643da38a5804d5",
+    "curves_vaccinated.svg": "0277e146a2f46d3b0d090d3d5c6c5cf567fe6008bab70efbdffe03b168c6bf86",
+    "summary.csv": "ed29767bbd59aa3d6ff67a162796edcb523a5c1042c87b9f54aa9b4ee57807ec",
 }
 
 

@@ -157,6 +157,8 @@ def test_readme_config_table_lists_every_key():
         ("generator=hexagon\n", "unknown generator kind 'hexagon'"),
         ("generator=er\nn=10\np=1.5\n", "p must lie in"),
         ("generator=two-community\np_out=nan\n", "p_out must lie in"),
+        ("generator=er\nn=100\np=0.1\nn_pro=40\n", r"generator 'er' takes no parameter\(s\): n_pro"),
+        ("generator=ba\nn=100\nm=2\nk_ring=4\np=0.1\n", r"generator 'ba' takes no parameter\(s\): p, k_ring"),
         ("n=10\np=0.1\n", "set without key 'generator'"),
         ("edges=e.csv\nattrs=a.csv\ngraph_seed=3\n", "graph_seed set without key 'generator'"),
         ("seed_pool=vaccinated\n", "seed_pool"),
@@ -165,6 +167,8 @@ def test_readme_config_table_lists_every_key():
         ("threads=-1\n", "threads"),
         ("R=nan\n", "R must be non-negative and finite"),
         ("mu=inf\n", "mu must be positive and finite"),
+        ("mu=0.0099\n", r"mu must lie in \[0.01, 100\], got 0.0099"),
+        ("sigma=100.5\n", r"sigma must lie in \[0.01, 100\], got 100.5"),
         ("VEI=-inf\n", "VEI must lie in"),
         ("seed_pool=vaccinated\nseed_count=3\n", "key 'seed_pool' must be one of"),
         ("seed_count=-2\nseed_pool=unvaccinated\n", "key 'seed_count' must be >= 1"),

@@ -13,6 +13,7 @@ import oracles
 import polarnet
 from helpers import complete_edges, graph_from_edges, path_edges, random_edges, star_edges
 from polarnet.epidemic import (
+    CURVE_RANGE,
     INFECTED,
     NEVER,
     RECOVERED,
@@ -67,6 +68,21 @@ def test_integral_param_validation():
     # ZeroDivisionError
     for mean, sd in ((math.nan, 2.0), (5.5, math.nan), (math.inf, 2.0), (5.5, math.inf)):
         with pytest.raises(ValueError):
+            infectiousness_integral(3, mean, sd)
+
+
+def test_integral_masses_bounded_over_the_curve_range():
+    # a log-spaced grid over the accepted square, corners included: every
+    # mass of days 1..365 is finite and in [0, 1]; just outside it is refused
+    lo, hi = CURVE_RANGE
+    grid = np.geomspace(lo, hi, 9)
+    assert (grid[0], grid[-1]) == (lo, hi)
+    for mean in grid:
+        for sd in grid:
+            masses = np.array([infectiousness_integral(t, mean, sd) for t in range(1, 366)])
+            assert (np.isfinite(masses) & (masses >= 0) & (masses <= 1)).all(), (mean, sd)
+    for mean, sd in ((lo * 0.99, 1.0), (1.0, lo * 0.99), (hi * 1.01, 1.0), (1.0, hi * 1.01)):
+        with pytest.raises(ValueError, match="must lie in"):
             infectiousness_integral(3, mean, sd)
 
 

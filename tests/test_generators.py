@@ -14,7 +14,6 @@ from polarnet.generators import (
     _barabasi_albert_edges,
     _bernoulli_indices,
     _pair_from_triangular,
-    _skips,
     _watts_strogatz_edges,
     barabasi_albert,
     erdos_renyi,
@@ -58,84 +57,58 @@ def _pcg(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-# pair counts of the 113,038-node ER and two-community benchmark graphs
+# pair count of the 113,038-node ER benchmark graph
 ER_PAIRS = 113_038 * 113_037 // 2
-CROSS_PAIRS = 80_257 * 32_781
 
 
-@pytest.mark.parametrize("p", [1e-300, 1e-7, 0.3, 1 - 1e-12, 1.0])
-def test_array_sampler_equals_scalar_loop(p):
-    # same indices and same next draw; the chunk-boundary totals cross
-    # total on the last draw of a chunk, or on the first of the next
-    for total in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, ER_PAIRS, CROSS_PAIRS):
-        if total * p > 2 * _CHUNK:
-            continue  # more draws than the scalar loop runs in a test
-        ref, rng = _pcg(total), _pcg(total)
-        got = _bernoulli_indices(total, p, rng)
-        assert got.dtype == np.int64
-        assert got.tolist() == scalar_bernoulli_indices(total, p, ref), total
-        assert rng.random() == ref.random(), total
+def _sampler_moments(total, p, sample, seeds):
+    """Mean and variance over seeds of the kept count and of the count in
+    each bin: one position a bin up to _CHUNK + 1 positions, else 64 bins."""
+    width = 1 if total <= _CHUNK + 1 else -(-total // 64)
+    counts = np.array([np.bincount(np.asarray(sample(total, p, _pcg(s)), dtype=np.int64) // width,
+                                   minlength=-(-total // width)) for s in seeds], dtype=float)
+    kept = counts.sum(axis=1)
+    return np.append(counts.mean(axis=0), kept.mean()), np.append(counts.var(axis=0), kept.var()), kept
 
 
-def test_array_sampler_equals_scalar_loop_at_benchmark_sizes():
-    # ER at 113,038 nodes, then the three calls of two-community on one Generator
-    ref, rng = _pcg(0), _pcg(0)
-    assert _bernoulli_indices(ER_PAIRS, 0.0000354, rng).tolist() == scalar_bernoulli_indices(
-        ER_PAIRS, 0.0000354, ref
-    )
-    assert rng.random() == ref.random()
-    ref, rng = _pcg(3), _pcg(3)
-    for total, p in ((80_257 * 80_256 // 2, 0.00006), (32_781 * 32_780 // 2, 0.00006), (CROSS_PAIRS, 0.0000002)):
-        assert _bernoulli_indices(total, p, rng).tolist() == scalar_bernoulli_indices(total, p, ref)
-    assert rng.random() == ref.random()
+def _var_se(x):
+    return np.sqrt(np.var((x - x.mean()) ** 2) / x.size)
 
 
-def test_skips_recompute_quotients_at_an_integer(monkeypatch):
-    # r = p makes the scalar quotient log1p(-p) / log1p(-p) exactly 1. With
-    # numpy's log1p one bit off, the array quotient falls just below 1 and
-    # would truncate to 0: only the math.log1p fallback keeps the skip at 2
-    log1p = np.log1p
-    monkeypatch.setattr(np, "log1p", lambda a: np.nextafter(log1p(a), 0.0))
-    for p in (0.3, 0.5, 1e-7, 0.0000354):
-        log_q = math.log1p(-p)
-        r = np.array([p, 0.0, 0.25, 0.999])
-        assert np.floor(np.log1p(-r[:1]) / log_q)[0] == 0.0  # the off-by-one bit shows
-        want = [1 + int(math.log1p(-v) / log_q) for v in r.tolist()]
-        assert _skips(r, log_q, 10**12).tolist() == want
-        assert want[0] == 2
+@pytest.mark.parametrize(
+    ("total", "p", "runs"),
+    [
+        (12, 0.3, 2000),
+        (1000, 0.01, 2000),
+        # the first chunk's _CHUNK draws reach position _CHUNK - 1, so total is
+        # crossed on its last draw, or on the first or second of the next chunk
+        (_CHUNK - 1, 1 - 1e-12, 3),
+        (_CHUNK, 1 - 1e-12, 3),
+        (_CHUNK + 1, 1 - 1e-12, 3),
+        # chunks of one draw, as the int64 bound on positions forces
+        (2**61 - 1, 3e-18, 2000),
+    ],
+)
+def test_bernoulli_law_equals_scalar_loop(total, p, runs):
+    # the count in each bin and the mean and variance of the kept count
+    # agree with the one-skip-a-draw loop within 4.5 combined standard
+    # errors, on disjoint seeds; a count that never varies must be equal
+    got_mean, got_var, got = _sampler_moments(total, p, _bernoulli_indices, range(runs))
+    want_mean, want_var, want = _sampler_moments(total, p, scalar_bernoulli_indices, range(runs, 2 * runs))
+    assert (np.abs(got_mean - want_mean) <= 4.5 * np.sqrt((got_var + want_var) / runs)).all()
+    assert abs(got.var() - want.var()) <= 4.5 * math.hypot(_var_se(got), _var_se(want))
 
 
-def test_skips_clip_before_the_int_cast():
-    # with a subnormal p the quotient overflows to inf; the skip is still total + 1
-    assert _skips(np.array([0.5, 0.0]), math.log1p(-5e-324), 1000).tolist() == [1001, 1]
-    assert _bernoulli_indices(ER_PAIRS, 5e-324, _pcg(0)).size == 0
-
-
-def test_array_bounds_draw_as_scalar_calls():
-    # bounds below 2**32 draw 32-bit halves, larger ones whole words; an
-    # array of bounds must draw each as its own scalar call does
-    edges = [1, 2, 3, 113_038, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**62 + 3]
-    spread = (2.0 ** _pcg(1).uniform(0, 62, 5000)).astype(np.int64) + 1
-    bounds = np.concatenate([np.tile(edges, 20), spread])
-    ref, rng = _pcg(2), _pcg(2)
-    assert rng.integers(bounds).tolist() == [int(ref.integers(b)) for b in bounds.tolist()]
-    assert rng.random() == ref.random()
+def test_bernoulli_indices_clip_before_the_int_cast():
+    # with a subnormal p the quotient overflows to inf; the skip is still
+    # total + 1, so nothing is kept
+    for total in (1000, ER_PAIRS):
+        got = _bernoulli_indices(total, 5e-324, _pcg(0))
+        assert got.dtype == np.int64 and got.size == 0
 
 
 def _canonical(n, edges):
     return AnnotatedGraph.from_edge_array(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2)).edges()
-
-
-@pytest.mark.parametrize(
-    ("n", "m", "seed"),
-    [(2, 1, 0), (3, 1, 1), (2000, 1, 2), (3, 2, 3), (3000, 2, 4), (4, 3, 5), (800, 3, 6), (6, 5, 7), (500, 5, 8)],
-)
-def test_array_ba_equals_loop(n, m, seed):
-    # same edges and same next draw; n = m + 1 draws for one node only, and
-    # at m = 1 node 1 joins node 0 on integers(1), which draws nothing
-    ref, rng = _pcg(seed), _pcg(seed)
-    assert np.array_equal(_canonical(n, _barabasi_albert_edges(n, m, rng)), _canonical(n, loop_barabasi_albert(n, m, ref)))
-    assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize(
@@ -186,11 +159,30 @@ def test_ws_edge_law_equals_loop(n, k_ring, p_rewire):
     assert (np.abs(got - want) <= 4.5 * se).all()
 
 
-def test_array_ba_equals_loop_at_benchmark_size():
-    n = 113_038
-    ref, rng = _pcg(0), _pcg(0)
-    assert np.array_equal(_canonical(n, _barabasi_albert_edges(n, 2, rng)), _canonical(n, loop_barabasi_albert(n, 2, ref)))
-    assert rng.random() == ref.random()
+@pytest.mark.parametrize(("n", "m"), [(8, 2), (10, 3), (6, 1)])
+def test_ba_edge_law_equals_loop(n, m):
+    # every node pair is an edge as often as under the loop, within 4.5
+    # combined binomial standard errors, on disjoint seeds of 2,000 each
+    runs = 2000
+    got = _edge_frequencies(n, lambda s: _barabasi_albert_edges(n, m, _pcg(s)), range(runs))
+    want = _edge_frequencies(n, lambda s: loop_barabasi_albert(n, m, _pcg(s)), range(runs, 2 * runs))
+    se = np.sqrt((got * (1 - got) + want * (1 - want)) / runs)
+    assert (np.abs(got - want) <= 4.5 * se).all()
+
+
+@pytest.mark.parametrize(
+    ("n", "m", "seed"),
+    [(2, 1, 0), (3, 1, 1), (2000, 1, 2), (3, 2, 3), (3000, 2, 4), (4, 3, 5), (800, 3, 6), (6, 5, 7), (500, 5, 8),
+     (113_038, 2, 0)],
+)
+def test_ba_graph_is_simple(n, m, seed):
+    # the m-clique, then m distinct targets for each later node
+    edges = _barabasi_albert_edges(n, m, _pcg(seed))
+    lo, hi = edges.min(axis=1), edges.max(axis=1)
+    assert edges.shape == (m * (m - 1) // 2 + m * (n - m), 2)
+    assert (lo < hi).all() and lo.min() >= 0 and hi.max() < n
+    assert np.unique(lo * n + hi).size == edges.shape[0]
+    assert np.bincount(edges.ravel(), minlength=n).min() >= m
 
 
 def test_skip_sampler_unbiased_per_position():
