@@ -21,6 +21,7 @@ import numpy as np
 
 from .config import RunConfig
 from .epidemic import delay_table, run_batch
+from .errors import DataError
 from .graph import AnnotatedGraph, Opinion
 
 SUBPOPS = ("unvaccinated", "vaccinated", "all")
@@ -187,6 +188,14 @@ class Comparison:
 
 def compare_scenarios(g: AnnotatedGraph, cfg: RunConfig) -> Comparison:
     """Run both strategies on the same graph and report paired statistics;
-    ``cfg.strategy`` plays no part."""
+    ``cfg.strategy`` plays no part.
+
+    Raises DataError when the graph lacks either opinion: with no anti node
+    the polarized allocation leaves no one unvaccinated, and with no pro node
+    it vaccinates no one, so there is nothing to compare.
+    """
+    for opinion in Opinion:
+        if not (g.opinions == int(opinion)).any():
+            raise DataError(f"compare needs pro and anti nodes, but the graph has no {opinion} node")
     pol_ss, hom_ss = np.random.SeedSequence(cfg.master_seed).spawn(2)
     return Comparison(_ensemble(g, cfg, "polarized", pol_ss), _ensemble(g, cfg, "homogeneous", hom_ss))

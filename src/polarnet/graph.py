@@ -117,6 +117,7 @@ class AnnotatedGraph:
         arcs[:k] += v
         np.multiply(v, n, out=arcs[k:])
         arcs[k:] += u
+        del edges, u, v  # a caller's temporary pairs are freed here, before validate
         arcs.sort()
         fresh = arcs[1:] != arcs[:-1]
         if not fresh.all():
@@ -178,18 +179,30 @@ def gather_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
 
 
 def subgraph_by_opinion(g: AnnotatedGraph, opinion: Opinion) -> AnnotatedGraph:
-    """Induced subgraph on the nodes holding ``opinion``, ids re-densified."""
+    """Induced subgraph on the nodes holding ``opinion``, ids re-densified.
+
+    The renumbering keeps the order of the kept nodes, so the kept arcs,
+    taken in CSR order, are already the subgraph's sorted rows.
+    """
     keep = np.flatnonzero(g.opinions == int(opinion))
-    remap = np.full(g.n, -1, dtype=np.int64)
-    remap[keep] = np.arange(keep.size)
-    e = g.edges()
-    e = remap[e[(remap[e[:, 0]] >= 0) & (remap[e[:, 1]] >= 0)]]
-    return AnnotatedGraph.from_edge_array(
+    remap = np.full(g.n, -1, dtype=np.int32)
+    remap[keep] = np.arange(keep.size, dtype=np.int32)
+    src, dst = np.repeat(remap, g.degrees), remap[g.indices]
+    inside = (src >= 0) & (dst >= 0)
+    src, dst = src[inside], dst[inside]
+    del inside
+    indptr = np.searchsorted(src, np.arange(keep.size + 1, dtype=np.int32))
+    indices = dst.astype(np.int64)
+    del src, dst
+    sub = AnnotatedGraph(
         n=int(keep.size),
-        edges=e,
+        indptr=indptr,
+        indices=indices,
         opinions=np.full(keep.size, int(opinion), dtype=np.uint8),
         labels=g.labels[keep],
     )
+    sub.validate()
+    return sub
 
 
 # -- file formats ---------------------------------------------------------
@@ -315,22 +328,35 @@ def _annotations(attr_path) -> tuple[np.ndarray, np.ndarray]:
 def _dense_ids(edges: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """The (k, 2) dense ids of the label pairs ``edges``: positions in ``labels``.
 
-    Raises an AnnotationError listing the edge labels that ``labels`` lacks.
+    The ids overwrite the labels in ``edges``' own buffer, which the result
+    views. Raises an AnnotationError listing the edge labels that ``labels``
+    lacks, leaving ``edges`` unchanged.
     """
     # the (src, dst) records side by side are one int64 array of the endpoints
-    ends, arc_end = np.unique(edges.view(np.int64), return_inverse=True)
-    dense = np.searchsorted(labels, ends)
+    ends = edges.view(np.int64)
+    order = np.argsort(ends)
+    found = ends[order]
+    # each distinct endpoint heads its run of the sorted endpoints
+    heads = np.ones(found.size, dtype=bool)
+    np.not_equal(found[1:], found[:-1], out=heads[1:])
+    first = np.flatnonzero(heads)
+    del heads
+    distinct = found[first]
+    del found
+    dense = np.searchsorted(labels, distinct)
     known = dense < labels.size
-    known[known] = labels[dense[known]] == ends[known]
+    known[known] = labels[dense[known]] == distinct[known]
     if not known.all():
-        missing = ends[~known].tolist()
+        missing = distinct[~known].tolist()
         shown = ", ".join(str(m) for m in missing[:_MAX_REPORTED_OFFENDERS])
         more = "" if len(missing) <= _MAX_REPORTED_OFFENDERS else f" (+{len(missing) - _MAX_REPORTED_OFFENDERS} more)"
         raise AnnotationError(
             f"{len(missing)} node(s) in edges lack an opinion: {shown}{more}",
             offenders=missing,
         )
-    return dense[arc_end].reshape(-1, 2)
+    # int32 ids (n < 2**31) halve the run-length expansion
+    ends[order] = np.repeat(dense.astype(np.int32), np.diff(first, append=ends.size))
+    return ends.reshape(-1, 2)
 
 
 def load_edge_list(path, attr_path) -> AnnotatedGraph:
@@ -348,9 +374,11 @@ def load_edge_list(path, attr_path) -> AnnotatedGraph:
         edges = edges[~loops]
     del loops
     labels, opinions = _annotations(attr_path)
-    # rebinding frees the label pairs before the build
-    edges = _dense_ids(edges, labels)
-    return AnnotatedGraph.from_edge_array(labels.size, edges, opinions=opinions, labels=labels)
+    # the ids overwrite the label pairs in place, and the build frees the
+    # buffer once it has its arcs: no name here may still hold it then
+    pairs = [_dense_ids(edges, labels)]
+    del edges
+    return AnnotatedGraph.from_edge_array(labels.size, pairs.pop(), opinions=opinions, labels=labels)
 
 
 def _label_bytes(labels: np.ndarray) -> np.ndarray:

@@ -118,27 +118,44 @@ def _triangles(g: AnnotatedGraph) -> np.ndarray:
     one wedge of two out-arcs ``u -> v``, ``u -> w`` (v ranked below w) of its
     lowest-ranked corner, closed by the arc ``v -> w``: each is found once,
     by a search for the key ``v*n + w`` among the sorted arc keys ``u*n + v``.
+
+    Ranks and node ids are int32 (``n`` < 2**31); every key is formed in
+    int64 by an explicit cast, since an int32 ``v * n`` would wrap.
     """
     n, deg = g.n, g.degrees
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(deg, kind="stable")] = np.arange(n)
-    src, dst = rank[np.repeat(np.arange(n), deg)], rank[g.indices]
-    keys = np.sort((src * n + dst)[src < dst])
-    u, v = np.divmod(keys, n)
-    # arc a heads the wedges it makes with arcs a+1 .. a+later[a] of its out-list
-    later = np.cumsum(np.bincount(u, minlength=n))[u] - np.arange(u.size) - 1
-    heads = np.flatnonzero(later)
-    work = np.cumsum(later[heads])  # wedges headed by heads[:j+1]
+    rank = np.empty(n, dtype=np.int32)
+    rank[np.argsort(deg, kind="stable")] = np.arange(n, dtype=np.int32)
+    src, dst = np.repeat(rank, deg), rank[g.indices]
+    forward = src < dst
+    src, dst = src[forward], dst[forward]
+    del forward
+    keys = src.astype(np.int64)
+    keys *= n
+    keys += dst
+    del src, dst
+    keys.sort()
+    u = (keys // n).astype(np.int32)
+    v = (keys % n).astype(np.int32)
+    # arc a heads the wedges it makes with arcs a+1 .. a+later[a] of its
+    # out-list; work[a] counts the wedges headed by arcs 0 .. a
+    work = np.cumsum(np.bincount(u, minlength=n))[u]
+    work -= np.arange(1, u.size + 1)
+    np.cumsum(work, out=work)
     tri = np.zeros(n, dtype=np.int64)
     lo = 0
-    while lo < heads.size:
-        done = int(work[lo] - later[heads[lo]])
+    while lo < u.size:
+        done = int(work[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(work, done + _BLOCK_WORK, side="right")))
-        h = heads[lo:hi]
+        later = np.diff(work[lo:hi], prepend=done)
+        h = np.flatnonzero(later)
         cnt = later[h]
+        h += lo
         a = np.repeat(h, cnt)
-        b = np.repeat(h - np.cumsum(cnt) + cnt, cnt) + np.arange(1, int(work[hi - 1]) - done + 1)
-        need = v[a] * n + v[b]
+        b = np.repeat(h - np.cumsum(cnt) + cnt, cnt)
+        b += np.arange(1, b.size + 1)
+        need = v[a].astype(np.int64)
+        need *= n
+        need += v[b]
         closed = keys[np.minimum(np.searchsorted(keys, need), keys.size - 1)] == need
         a, b = a[closed], b[closed]
         tri += np.bincount(np.concatenate([u[a], v[a], v[b]]), minlength=n)
@@ -171,11 +188,13 @@ def mixing_matrix(g: AnnotatedGraph, labels: np.ndarray) -> np.ndarray:
         raise DataError("labels must provide one value per node")
     if not ((labels == 0) | (labels == 1)).all():  # before the cast, which would truncate 0.5
         raise DataError("labels must be binary (0 or 1)")
-    labels = labels.astype(np.int64)
+    labels = labels.astype(np.uint8)
     if g.edge_count == 0:
         raise DataError("mixing matrix is undefined for an empty edge set")
-    # the CSR arcs hold each edge in both orientations
-    pairs = np.bincount(2 * np.repeat(labels, g.degrees) + labels[g.indices], minlength=4)
+    # the CSR arcs hold each edge in both orientations; code 2*a + b per arc
+    codes = np.repeat(labels << 1, g.degrees)
+    codes += labels[g.indices]
+    pairs = np.bincount(codes, minlength=4)
     return pairs.reshape(2, 2) / (2 * g.edge_count)
 
 

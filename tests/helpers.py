@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
+from polarnet.generators import two_community
 from polarnet.graph import AnnotatedGraph
 
 
@@ -13,6 +16,21 @@ def graph_from_edges(n, edges, opinions=None) -> AnnotatedGraph:
         np.array(edges, dtype=np.int64).reshape(-1, 2),
         opinions=None if opinions is None else np.array(opinions, dtype=np.uint8),
     )
+
+
+def memory_test_graph() -> AnnotatedGraph:
+    """40,000 pro and 10,000 anti nodes, about 171k edges: large enough that
+    arc-sized temporaries dwarf the fixed allocations of a call."""
+    return two_community(40_000, 10_000, 2e-4, 2e-6, 1)
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc traced during the call)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def degree(g: AnnotatedGraph, i: int) -> int:

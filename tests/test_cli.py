@@ -228,6 +228,16 @@ def test_data_error_exit_code_2(tmp_path, capsys):
     assert "opinion" in capsys.readouterr().err
 
 
+def test_compare_on_a_single_opinion_graph_exit_code_2(tmp_path, capsys):
+    # every node of a BA graph is pro: the polarized allocation leaves no one unvaccinated
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("generator=ba\nn=200\nm=2\nn_runs=4\n")
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", str(cfg), "--out", str(out)) == 2
+    assert "no anti node" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_exit_code_2(tmp_path):
     assert run_cli(
         "metrics", "--edges", str(tmp_path / "nope.csv"),

@@ -17,7 +17,8 @@ from polarnet.experiment import (
     run_ensemble,
     _fractions,
 )
-from polarnet.generators import two_community
+from polarnet.errors import DataError
+from polarnet.generators import erdos_renyi, two_community
 from polarnet.graph import Opinion
 from polarnet.metrics import assortativity, mixing_matrix
 
@@ -231,3 +232,21 @@ def test_compare_reports_all_subpops():
     for s in ("unvaccinated", "vaccinated", "all"):
         assert s in comp.ar_ratio
         assert comp.polarized.mean_curves[s].size == comp.polarized.days
+
+
+@pytest.mark.parametrize(
+    "g, missing",
+    [
+        (erdos_renyi(60, 0.1, seed=2), "anti"),  # the generators label every node pro
+        (graph_from_edges(5, complete_edges(5), [0] * 5), "pro"),
+    ],
+)
+def test_compare_rejects_a_single_opinion_graph(g, missing):
+    with pytest.raises(DataError, match=f"no {missing} node"):
+        compare_scenarios(g, RunConfig(n_runs=2, master_seed=1))
+
+
+def test_compare_runs_on_a_two_community_graph_with_a_small_group():
+    g = two_community(100, 3, 0.05, 0.01, seed=4)
+    comp = compare_scenarios(g, RunConfig(n_runs=2, master_seed=1))
+    assert comp.polarized.sizes.tolist() == [3, 100, 103]

@@ -1,6 +1,5 @@
 import logging
 import tempfile
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,13 +13,14 @@ from helpers import (
     complete_edges,
     degree,
     graph_from_edges,
+    memory_test_graph,
     neighbors,
     random_edges,
     star_edges,
     structurally_equal,
+    traced_peak,
 )
 from polarnet.errors import AnnotationError, DataError, GraphFormatError
-from polarnet.generators import two_community
 from polarnet.graph import (
     AnnotatedGraph,
     Opinion,
@@ -479,18 +479,31 @@ def test_builder_copies_the_callers_opinions_and_labels():
     assert g.labels.tolist() == [7, 8, 9]
 
 
-def test_load_allocates_at_most_ten_times_the_adjacency(tmp_path):
-    """The build keeps no pile of int64 copies of the arc keys alive."""
+def test_load_allocates_at_most_five_times_the_adjacency(tmp_path):
+    """The load holds no more than about three arc-sized arrays at once.
+
+    Bound: 5x ``indices.nbytes``. The label mapping writes the dense ids
+    over the label pairs, and the build frees those pairs before validate;
+    the load peaked at 6.5x when the mapping used ``np.unique``.
+    """
     edges, attrs = tmp_path / "edges.csv", tmp_path / "attrs.csv"
-    save_edge_list(two_community(40_000, 10_000, 2e-4, 2e-6, 1), edges, attrs)
-    tracemalloc.start()
-    try:
-        g = load_edge_list(edges, attrs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    save_edge_list(memory_test_graph(), edges, attrs)
+    g, peak = traced_peak(load_edge_list, edges, attrs)
     assert g.edge_count > 150_000
-    assert peak <= 10 * g.indices.nbytes
+    assert peak <= 5 * g.indices.nbytes
+
+
+def test_subgraph_allocates_at_most_4_2_times_the_adjacency():
+    """Bound: 4.2x the whole graph's ``indices.nbytes``, for either opinion.
+
+    The kept arcs come straight from the CSR; the pro subgraph, which keeps
+    nearly every edge, peaked at 4.4x when it was cut from ``g.edges()``.
+    """
+    g = memory_test_graph()
+    for opinion in Opinion:
+        sub, peak = traced_peak(subgraph_by_opinion, g, opinion)
+        assert peak <= 4.2 * g.indices.nbytes, opinion
+    assert sub.edge_count > 150_000  # the pro subgraph, taken last
 
 
 def test_subgraph_two_triangles():

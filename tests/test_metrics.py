@@ -4,10 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import complete_edges, graph_from_edges, random_annotated, random_edges, star_edges
+from helpers import (
+    complete_edges,
+    graph_from_edges,
+    memory_test_graph,
+    random_annotated,
+    random_edges,
+    star_edges,
+    traced_peak,
+)
 from polarnet import metrics
 from polarnet.errors import DataError, FitError, SingleGroupError
-from polarnet.generators import barabasi_albert, erdos_renyi, watts_strogatz
+from polarnet.generators import barabasi_albert, erdos_renyi, two_community, watts_strogatz
 from polarnet.metrics import (
     DegreeDistribution,
     assortativity,
@@ -117,6 +125,18 @@ def test_clustering_dense_graph_equals_loop_oracle():
     assert np.array_equal(
         clustering_coefficients(g), oracles.loop_clustering(g.indptr, g.indices)
     )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: barabasi_albert(60_000, 2, seed=3), lambda: two_community(40_000, 20_000, 2e-4, 2e-6, 1)],
+    ids=["ba", "two-community"],
+)
+def test_clustering_equals_loop_oracle_where_int32_keys_wrap(make):
+    # at n = 60,000 a key v*n + w passes 2**31: formed in int32 it would wrap
+    g = make()
+    assert (g.n - 1) * g.n >= 2**31
+    assert np.array_equal(clustering_coefficients(g), oracles.loop_clustering(g.indptr, g.indices))
 
 
 def _assert_clustering_equals_loop_oracle(g):
@@ -280,3 +300,16 @@ def test_clustering_coefficients_range_property():
         g = random_annotated(rng, 25, 0.25)
         cc = clustering_coefficients(g)
         assert cc.min() >= 0.0 and cc.max() <= 1.0
+
+
+def test_metrics_report_allocates_at_most_4_5_times_the_adjacency():
+    """Bound: 4.5x ``indices.nbytes`` above the graph itself.
+
+    The triangle count keeps int32 ranks and ids and forms only the forward
+    arc keys in int64, and the mixing matrix codes arcs in uint8; the report
+    peaked at 6.4x with int64 copies of every arc.
+    """
+    g = memory_test_graph()
+    report, peak = traced_peak(metrics_report, g)
+    assert report.avg_clustering > 0
+    assert peak <= 4.5 * g.indices.nbytes
