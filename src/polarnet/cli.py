@@ -61,6 +61,9 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    target = Path(args.out_edges).resolve()
+    if target == Path(args.out_attrs).resolve():
+        raise ConfigError(f"--out-edges and --out-attrs name the same file: {target}")
     g = GeneratorSpec(**{f.name: getattr(args, f.name) for f in fields(GeneratorSpec)}).build()
     save_edge_list(g, args.out_edges, args.out_attrs)
     print(f"wrote {args.out_edges} ({g.n} nodes, {g.edge_count} edges) and {args.out_attrs}")

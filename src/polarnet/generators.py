@@ -14,6 +14,12 @@ whole numpy arrays:
 - Barabasi-Albert by drawing the targets of a chunk of nodes at once and
   resolving them over the endpoint list in rounds; a node that draws a
   target twice draws on alone until its targets are distinct.
+
+Memory: each generator fills one preallocated ``(k, 2)`` int64 edge array in
+place and hands it to :meth:`AnnotatedGraph.from_edge_array` as its only
+reference, so the build frees it before its sort. Beyond the graph it
+returns, a generator holds at most that one edge array, the size of the
+graph's adjacency array, at a time.
 """
 
 from __future__ import annotations
@@ -73,21 +79,40 @@ def _bernoulli_indices(total: int, p: float, rng: np.random.Generator) -> np.nda
         # the draws expected to cross total, plus four standard deviations
         expected = (total - 1 - pos) * p + 1
         k = min(limit, int(expected + 4 * math.sqrt(expected)) + 16)
+        # the skips are worked out in the buffer of their draws, the
+        # positions in the buffer of the skips
+        skips = rng.random(k)
         with np.errstate(over="ignore", invalid="ignore"):  # a subnormal p gives inf
-            skips = 1 + np.minimum(np.log1p(-rng.random(k)) / log_q, total).astype(np.int64)
-        positions = pos + np.cumsum(skips)
-        parts.append(positions[positions < total])
+            np.negative(skips, out=skips)
+            np.log1p(skips, out=skips)
+            skips /= log_q
+            np.minimum(skips, total, out=skips)
+        positions = skips.astype(np.int64)
+        del skips
+        positions += 1
+        positions[0] += pos
+        np.cumsum(positions, out=positions)
         pos = int(positions[-1])
-    return np.concatenate(parts)
+        parts.append(positions[: np.searchsorted(positions, total)])  # positions increase
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _pair_from_triangular(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs i < j of the flat indices q = j(j-1)/2 + i."""
+def _pair_from_triangular(q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the pairs i < j of the flat indices q = j(j-1)/2 + i as the
+    rows of ``out``, an int64 array of shape (q.size, 2); returns ``out``."""
+    i, j = out[:, 0], out[:, 1]
     # j = floor((1 + sqrt(8q + 1)) / 2); half a row up, float rounding cannot
     # push the estimate below j, so it is j or j + 1
-    j = (np.sqrt(8.0 * q + 1.0) // 2 + 1).astype(np.int64)
+    j[:] = np.sqrt(8.0 * q + 1.0) // 2 + 1
     j -= j * (j - 1) // 2 > q
-    return q - j * (j - 1) // 2, j
+    np.subtract(q, j * (j - 1) // 2, out=i)
+    return out
+
+
+def _erdos_renyi_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Edges of G(n, p), each pair decoded from its kept flat index."""
+    q = _bernoulli_indices(n * (n - 1) // 2, p, rng)
+    return _pair_from_triangular(q, np.empty((q.size, 2), dtype=np.int64))
 
 
 def erdos_renyi(n: int, p: float, seed) -> AnnotatedGraph:
@@ -97,9 +122,7 @@ def erdos_renyi(n: int, p: float, seed) -> AnnotatedGraph:
         raise ConfigError("erdos_renyi requires n >= 2")
     if not 0.0 <= p <= 1.0:
         raise ConfigError("edge probability must lie in [0, 1]")
-    rng = _rng(seed)
-    i, j = _pair_from_triangular(_bernoulli_indices(n * (n - 1) // 2, p, rng))
-    return AnnotatedGraph.from_edge_array(n, np.column_stack([i, j]))
+    return AnnotatedGraph.from_edge_array(n, _erdos_renyi_edges(n, p, _rng(seed)))
 
 
 def _watts_strogatz_edges(n: int, k_ring: int, p_rewire: float, rng: np.random.Generator) -> np.ndarray:
@@ -147,13 +170,15 @@ def _watts_strogatz_edges(n: int, k_ring: int, p_rewire: float, rng: np.random.G
         rewired.add(key)
         degree[v] -= 1
         degree[w] += 1
-    kept = np.flatnonzero(np.frombuffer(removed, dtype=np.uint8) == 0)
     added = np.fromiter(rewired, dtype=np.int64, count=len(rewired))
-    u = kept % n
-    return np.concatenate([
-        np.column_stack([u, (u + kept // n + 1) % n]),
-        np.column_stack([added // n, added % n]),
-    ])
+    del hits, targets, degree, rewired
+    kept = np.flatnonzero(np.frombuffer(removed, dtype=np.uint8) == 0)
+    edges = np.empty((total, 2), dtype=np.int64)
+    lattice = edges[: kept.size]
+    lattice[:, 0] = kept % n
+    lattice[:, 1] = (lattice[:, 0] + kept // n + 1) % n
+    np.divmod(added, n, out=(edges[kept.size :, 0], edges[kept.size :, 1]))
+    return edges
 
 
 _BA_CHUNKS = (1 << 8, 1 << 16)  # fewest and most nodes drawn per rng.integers call
@@ -215,7 +240,11 @@ def _barabasi_albert_edges(n: int, m: int, rng: np.random.Generator) -> np.ndarr
     """
     ends = np.column_stack(np.triu_indices(m, 1)).ravel()
     c0 = ends.size
-    targets = np.empty((n - m, m), dtype=np.int64)  # row w - m: sorted targets of node w
+    edges = np.empty((c0 // 2 + m * (n - m), 2), dtype=np.int64)
+    edges[: c0 // 2] = ends.reshape(-1, 2)
+    joins = edges[c0 // 2 :].reshape(n - m, m, 2)  # row w - m: node w's edges
+    joins[:, :, 1] = np.arange(m, n)[:, None]
+    targets = joins[:, :, 0]  # row w - m: sorted targets of node w
     v = m
     if c0 == 0:  # m = 1: no endpoints yet, so node 1 joins node 0
         targets[0] = 0
@@ -237,8 +266,7 @@ def _barabasi_albert_edges(n: int, m: int, rng: np.random.Generator) -> np.ndarr
         targets[v - m] = sorted(picked)
         v += 1
         chunk = max(chunk // 2, _BA_CHUNKS[0])
-    new = np.repeat(np.arange(m, n), m)
-    return np.concatenate([ends.reshape(-1, 2), np.column_stack([targets.ravel(), new])])
+    return edges
 
 
 def watts_strogatz(n: int, k_ring: int, p_rewire: float, seed) -> AnnotatedGraph:
@@ -255,8 +283,7 @@ def watts_strogatz(n: int, k_ring: int, p_rewire: float, seed) -> AnnotatedGraph
         raise ConfigError("k_ring must be smaller than n")
     if not 0.0 <= p_rewire <= 1.0:
         raise ConfigError("rewiring probability must lie in [0, 1]")
-    edges = _watts_strogatz_edges(n, k_ring, p_rewire, _rng(seed))
-    return AnnotatedGraph.from_edge_array(n, edges)
+    return AnnotatedGraph.from_edge_array(n, _watts_strogatz_edges(n, k_ring, p_rewire, _rng(seed)))
 
 
 def barabasi_albert(n: int, m: int, seed) -> AnnotatedGraph:
@@ -272,6 +299,23 @@ def barabasi_albert(n: int, m: int, seed) -> AnnotatedGraph:
     if n <= m:
         raise ConfigError("barabasi_albert requires n > m")
     return AnnotatedGraph.from_edge_array(n, _barabasi_albert_edges(n, m, _rng(seed)))
+
+
+def _two_community_edges(n_pro: int, n_anti: int, p_in: float, p_out: float, rng: np.random.Generator) -> np.ndarray:
+    """Edges among the pro nodes [0, n_pro), among the anti nodes, then
+    across, each block drawn by skip sampling over its pair indices."""
+    pro = _bernoulli_indices(n_pro * (n_pro - 1) // 2, p_in, rng)
+    anti = _bernoulli_indices(n_anti * (n_anti - 1) // 2, p_in, rng)
+    cross = _bernoulli_indices(n_pro * n_anti, p_out, rng)
+    edges = np.empty((pro.size + anti.size + cross.size, 2), dtype=np.int64)
+    _pair_from_triangular(pro, edges[: pro.size])
+    inside = edges[pro.size : pro.size + anti.size]
+    _pair_from_triangular(anti, inside)
+    inside += n_pro
+    across = edges[pro.size + anti.size :]
+    np.divmod(cross, n_anti, out=(across[:, 0], across[:, 1]))
+    across[:, 1] += n_pro
+    return edges
 
 
 def two_community(
@@ -290,20 +334,13 @@ def two_community(
         raise ConfigError("connection probabilities must lie in [0, 1]")
     if p_in < p_out:
         raise ConfigError("two_community requires p_in >= p_out")
-    rng = _rng(seed)
-    pro = _pair_from_triangular(_bernoulli_indices(n_pro * (n_pro - 1) // 2, p_in, rng))
-    anti = _pair_from_triangular(_bernoulli_indices(n_anti * (n_anti - 1) // 2, p_in, rng))
-    cross = _bernoulli_indices(n_pro * n_anti, p_out, rng)
-    edges = np.concatenate([
-        np.column_stack(pro),
-        n_pro + np.column_stack(anti),
-        np.column_stack([cross // n_anti, n_pro + cross % n_anti]),
-    ])
     n = n_pro + n_anti
     opinions = np.empty(n, dtype=np.uint8)
     opinions[:n_pro] = Opinion.PRO
     opinions[n_pro:] = Opinion.ANTI
-    return AnnotatedGraph.from_edge_array(n, edges, opinions=opinions)
+    return AnnotatedGraph.from_edge_array(
+        n, _two_community_edges(n_pro, n_anti, p_in, p_out, _rng(seed)), opinions=opinions
+    )
 
 
 # the parameters each generator kind needs

@@ -75,12 +75,6 @@ class AnnotatedGraph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def edges(self) -> np.ndarray:
-        """All edges as an (edge_count, 2) array with src < dst."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        mask = src < self.indices
-        return np.column_stack([src[mask], self.indices[mask]])
-
     # -- construction ----------------------------------------------------
 
     @classmethod
@@ -216,7 +210,7 @@ def subgraph_by_opinion(g: AnnotatedGraph, opinion: Opinion) -> AnnotatedGraph:
 
 _LABEL = re.compile(r"[+-]?[0-9]+")
 _INT64 = np.iinfo(np.int64)
-_SAVE_BLOCK = 1 << 16  # edge rows formatted per write
+_SAVE_BLOCK = 1 << 16  # adjacency arcs formatted per write
 
 
 def _is_int(text: str) -> bool:
@@ -407,16 +401,26 @@ def save_edge_list(g: AnnotatedGraph, path, attr_path) -> None:
     """Write a graph back out in the load format (external labels).
 
     Each label is formatted once; every line is then a row of byte columns.
+    The edge lines, ``src < dst`` in CSR order, are cut from blocks of whole
+    adjacency rows of about ``_SAVE_BLOCK`` arcs (a longer row is a block of
+    its own), so no array the size of the edge list is built.
     """
     text = _label_bytes(g.labels)
-    edges = g.edges()
-    comma, newline = (np.full((_SAVE_BLOCK, 1), ord(c), dtype=np.uint8) for c in ",\n")
+    indptr, indices = g.indptr, g.indices
+    comma, newline = (np.full((1, 1), ord(c), dtype=np.uint8) for c in ",\n")
     with open(path, "wb") as fh:
         fh.write(b"src,dst\n")
-        for lo in range(0, len(edges), _SAVE_BLOCK):
-            block = edges[lo : lo + _SAVE_BLOCK]
-            rows = len(block)
-            _write_rows(fh, text[block[:, 0]], comma[:rows], text[block[:, 1]], newline[:rows])
+        lo = 0
+        while lo < g.n:
+            # rows [lo, hi) hold at most _SAVE_BLOCK arcs, or are one row
+            hi = max(lo + 1, int(np.searchsorted(indptr, indptr[lo] + _SAVE_BLOCK, side="right")) - 1)
+            src = np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(indptr[lo : hi + 1]))
+            dst = indices[indptr[lo] : indptr[hi]]
+            forward = src < dst
+            src, dst = src[forward], dst[forward]
+            rows = (src.size, 1)
+            _write_rows(fh, text[src], np.broadcast_to(comma, rows), text[dst], np.broadcast_to(newline, rows))
+            lo = hi
     # line ends by Opinion value (ANTI = 0, PRO = 1), zero-padded
     suffix = np.array([b",anti\n", b",pro\n"]).view(np.uint8).reshape(2, -1)
     with open(attr_path, "wb") as fh:

@@ -45,6 +45,13 @@ def neighbors(g: AnnotatedGraph, i: int) -> np.ndarray:
     return g.indices[g.indptr[i] : g.indptr[i + 1]]
 
 
+def edge_array(g: AnnotatedGraph) -> np.ndarray:
+    """All edges of ``g`` as an (edge_count, 2) array with src < dst."""
+    src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
+    mask = src < g.indices
+    return np.column_stack([src[mask], g.indices[mask]])
+
+
 def structurally_equal(a: AnnotatedGraph, b: AnnotatedGraph) -> bool:
     return (
         a.n == b.n

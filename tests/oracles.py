@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from helpers import edge_array
 from polarnet.epidemic import infectiousness_integral
 
 
@@ -119,7 +120,7 @@ def reference_edge_files(edges, labels, opinions) -> tuple[str, str]:
 def fstring_edge_files(g, path, attr_path) -> None:
     """Save ``g`` as the package's writer did before it formatted whole
     arrays: one f-string per line, the edge rows in blocks of 65,536."""
-    edges = g.edges()
+    edges = edge_array(g)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("src,dst\n")
         for lo in range(0, len(edges), 1 << 16):

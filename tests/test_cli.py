@@ -173,13 +173,20 @@ def test_config_error_exit_code_1(tmp_path, capsys):
         ("generator=er\nn=100\np=0.1\n", [], "generator 'er' takes no parameter(s): n_pro, n_anti, p_in, p_out"),
         (None, ["--kind", "er", "--n", "100", "--p", "0.1", "--k-ring", "4", "--p-in", "0.9"],
          "generator 'er' takes no parameter(s): k_ring, p_in"),
+        # one file for both outputs: the attribute rows overwrote the edge list
+        (None, ["--kind", "er", "--n", "2", "--p", "1", "--out-attrs", "OUT/e.csv"],
+         "--out-edges and --out-attrs name the same file"),
+        (None, ["--kind", "er", "--n", "2", "--p", "1", "--out-attrs", "OUT/sub/../e.csv"],
+         "--out-edges and --out-attrs name the same file"),
     ],
 )
 def test_invalid_values_exit_code_1(tmp_path, capsys, extra, flags, message):
     # config values and command-line overrides go through the same validation
     out = tmp_path / "out"
     if extra is None:
-        commands = [["generate", *flags, "--out-edges", str(out / "e.csv"), "--out-attrs", str(out / "a.csv")]]
+        # OUT in a flag stands for the output directory; a flag may name an output again
+        flags = [flag.replace("OUT", str(out)) for flag in flags]
+        commands = [["generate", "--out-edges", str(out / "e.csv"), "--out-attrs", str(out / "a.csv"), *flags]]
     else:
         cfg = str(_write_config(tmp_path, extra))
         commands = [[command, "--config", cfg, "--out", str(out), *flags] for command in ("simulate", "compare")]

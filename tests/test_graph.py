@@ -20,6 +20,7 @@ from helpers import (
     structurally_equal,
     traced_peak,
 )
+from polarnet import graph
 from polarnet.errors import AnnotationError, DataError, GraphFormatError
 from polarnet.graph import (
     AnnotatedGraph,
@@ -306,6 +307,15 @@ def test_load_accepts_int64_extremes_signs_and_zeros(tmp_path):
     assert g.opinions.tolist() == [ANTI, PRO, PRO, ANTI, PRO]
 
 
+def _same_bytes_as_fstring_writer(g, tmp_path) -> bool:
+    save_edge_list(g, tmp_path / "e.csv", tmp_path / "a.csv")
+    oracles.fstring_edge_files(g, tmp_path / "e_ref.csv", tmp_path / "a_ref.csv")
+    return all(
+        (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_ref.csv").read_bytes()
+        for name in ("e", "a")
+    )
+
+
 @pytest.mark.parametrize(
     ("edge_lines", "attr_lines"),
     [
@@ -319,11 +329,39 @@ def test_load_accepts_int64_extremes_signs_and_zeros(tmp_path):
 def test_save_writes_the_bytes_of_the_fstring_writer(tmp_path, edge_lines, attr_lines):
     # extreme and negative labels, an isolated node (42), a zero-edge graph
     edges, attrs = write_files(tmp_path, edge_lines, attr_lines)
-    g = load_edge_list(edges, attrs)
-    save_edge_list(g, tmp_path / "e.csv", tmp_path / "a.csv")
-    oracles.fstring_edge_files(g, tmp_path / "e_ref.csv", tmp_path / "a_ref.csv")
-    assert (tmp_path / "e.csv").read_bytes() == (tmp_path / "e_ref.csv").read_bytes()
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "a_ref.csv").read_bytes()
+    assert _same_bytes_as_fstring_writer(load_edge_list(edges, attrs), tmp_path)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_save_in_row_blocks_writes_the_bytes_of_the_fstring_writer(tmp_path, monkeypatch, block):
+    # rows are cut into blocks of about `block` arcs: isolated first and
+    # last nodes, a hub whose row outgrows a block, and a graph without edges
+    monkeypatch.setattr(graph, "_SAVE_BLOCK", block)
+    rng = np.random.default_rng(block)
+    n = 100
+    hub = [(1, v) for v in range(2, 90)]
+    edges = hub + [(u + 2, v + 2) for u, v in random_edges(rng, n - 3, 0.1)]
+    opinions = (rng.random(n) < 0.5).astype(np.uint8)
+    labels = np.arange(n) * 7919 - 300  # negative and multi-digit labels
+    g = AnnotatedGraph.from_edge_array(n, edges, opinions=opinions, labels=labels)
+    assert degree(g, 0) == degree(g, n - 1) == 0 and degree(g, 1) > block
+    assert _same_bytes_as_fstring_writer(g, tmp_path)
+    assert _same_bytes_as_fstring_writer(graph_from_edges(4, []), tmp_path)
+
+
+def test_save_of_a_large_graph_writes_the_bytes_of_the_fstring_writer(tmp_path):
+    g = memory_test_graph()
+    assert g.indices.size > 5 * graph._SAVE_BLOCK  # several blocks at the real size
+    assert _same_bytes_as_fstring_writer(g, tmp_path)
+
+
+def test_save_allocates_at_most_2_2_times_the_adjacency(tmp_path):
+    """Bound: 2.2x ``indices.nbytes``. The edge lines come from blocks of
+    whole adjacency rows, so no array the size of the edge list is built;
+    the save peaked at 3.24x when it formatted a full copy of the edges."""
+    g = memory_test_graph()
+    _, peak = traced_peak(save_edge_list, g, tmp_path / "e.csv", tmp_path / "a.csv")
+    assert peak <= 2.2 * g.indices.nbytes
 
 
 @settings(max_examples=40, deadline=None)
@@ -497,7 +535,7 @@ def test_subgraph_allocates_at_most_4_2_times_the_adjacency():
     """Bound: 4.2x the whole graph's ``indices.nbytes``, for either opinion.
 
     The kept arcs come straight from the CSR; the pro subgraph, which keeps
-    nearly every edge, peaked at 4.4x when it was cut from ``g.edges()``.
+    nearly every edge, peaked at 4.4x when it was cut from a copy of the edge list.
     """
     g = memory_test_graph()
     for opinion in Opinion:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import oracles
 from helpers import (
     complete_edges,
+    edge_array,
     graph_from_edges,
     memory_test_graph,
     random_annotated,
@@ -213,7 +214,7 @@ def test_mixing_matrix_matches_enumeration():
     rng = np.random.default_rng(9)
     g = random_annotated(rng, 40, 0.15)
     m = mixing_matrix(g, g.opinions)
-    expected = oracles.brute_mixing(g.edges().tolist(), g.opinions)
+    expected = oracles.brute_mixing(edge_array(g).tolist(), g.opinions)
     assert np.allclose(m, expected, atol=1e-12)
 
 
@@ -280,7 +281,7 @@ def test_cross_connection_zero_denominator():
 def test_metrics_report_fields_and_subgraph_nan():
     rng = np.random.default_rng(2)
     ba = barabasi_albert(400, 2, seed=6)
-    g = graph_from_edges(400, ba.edges(), (rng.random(400) < 0.5).astype(np.uint8))
+    g = graph_from_edges(400, edge_array(ba), (rng.random(400) < 0.5).astype(np.uint8))
     rep = metrics_report(g)
     assert 0.0 <= rep.density <= 1.0
     assert 0.0 <= rep.avg_clustering <= 1.0
