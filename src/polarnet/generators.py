@@ -16,10 +16,13 @@ whole numpy arrays:
   target twice draws on alone until its targets are distinct.
 
 Memory: each generator fills one preallocated ``(k, 2)`` int64 edge array in
-place and hands it to :meth:`AnnotatedGraph.from_edge_array` as its only
-reference, so the build frees it before its sort. Beyond the graph it
-returns, a generator holds at most that one edge array, the size of the
-graph's adjacency array, at a time.
+place, with no stacked or concatenated copies of it, and hands it to
+:meth:`AnnotatedGraph.from_edge_array` as its only reference, so the build
+frees it before its sort (from CPython 3.11; 3.10 keeps a call's arguments
+alive until it returns). While the array is filled, the generator's own
+index arrays live beside it: ER's flat indices, two-community's three blocks
+of them, WS's kept and rewired edges. At high ``p_rewire``, WS's rewiring
+loop keeps its events in Python lists that outweigh the edge array.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ def _bernoulli_indices(total: int, p: float, rng: np.random.Generator) -> np.nda
         np.cumsum(positions, out=positions)
         pos = int(positions[-1])
         parts.append(positions[: np.searchsorted(positions, total)])  # positions increase
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return np.concatenate(parts)
 
 
 def _pair_from_triangular(q: np.ndarray, out: np.ndarray) -> np.ndarray:

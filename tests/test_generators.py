@@ -260,7 +260,11 @@ def test_generators_allocate_at_most_3_7_times_the_adjacency(build, args):
     CPython 3.10 keeps a call's arguments on the caller's stack until the
     call returns, so there the edge array lives through the build's
     ``validate``, one more ``indices.nbytes``; from 3.11 the callee holds
-    them alone.
+    them alone. The 3.10 factor, 4.7x, is not measured on 3.10: a wrapper
+    that keeps ``from_edge_array``'s arguments alive through the call read
+    4.43, 4.48, 4.48 and 4.46x on CPython 3.11 with numpy 2.4, and numpy
+    1.24's temporaries were not checked, so whether it holds on 3.10 with
+    numpy 1.24 is unknown.
     """
     _pcg(0)  # numpy loads numpy.random on first use, outside the generator's own memory
     g, peak = traced_peak(build, *args, 1)
