@@ -15,7 +15,7 @@ from .config import RunConfig, parse_config, scalar_fields
 from .errors import ConfigError, PolarnetError
 from .experiment import SUBPOPS, compare_scenarios, run_ensemble
 from .generators import GENERATOR_KINDS, GeneratorSpec
-from .graph import Opinion, load_edge_list, save_edge_list, subgraph_by_opinion
+from .graph import Opinion, load_edge_list, save_edge_list
 from .metrics import metrics_report
 from .output import CurveGroup, emit_svg_plot, write_curves_csv, write_metrics_csv, write_summary_csv
 
@@ -51,9 +51,11 @@ def _load_run_config(args) -> RunConfig:
 def cmd_metrics(args) -> int:
     if args.kmin < 1:
         raise ConfigError("--kmin must be >= 1")
-    g = load_edge_list(args.edges, args.attrs)
-    if args.subgraph:
-        g = subgraph_by_opinion(g, Opinion.parse(args.subgraph))
+    target = Path(args.out).resolve()
+    for flag, path in (("--edges", args.edges), ("--attrs", args.attrs)):
+        if target == Path(path).resolve():
+            raise ConfigError(f"--out and {flag} name the same file: {target}")
+    g = load_edge_list(args.edges, args.attrs, Opinion.parse(args.subgraph) if args.subgraph else None)
     report = metrics_report(g, k_min=args.kmin)
     write_metrics_csv(report, args.out)
     print(f"wrote {args.out}")

@@ -172,15 +172,37 @@ def gather_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
     return indices[np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])], lengths
 
 
+def row_blocks(bounds: np.ndarray, size: int):
+    """Yield ``(lo, hi)``: consecutive runs of rows that together count at
+    most ``size`` (``bounds[hi] - bounds[lo]``), or one row that alone counts
+    more. ``bounds`` rises from 0 like a CSR ``indptr``, one entry per row
+    and a last one."""
+    lo, rows = 0, bounds.size - 1
+    while lo < rows:
+        hi = max(lo + 1, int(np.searchsorted(bounds, bounds[lo] + size, side="right")) - 1)
+        yield lo, hi
+        lo = hi
+
+
+def _renumbering(opinions: np.ndarray, opinion: Opinion) -> tuple[np.ndarray, np.ndarray]:
+    """(the ids of the nodes holding ``opinion``, each node's int32 id among
+    them or -1). The new ids keep the order of the old."""
+    keep = np.flatnonzero(opinions == int(opinion))
+    remap = np.full(opinions.size, -1, dtype=np.int32)
+    remap[keep] = np.arange(keep.size, dtype=np.int32)
+    return keep, remap
+
+
 def subgraph_by_opinion(g: AnnotatedGraph, opinion: Opinion) -> AnnotatedGraph:
     """Induced subgraph on the nodes holding ``opinion``, ids re-densified.
 
     The renumbering keeps the order of the kept nodes, so the kept arcs,
-    taken in CSR order, are already the subgraph's sorted rows.
+    taken in CSR order, are already the subgraph's sorted rows. It holds
+    two int32 arrays of the arc count and the kept arcs' int64 ids; to
+    report on one community of a file, ``load_edge_list`` with an
+    ``opinion`` builds the same graph without building the whole one.
     """
-    keep = np.flatnonzero(g.opinions == int(opinion))
-    remap = np.full(g.n, -1, dtype=np.int32)
-    remap[keep] = np.arange(keep.size, dtype=np.int32)
+    keep, remap = _renumbering(g.opinions, opinion)
     src, dst = np.repeat(remap, g.degrees), remap[g.indices]
     inside = (src >= 0) & (dst >= 0)
     src, dst = src[inside], dst[inside]
@@ -353,13 +375,20 @@ def _dense_ids(edges: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return ends.reshape(-1, 2)
 
 
-def load_edge_list(path, attr_path) -> AnnotatedGraph:
+def load_edge_list(path, attr_path, opinion: Opinion | None = None) -> AnnotatedGraph:
     """Load and validate an annotated graph from an edge + attribute file.
 
     External labels are remapped to dense ids (ascending label order).
     Duplicate edges collapse silently; self-loops are dropped and counted in
     a log warning. Nodes present only in the attribute file are kept as
     isolated nodes. Every node appearing in an edge must be annotated.
+
+    With an ``opinion``, the result is ``subgraph_by_opinion`` of the whole
+    graph, array for array, but only that community is built. Every line is
+    still read and every edge mapped, so the errors and the warning do not
+    change; the edges whose ends both hold ``opinion`` are then kept as
+    int32 ids in label order, and the int64 pairs are freed before the
+    community is built. Its peak stays below the unfiltered load's.
     """
     edges = _read_rows(path, *_EDGE_ROWS)
     loops = edges["src"] == edges["dst"]
@@ -372,6 +401,12 @@ def load_edge_list(path, attr_path) -> AnnotatedGraph:
     # buffer once it has its arcs: no name here may still hold it then
     pairs = [_dense_ids(edges, labels)]
     del edges
+    if opinion is not None:
+        keep, remap = _renumbering(opinions, opinion)
+        ids = remap[pairs.pop()]
+        pairs.append(ids[(ids >= 0).all(axis=1)])
+        del ids
+        labels, opinions = labels[keep], opinions[keep]
     return AnnotatedGraph.from_edge_array(labels.size, pairs.pop(), opinions=opinions, labels=labels)
 
 
@@ -410,17 +445,13 @@ def save_edge_list(g: AnnotatedGraph, path, attr_path) -> None:
     comma, newline = (np.full((1, 1), ord(c), dtype=np.uint8) for c in ",\n")
     with open(path, "wb") as fh:
         fh.write(b"src,dst\n")
-        lo = 0
-        while lo < g.n:
-            # rows [lo, hi) hold at most _SAVE_BLOCK arcs, or are one row
-            hi = max(lo + 1, int(np.searchsorted(indptr, indptr[lo] + _SAVE_BLOCK, side="right")) - 1)
+        for lo, hi in row_blocks(indptr, _SAVE_BLOCK):
             src = np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(indptr[lo : hi + 1]))
             dst = indices[indptr[lo] : indptr[hi]]
             forward = src < dst
             src, dst = src[forward], dst[forward]
             rows = (src.size, 1)
             _write_rows(fh, text[src], np.broadcast_to(comma, rows), text[dst], np.broadcast_to(newline, rows))
-            lo = hi
     # line ends by Opinion value (ANTI = 0, PRO = 1), zero-padded
     suffix = np.array([b",anti\n", b",pro\n"]).view(np.uint8).reshape(2, -1)
     with open(attr_path, "wb") as fh:

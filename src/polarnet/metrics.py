@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, FitError, SingleGroupError
-from .graph import AnnotatedGraph
+from .graph import AnnotatedGraph, row_blocks
 
 _DEGENERATE_EPS = 1e-12
-# wedges per block of the triangle count; bounds its memory on dense graphs
-_BLOCK_WORK = 1 << 16
+# arcs or wedges per block of the triangle count; bounds its temporaries
+_BLOCK_WORK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -119,47 +119,63 @@ def _triangles(g: AnnotatedGraph) -> np.ndarray:
     lowest-ranked corner, closed by the arc ``v -> w``: each is found once,
     by a search for the key ``v*n + w`` among the sorted arc keys ``u*n + v``.
 
-    Ranks and node ids are int32 (``n`` < 2**31); every key is formed in
-    int64 by an explicit cast, since an int32 ``v * n`` would wrap.
+    Memory: beyond the graph, one int64 array of the edge count (the arc
+    keys, half the adjacency's bytes) and a few arrays of one entry per
+    node. The keys are filled from blocks of about ``_BLOCK_WORK`` arcs, and
+    the wedges are listed in blocks of nodes that head about ``_BLOCK_WORK``
+    wedges and arcs (a node that heads more is a block of its own). Each
+    block's keys are searched in sorted order and the hits mapped back.
+
+    Ranks are int32 (``n`` < 2**31). Every key is formed in int64, the arc
+    keys in their int64 buffer and the closing keys from int64 ids, since an
+    int32 ``v * n`` would wrap.
     """
-    n, deg = g.n, g.degrees
+    n, indptr = g.n, g.indptr
     rank = np.empty(n, dtype=np.int32)
-    rank[np.argsort(deg, kind="stable")] = np.arange(n, dtype=np.int32)
-    src, dst = np.repeat(rank, deg), rank[g.indices]
-    forward = src < dst
-    src, dst = src[forward], dst[forward]
-    del forward
-    keys = src.astype(np.int64)
-    keys *= n
-    keys += dst
-    del src, dst
+    rank[np.argsort(g.degrees, kind="stable")] = np.arange(n, dtype=np.int32)
+    keys = np.empty(g.edge_count, dtype=np.int64)
+    filled = 0
+    for lo, hi in row_blocks(indptr, _BLOCK_WORK):
+        src = np.repeat(rank[lo:hi], np.diff(indptr[lo : hi + 1]))
+        dst = rank[g.indices[indptr[lo] : indptr[hi]]]
+        forward = src < dst
+        block = keys[filled : filled + np.count_nonzero(forward)]
+        block[:] = src[forward]  # the store casts to int64
+        block *= n
+        block += dst[forward]
+        filled += block.size
     keys.sort()
-    u = (keys // n).astype(np.int32)
-    v = (keys % n).astype(np.int32)
-    # arc a heads the wedges it makes with arcs a+1 .. a+later[a] of its
-    # out-list; work[a] counts the wedges headed by arcs 0 .. a
-    work = np.cumsum(np.bincount(u, minlength=n))[u]
-    work -= np.arange(1, u.size + 1)
-    np.cumsum(work, out=work)
+    # rank r's out-list is keys[out[r]:out[r + 1]]; its k arcs head
+    # k*(k-1)/2 wedges, and the arcs count too in cutting the blocks
+    out = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    cost = np.zeros(n + 1, dtype=np.int64)
+    k = cost[1:]
+    np.subtract(out[1:], out[:-1], out=k)
+    k *= k + 1
+    k //= 2
+    np.cumsum(cost, out=cost)
     tri = np.zeros(n, dtype=np.int64)
-    lo = 0
-    while lo < u.size:
-        done = int(work[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(work, done + _BLOCK_WORK, side="right")))
-        later = np.diff(work[lo:hi], prepend=done)
+    for lo, hi in row_blocks(cost, _BLOCK_WORK):
+        first = out[lo]
+        u = np.repeat(np.arange(lo, hi), np.diff(out[lo : hi + 1]))  # the block's arcs' tails
+        v = keys[first : out[hi]] % n
+        # arc a heads the wedges it makes with arcs a+1 .. a+later[a]
+        later = out[u + 1] - first
+        later -= np.arange(1, u.size + 1)
         h = np.flatnonzero(later)
         cnt = later[h]
-        h += lo
         a = np.repeat(h, cnt)
         b = np.repeat(h - np.cumsum(cnt) + cnt, cnt)
         b += np.arange(1, b.size + 1)
-        need = v[a].astype(np.int64)
-        need *= n
+        need = v[a] * n
         need += v[b]
-        closed = keys[np.minimum(np.searchsorted(keys, need), keys.size - 1)] == need
-        a, b = a[closed], b[closed]
+        order = np.argsort(need)
+        need = need[order]
+        found = np.searchsorted(keys, need)
+        np.minimum(found, keys.size - 1, out=found)
+        hit = order[keys[found] == need]
+        a, b = a[hit], b[hit]
         tri += np.bincount(np.concatenate([u[a], v[a], v[b]]), minlength=n)
-        lo = hi
     return tri[rank]
 
 
@@ -167,8 +183,9 @@ def clustering_coefficients(g: AnnotatedGraph) -> np.ndarray:
     """Local clustering coefficient of every node."""
     if g.n < 1:
         raise DataError("clustering is undefined for the empty graph")
-    deg = g.degrees
-    return np.divide(2 * _triangles(g), deg * (deg - 1), out=np.zeros(g.n), where=deg >= 2)
+    twice = 2 * _triangles(g)
+    deg = g.degrees  # taken after the count, so as not to add to its peak
+    return np.divide(twice, deg * (deg - 1), out=np.zeros(g.n), where=deg >= 2)
 
 
 def average_clustering(g: AnnotatedGraph) -> float:

@@ -64,6 +64,28 @@ def test_metrics_subgraph_flag(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("subgraph", [[], ["--subgraph", "pro"]])
+@pytest.mark.parametrize("flag", ["--edges", "--attrs"])
+@pytest.mark.parametrize("spelling", ["{}", "sub/../{}"])
+def test_metrics_out_naming_an_input_exit_code_1(tmp_path, capsys, subgraph, flag, spelling):
+    # once the report overwrote the input it named
+    inputs = {"--edges": tmp_path / "e.csv", "--attrs": tmp_path / "a.csv"}
+    assert run_cli(
+        "generate", "--kind", "two-community", "--n-pro", "300", "--n-anti", "200",
+        "--p-in", "0.02", "--p-out", "0.001", "--seed", "4",
+        "--out-edges", str(inputs["--edges"]), "--out-attrs", str(inputs["--attrs"]),
+    ) == 0
+    (tmp_path / "sub").mkdir()
+    before = {path: path.read_bytes() for path in inputs.values()}
+    out = str(tmp_path / spelling.format(inputs[flag].name))
+    argv = ["metrics", "--edges", str(inputs["--edges"]), "--attrs", str(inputs["--attrs"]), *subgraph, "--out", out]
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"--out and {flag} name the same file" in err
+    assert {path: path.read_bytes() for path in inputs.values()} == before
+
+
 def _write_config(tmp_path, extra=""):
     # a key set in ``extra`` replaces the base line of that key
     base = (
@@ -373,6 +395,8 @@ PINNED_OUTPUTS = {
     "metrics/edges.csv": "f0d07f8269c0428ac90b234b8e14497ce5caabfd3e333ae57c7724c97c2f583f",
     "metrics/report_all.csv": "117e50aa6d69a582c799455dca91b77981adf7cc6c792a36d88693525ddc857b",
     "metrics/report_pro.csv": "993d939d4b6e7020aa0efd4f8760d00ba2fff7db96cc5c719cc059279ec7ba83",
+    # written by the load-then-cut path, before the loader filtered communities
+    "metrics/report_anti.csv": "a7468a1dc9084347e4f2f300d0f71acbbcf2975f16e88553f9d60b28fa338624",
     # the scalar-loop generator and the f-string writer wrote the ER file;
     # the WS and BA files are the array generators', drawn by their laws alone
     "generate/er_edges.csv": "978739439645ee4fd091306d1d2442edda383c9c45d3ec723e6dd860b88584ae",
@@ -397,9 +421,10 @@ def test_cli_outputs_pinned(tmp_path):
         "--p-in", "0.02", "--p-out", "0.001", "--seed", "4", "--out-edges", edges, "--out-attrs", attrs,
     ) == 0
     assert run_cli("metrics", "--edges", edges, "--attrs", attrs, "--out", str(met / "report_all.csv")) == 0
-    assert run_cli(
-        "metrics", "--edges", edges, "--attrs", attrs, "--subgraph", "pro", "--out", str(met / "report_pro.csv")
-    ) == 0
+    for opinion in ("pro", "anti"):
+        assert run_cli(
+            "metrics", "--edges", edges, "--attrs", attrs, "--subgraph", opinion, "--out", str(met / f"report_{opinion}.csv")
+        ) == 0
     (tmp_path / "generate").mkdir()
     for kind, params in (("er", ["--p", "0.02"]), ("ws", ["--k-ring", "4", "--p-rewire", "0.1"]), ("ba", ["--m", "2"])):
         assert run_cli(
