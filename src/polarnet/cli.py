@@ -15,7 +15,7 @@ from .config import RunConfig, parse_config, scalar_fields
 from .errors import ConfigError, PolarnetError
 from .experiment import SUBPOPS, compare_scenarios, run_ensemble
 from .generators import GENERATOR_KINDS, GeneratorSpec
-from .graph import Opinion, load_edge_list, save_edge_list
+from .graph import Opinion, load_edge_list, save_edge_array
 from .metrics import metrics_report
 from .output import CurveGroup, emit_svg_plot, write_curves_csv, write_metrics_csv, write_summary_csv
 
@@ -66,9 +66,11 @@ def cmd_generate(args) -> int:
     target = Path(args.out_edges).resolve()
     if target == Path(args.out_attrs).resolve():
         raise ConfigError(f"--out-edges and --out-attrs name the same file: {target}")
-    g = GeneratorSpec(**{f.name: getattr(args, f.name) for f in fields(GeneratorSpec)}).build()
-    save_edge_list(g, args.out_edges, args.out_attrs)
-    print(f"wrote {args.out_edges} ({g.n} nodes, {g.edge_count} edges) and {args.out_attrs}")
+    spec = GeneratorSpec(**{f.name: getattr(args, f.name) for f in fields(GeneratorSpec)})
+    # the edge array goes to the writer as its only reference, so it can free it
+    n, *pairs, opinions = spec.edges()
+    edge_count = save_edge_array(n, pairs.pop(), args.out_edges, args.out_attrs, opinions)
+    print(f"wrote {args.out_edges} ({n} nodes, {edge_count} edges) and {args.out_attrs}")
     return 0
 
 

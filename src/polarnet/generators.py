@@ -16,13 +16,19 @@ whole numpy arrays:
   target twice draws on alone until its targets are distinct.
 
 Memory: each generator fills one preallocated ``(k, 2)`` int64 edge array in
-place, with no stacked or concatenated copies of it, and hands it to
+place, with no stacked or concatenated copies of it: ER and two-community
+decode their flat indices into it in blocks, WS writes its lattice columns
+by one ``divmod`` and BA writes its targets into it. While the array is
+filled, the generator's own index arrays live beside it: ER's flat indices,
+two-community's three blocks of them, WS's kept and rewired edges. At high
+``p_rewire``, WS's rewiring loop keeps its events in Python lists that
+outweigh the edge array. :meth:`GeneratorSpec.edges` returns the array; the
+public functions and :meth:`GeneratorSpec.build` hand it to
 :meth:`AnnotatedGraph.from_edge_array` as its only reference, so the build
 frees it before its sort (from CPython 3.11; 3.10 keeps a call's arguments
-alive until it returns). While the array is filled, the generator's own
-index arrays live beside it: ER's flat indices, two-community's three blocks
-of them, WS's kept and rewired edges. At high ``p_rewire``, WS's rewiring
-loop keeps its events in Python lists that outweigh the edge array.
+alive until it returns), and ``polarnet generate`` hands it to
+:func:`~polarnet.graph.save_edge_array`, which keeps one sorted int64 key
+per edge in its place and never builds the graph.
 """
 
 from __future__ import annotations
@@ -56,6 +62,15 @@ def _rng(seed) -> np.random.Generator:
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _graph(draw, *args) -> AnnotatedGraph:
+    """The graph of the ``(n, edges, opinions)`` that ``draw(*args)``
+    returns: the ``_draw_*`` function of a kind checks its parameters and
+    draws its edges. The edge array goes to the build as its only
+    reference."""
+    n, *edges, opinions = draw(*args)
+    return AnnotatedGraph.from_edge_array(n, edges.pop(), opinions)
 
 
 _CHUNK = 1 << 18  # most skips drawn per rng.random call
@@ -100,15 +115,22 @@ def _bernoulli_indices(total: int, p: float, rng: np.random.Generator) -> np.nda
     return np.concatenate(parts)
 
 
+_DECODE_BLOCK = 1 << 16  # flat indices decoded per block
+
+
 def _pair_from_triangular(q: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the pairs i < j of the flat indices q = j(j-1)/2 + i as the
-    rows of ``out``, an int64 array of shape (q.size, 2); returns ``out``."""
-    i, j = out[:, 0], out[:, 1]
-    # j = floor((1 + sqrt(8q + 1)) / 2); half a row up, float rounding cannot
-    # push the estimate below j, so it is j or j + 1
-    j[:] = np.sqrt(8.0 * q + 1.0) // 2 + 1
-    j -= j * (j - 1) // 2 > q
-    np.subtract(q, j * (j - 1) // 2, out=i)
+    rows of ``out``, an int64 array of shape (q.size, 2); returns ``out``.
+    The float and int64 temporaries span one block of ``_DECODE_BLOCK``
+    indices at a time."""
+    for lo in range(0, q.size, _DECODE_BLOCK):
+        block = q[lo : lo + _DECODE_BLOCK]
+        i, j = out[lo : lo + _DECODE_BLOCK, 0], out[lo : lo + _DECODE_BLOCK, 1]
+        # j = floor((1 + sqrt(8q + 1)) / 2); half a row up, float rounding
+        # cannot push the estimate below j, so it is j or j + 1
+        j[:] = np.sqrt(8.0 * block + 1.0) // 2 + 1
+        j -= j * (j - 1) // 2 > block
+        np.subtract(block, j * (j - 1) // 2, out=i)
     return out
 
 
@@ -118,14 +140,18 @@ def _erdos_renyi_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray
     return _pair_from_triangular(q, np.empty((q.size, 2), dtype=np.int64))
 
 
-def erdos_renyi(n: int, p: float, seed) -> AnnotatedGraph:
-    """G(n, p): each unordered pair is an edge independently with prob p."""
+def _draw_er(n: int, p: float, seed):
     _check_counts(seed=seed, n=n)
     if n < 2:
         raise ConfigError("erdos_renyi requires n >= 2")
     if not 0.0 <= p <= 1.0:
         raise ConfigError("edge probability must lie in [0, 1]")
-    return AnnotatedGraph.from_edge_array(n, _erdos_renyi_edges(n, p, _rng(seed)))
+    return n, _erdos_renyi_edges(n, p, _rng(seed)), None
+
+
+def erdos_renyi(n: int, p: float, seed) -> AnnotatedGraph:
+    """G(n, p): each unordered pair is an edge independently with prob p."""
+    return _graph(_draw_er, n, p, seed)
 
 
 def _watts_strogatz_edges(n: int, k_ring: int, p_rewire: float, rng: np.random.Generator) -> np.ndarray:
@@ -177,9 +203,11 @@ def _watts_strogatz_edges(n: int, k_ring: int, p_rewire: float, rng: np.random.G
     del hits, targets, degree, rewired
     kept = np.flatnonzero(np.frombuffer(removed, dtype=np.uint8) == 0)
     edges = np.empty((total, 2), dtype=np.int64)
-    lattice = edges[: kept.size]
-    lattice[:, 0] = kept % n
-    lattice[:, 1] = (lattice[:, 0] + kept // n + 1) % n
+    u, v = edges[: kept.size, 0], edges[: kept.size, 1]
+    np.divmod(kept, n, out=(v, u))  # v holds e // n until it becomes the far end
+    v += u
+    v += 1
+    v %= n
     np.divmod(added, n, out=(edges[kept.size :, 0], edges[kept.size :, 1]))
     return edges
 
@@ -272,13 +300,7 @@ def _barabasi_albert_edges(n: int, m: int, rng: np.random.Generator) -> np.ndarr
     return edges
 
 
-def watts_strogatz(n: int, k_ring: int, p_rewire: float, seed) -> AnnotatedGraph:
-    """Ring lattice of degree k_ring with independent edge rewiring.
-
-    For each lattice edge (taken ring by ring, as in the original scheme)
-    the far endpoint is replaced, with probability p_rewire, by a uniform
-    target that creates neither a self-loop nor a duplicate edge.
-    """
+def _draw_ws(n: int, k_ring: int, p_rewire: float, seed):
     _check_counts(seed=seed, n=n, k_ring=k_ring)
     if k_ring < 2 or k_ring % 2 != 0:
         raise ConfigError("k_ring must be a positive even integer")
@@ -286,7 +308,26 @@ def watts_strogatz(n: int, k_ring: int, p_rewire: float, seed) -> AnnotatedGraph
         raise ConfigError("k_ring must be smaller than n")
     if not 0.0 <= p_rewire <= 1.0:
         raise ConfigError("rewiring probability must lie in [0, 1]")
-    return AnnotatedGraph.from_edge_array(n, _watts_strogatz_edges(n, k_ring, p_rewire, _rng(seed)))
+    return n, _watts_strogatz_edges(n, k_ring, p_rewire, _rng(seed)), None
+
+
+def watts_strogatz(n: int, k_ring: int, p_rewire: float, seed) -> AnnotatedGraph:
+    """Ring lattice of degree k_ring with independent edge rewiring.
+
+    For each lattice edge (taken ring by ring, as in the original scheme)
+    the far endpoint is replaced, with probability p_rewire, by a uniform
+    target that creates neither a self-loop nor a duplicate edge.
+    """
+    return _graph(_draw_ws, n, k_ring, p_rewire, seed)
+
+
+def _draw_ba(n: int, m: int, seed):
+    _check_counts(seed=seed, n=n, m=m)
+    if m < 1:
+        raise ConfigError("barabasi_albert requires m >= 1")
+    if n <= m:
+        raise ConfigError("barabasi_albert requires n > m")
+    return n, _barabasi_albert_edges(n, m, _rng(seed)), None
 
 
 def barabasi_albert(n: int, m: int, seed) -> AnnotatedGraph:
@@ -296,12 +337,7 @@ def barabasi_albert(n: int, m: int, seed) -> AnnotatedGraph:
     probability proportional to degree; duplicate targets are resolved by
     rejection sampling, keeping the graph simple.
     """
-    _check_counts(seed=seed, n=n, m=m)
-    if m < 1:
-        raise ConfigError("barabasi_albert requires m >= 1")
-    if n <= m:
-        raise ConfigError("barabasi_albert requires n > m")
-    return AnnotatedGraph.from_edge_array(n, _barabasi_albert_edges(n, m, _rng(seed)))
+    return _graph(_draw_ba, n, m, seed)
 
 
 def _two_community_edges(n_pro: int, n_anti: int, p_in: float, p_out: float, rng: np.random.Generator) -> np.ndarray:
@@ -321,15 +357,7 @@ def _two_community_edges(n_pro: int, n_anti: int, p_in: float, p_out: float, rng
     return edges
 
 
-def two_community(
-    n_pro: int, n_anti: int, p_in: float, p_out: float, seed
-) -> AnnotatedGraph:
-    """Planted two-block graph with opinions assigned by block.
-
-    Within-community pairs connect with probability p_in, cross-community
-    pairs with p_out <= p_in (equality gives the random-mixing control).
-    Nodes [0, n_pro) are pro, the rest anti.
-    """
+def _draw_two_community(n_pro: int, n_anti: int, p_in: float, p_out: float, seed):
     _check_counts(seed=seed, n_pro=n_pro, n_anti=n_anti)
     if n_pro < 1 or n_anti < 1:
         raise ConfigError("both communities need at least one node")
@@ -341,19 +369,30 @@ def two_community(
     opinions = np.empty(n, dtype=np.uint8)
     opinions[:n_pro] = Opinion.PRO
     opinions[n_pro:] = Opinion.ANTI
-    return AnnotatedGraph.from_edge_array(
-        n, _two_community_edges(n_pro, n_anti, p_in, p_out, _rng(seed)), opinions=opinions
-    )
+    return n, _two_community_edges(n_pro, n_anti, p_in, p_out, _rng(seed)), opinions
 
 
-# the parameters each generator kind needs
-_REQUIRED = {
-    "er": ("n", "p"),
-    "ws": ("n", "k_ring", "p_rewire"),
-    "ba": ("n", "m"),
-    "two-community": ("n_pro", "n_anti", "p_in", "p_out"),
+def two_community(
+    n_pro: int, n_anti: int, p_in: float, p_out: float, seed
+) -> AnnotatedGraph:
+    """Planted two-block graph with opinions assigned by block.
+
+    Within-community pairs connect with probability p_in, cross-community
+    pairs with p_out <= p_in (equality gives the random-mixing control).
+    Nodes [0, n_pro) are pro, the rest anti.
+    """
+    return _graph(_draw_two_community, n_pro, n_anti, p_in, p_out, seed)
+
+
+# each generator kind: the function that checks its parameters and draws
+# its edges, and the parameters it takes, in that function's order
+_KINDS = {
+    "er": (_draw_er, ("n", "p")),
+    "ws": (_draw_ws, ("n", "k_ring", "p_rewire")),
+    "ba": (_draw_ba, ("n", "m")),
+    "two-community": (_draw_two_community, ("n_pro", "n_anti", "p_in", "p_out")),
 }
-GENERATOR_KINDS = tuple(_REQUIRED)
+GENERATOR_KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
@@ -373,11 +412,11 @@ class GeneratorSpec:
     p_out: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _REQUIRED:
+        if self.kind not in _KINDS:
             raise ConfigError(
                 f"unknown generator kind {self.kind!r}; expected one of {GENERATOR_KINDS}"
             )
-        unused = [k for k, v in vars(self).items() if v is not None and k not in ("kind", "seed", *_REQUIRED[self.kind])]
+        unused = [k for k, v in vars(self).items() if v is not None and k not in ("kind", "seed", *_KINDS[self.kind][1])]
         if unused:
             raise ConfigError(f"generator {self.kind!r} takes no parameter(s): {', '.join(unused)}")
         counts = {key: getattr(self, key) for key in ("n", "k_ring", "m", "n_pro", "n_anti")}
@@ -389,16 +428,17 @@ class GeneratorSpec:
         if self.seed < 0:
             raise ConfigError(f"key 'graph_seed' (generate --seed) must be >= 0, got {self.seed}")
 
-    def build(self) -> AnnotatedGraph:
-        missing = [name for name in _REQUIRED[self.kind] if getattr(self, name) is None]
+    def edges(self) -> tuple[int, np.ndarray, np.ndarray | None]:
+        """(node count, the ``(k, 2)`` int64 edge array, each node's Opinion
+        value or None for all pro) of the described graph, drawn after its
+        generator's parameter checks."""
+        draw, names = _KINDS[self.kind]
+        missing = [name for name in names if getattr(self, name) is None]
         if missing:
             raise ConfigError(
                 f"generator {self.kind!r} needs parameter(s): {', '.join(missing)}"
             )
-        if self.kind == "er":
-            return erdos_renyi(self.n, self.p, self.seed)
-        if self.kind == "ws":
-            return watts_strogatz(self.n, self.k_ring, self.p_rewire, self.seed)
-        if self.kind == "ba":
-            return barabasi_albert(self.n, self.m, self.seed)
-        return two_community(self.n_pro, self.n_anti, self.p_in, self.p_out, self.seed)
+        return draw(*(getattr(self, name) for name in names), self.seed)
+
+    def build(self) -> AnnotatedGraph:
+        return _graph(self.edges)

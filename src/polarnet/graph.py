@@ -49,6 +49,15 @@ class Opinion(IntEnum):
         return "pro" if self is Opinion.PRO else "anti"
 
 
+def _check_pairs(n: int, edges: np.ndarray) -> None:
+    """Raise a DataError unless every endpoint of the (k, 2) ``edges`` lies
+    in [0, n) and no pair joins a node to itself."""
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        raise DataError("edge endpoint out of range")
+    if np.any(edges[:, 0] == edges[:, 1]):
+        raise DataError("self-loops are not allowed")
+
+
 @dataclass(eq=False)
 class AnnotatedGraph:
     """Immutable simple undirected graph with one opinion per node."""
@@ -94,11 +103,8 @@ class AnnotatedGraph:
         writable and its own.
         """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if edges.size and (edges.min() < 0 or edges.max() >= n):
-            raise DataError("edge endpoint out of range")
+        _check_pairs(n, edges)
         u, v = edges[:, 0], edges[:, 1]
-        if np.any(u == v):
-            raise DataError("self-loops are not allowed")
         opinions = np.full(n, Opinion.PRO, dtype=np.uint8) if opinions is None else np.array(opinions, dtype=np.uint8)
         if labels is not None:
             labels = np.array(labels, dtype=np.int64)
@@ -432,6 +438,24 @@ def _write_rows(fh, *columns: np.ndarray) -> None:
     fh.write(rows[rows != 0].tobytes())
 
 
+def _write_files(path, attr_path, text: np.ndarray, opinions: np.ndarray, blocks) -> None:
+    """Write the edge file, one line for each ``(src, dst)`` of the id
+    arrays that ``blocks`` yields, then the attribute file, one line per
+    node. ``text`` is the ``_label_bytes`` of the node labels, ``opinions``
+    the Opinion value of each node."""
+    comma, newline = (np.full((1, 1), ord(c), dtype=np.uint8) for c in ",\n")
+    with open(path, "wb") as fh:
+        fh.write(b"src,dst\n")
+        for src, dst in blocks:
+            rows = (src.size, 1)
+            _write_rows(fh, text[src], np.broadcast_to(comma, rows), text[dst], np.broadcast_to(newline, rows))
+    # line ends by Opinion value (ANTI = 0, PRO = 1), zero-padded
+    suffix = np.array([b",anti\n", b",pro\n"]).view(np.uint8).reshape(2, -1)
+    with open(attr_path, "wb") as fh:
+        fh.write(b"node,opinion\n")
+        _write_rows(fh, text, suffix[opinions])
+
+
 def save_edge_list(g: AnnotatedGraph, path, attr_path) -> None:
     """Write a graph back out in the load format (external labels).
 
@@ -440,20 +464,47 @@ def save_edge_list(g: AnnotatedGraph, path, attr_path) -> None:
     adjacency rows of about ``_SAVE_BLOCK`` arcs (a longer row is a block of
     its own), so no array the size of the edge list is built.
     """
-    text = _label_bytes(g.labels)
     indptr, indices = g.indptr, g.indices
-    comma, newline = (np.full((1, 1), ord(c), dtype=np.uint8) for c in ",\n")
-    with open(path, "wb") as fh:
-        fh.write(b"src,dst\n")
+
+    def blocks():
         for lo, hi in row_blocks(indptr, _SAVE_BLOCK):
             src = np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(indptr[lo : hi + 1]))
             dst = indices[indptr[lo] : indptr[hi]]
             forward = src < dst
             src, dst = src[forward], dst[forward]
-            rows = (src.size, 1)
-            _write_rows(fh, text[src], np.broadcast_to(comma, rows), text[dst], np.broadcast_to(newline, rows))
-    # line ends by Opinion value (ANTI = 0, PRO = 1), zero-padded
-    suffix = np.array([b",anti\n", b",pro\n"]).view(np.uint8).reshape(2, -1)
-    with open(attr_path, "wb") as fh:
-        fh.write(b"node,opinion\n")
-        _write_rows(fh, text, suffix[g.opinions])
+            yield src, dst
+
+    _write_files(path, attr_path, _label_bytes(g.labels), g.opinions, blocks())
+
+
+def save_edge_array(n: int, pairs: np.ndarray, path, attr_path, opinions: np.ndarray | None = None) -> int:
+    """Write ``AnnotatedGraph.from_edge_array(n, pairs, opinions)`` as
+    ``save_edge_list`` writes it, byte for byte, without building the
+    graph; returns its edge count. Node i is labelled i.
+
+    The pairs get the build's checks and DataError messages. Each pair is
+    then ordered in place and replaced by one int64 key ``lower * n +
+    higher``; the keys are sorted and repeated keys dropped, as the build
+    collapses duplicate edges, and the edge lines are formatted from blocks
+    of ``_SAVE_BLOCK`` keys. A caller that hands over its only reference to
+    ``pairs`` (as ``load_edge_list`` does to the build) lets them be freed
+    before the sort, so one key per edge stands in for the build's two arcs
+    per edge and its validation's arc-sized copies.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    _check_pairs(n, pairs)
+    opinions = np.full(n, Opinion.PRO, dtype=np.uint8) if opinions is None else np.asarray(opinions, dtype=np.uint8)
+    if opinions.shape != (n,):
+        raise DataError("opinions array must have one entry per node")
+    pairs.sort(axis=1)
+    keys = pairs[:, 0] * n
+    keys += pairs[:, 1]
+    del pairs
+    keys.sort()
+    fresh = keys[1:] != keys[:-1]
+    if not fresh.all():
+        keys = keys[np.concatenate(([True], fresh))]
+    del fresh
+    blocks = (np.divmod(keys[lo : lo + _SAVE_BLOCK], n) for lo in range(0, keys.size, _SAVE_BLOCK))
+    _write_files(path, attr_path, _label_bytes(np.arange(n, dtype=np.int64)), opinions, blocks)
+    return keys.size

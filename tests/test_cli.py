@@ -11,6 +11,8 @@ import polarnet
 from polarnet.cli import main
 from polarnet.config import parse_config
 from polarnet.experiment import compare_scenarios, run_ensemble
+from polarnet.generators import GeneratorSpec
+from polarnet.graph import save_edge_list
 from polarnet.output import write_curves_csv, write_summary_csv
 
 
@@ -46,6 +48,28 @@ def test_generate_byte_identical_per_seed(tmp_path):
                 "--out-attrs", str(tmp_path / f"a{tag}.csv"))
     assert (tmp_path / "ea.csv").read_bytes() == (tmp_path / "eb.csv").read_bytes()
     assert (tmp_path / "aa.csv").read_bytes() == (tmp_path / "ab.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"kind": "er", "n": 300, "p": 0.03},
+        {"kind": "ws", "n": 300, "k_ring": 6, "p_rewire": 0.7},
+        {"kind": "ba", "n": 300, "m": 1},
+        {"kind": "two-community", "n_pro": 200, "n_anti": 100, "p_in": 0.05, "p_out": 0.005},
+    ],
+    ids=lambda params: params["kind"],
+)
+def test_generate_writes_the_bytes_of_the_built_graph(tmp_path, capsys, params):
+    # generate writes the edge array without building the graph
+    g = GeneratorSpec(seed=5, **params).build()
+    save_edge_list(g, tmp_path / "e_ref.csv", tmp_path / "a_ref.csv")
+    edges, attrs = tmp_path / "e.csv", tmp_path / "a.csv"
+    flags = [arg for key, value in params.items() for arg in (f"--{key.replace('_', '-')}", str(value))]
+    assert run_cli("generate", *flags, "--seed", "5", "--out-edges", str(edges), "--out-attrs", str(attrs)) == 0
+    assert capsys.readouterr().out == f"wrote {edges} ({g.n} nodes, {g.edge_count} edges) and {attrs}\n"
+    assert edges.read_bytes() == (tmp_path / "e_ref.csv").read_bytes()
+    assert attrs.read_bytes() == (tmp_path / "a_ref.csv").read_bytes()
 
 
 def test_metrics_subgraph_flag(tmp_path):
@@ -220,11 +244,12 @@ def test_invalid_values_exit_code_1(tmp_path, capsys, extra, flags, message):
 
 
 def test_out_of_memory_exit_code_2(tmp_path, capsys, monkeypatch):
-    # `--n 2147483647` would ask for a 16 GiB indptr; the builder raises in its place
+    # `--n 2147483647` would ask the writer for 16 GiB of node labels; it
+    # raises in their place (drawing the edges at p = 0 allocates nothing)
     def out_of_memory(*args):
         raise MemoryError("Unable to allocate 16.0 GiB for an array with shape (2147483648,)")
 
-    monkeypatch.setattr(polarnet.generators, "erdos_renyi", out_of_memory)
+    monkeypatch.setattr(polarnet.cli, "save_edge_array", out_of_memory)
     edges = tmp_path / "e.csv"
     assert run_cli(
         "generate", "--kind", "er", "--n", "2147483647", "--p", "0",
@@ -406,6 +431,9 @@ PINNED_OUTPUTS = {
     "generate/er_attrs.csv": "efd3da037194eb313e7d69b29ad2836d7aebdbc001fba470f0c730098beb5fa7",
     "generate/ws_attrs.csv": "efd3da037194eb313e7d69b29ad2836d7aebdbc001fba470f0c730098beb5fa7",
     "generate/ba_attrs.csv": "efd3da037194eb313e7d69b29ad2836d7aebdbc001fba470f0c730098beb5fa7",
+    # written by the build-then-save path, before generate wrote the edge array
+    "generate/two-community_edges.csv": "6ebd6cd83becdfb7a00226fe4e83a8c693ef57d87252458d1d26251bfba402c9",
+    "generate/two-community_attrs.csv": "cf5dcf13037dac55da46103428f29d7673e6f3c01d35cf4d28af3127e11ada81",
 }
 
 
@@ -426,9 +454,14 @@ def test_cli_outputs_pinned(tmp_path):
             "metrics", "--edges", edges, "--attrs", attrs, "--subgraph", opinion, "--out", str(met / f"report_{opinion}.csv")
         ) == 0
     (tmp_path / "generate").mkdir()
-    for kind, params in (("er", ["--p", "0.02"]), ("ws", ["--k-ring", "4", "--p-rewire", "0.1"]), ("ba", ["--m", "2"])):
+    for kind, params in (
+        ("er", ["--n", "500", "--p", "0.02"]),
+        ("ws", ["--n", "500", "--k-ring", "4", "--p-rewire", "0.1"]),
+        ("ba", ["--n", "500", "--m", "2"]),
+        ("two-community", ["--n-pro", "300", "--n-anti", "200", "--p-in", "0.03", "--p-out", "0.003"]),
+    ):
         assert run_cli(
-            "generate", "--kind", kind, "--n", "500", *params, "--seed", "4",
+            "generate", "--kind", kind, *params, "--seed", "4",
             "--out-edges", str(tmp_path / "generate" / f"{kind}_edges.csv"),
             "--out-attrs", str(tmp_path / "generate" / f"{kind}_attrs.csv"),
         ) == 0

@@ -27,6 +27,7 @@ from polarnet.graph import (
     AnnotatedGraph,
     Opinion,
     load_edge_list,
+    save_edge_array,
     save_edge_list,
     subgraph_by_opinion,
 )
@@ -365,6 +366,49 @@ def test_save_allocates_at_most_2_2_times_the_adjacency(tmp_path):
     assert peak <= 2.2 * g.indices.nbytes
 
 
+def _edge_array_cases():
+    rng = np.random.default_rng(24)
+    # more than five _SAVE_BLOCK blocks of keys, with repeats either way round
+    many = rng.integers(0, 100_000, size=(6 * graph._SAVE_BLOCK, 2))
+    many = np.concatenate([many, many[:1000, ::-1]])
+    many = many[many[:, 0] != many[:, 1]]
+    return [
+        pytest.param(5, [[0, 1], [1, 0], [0, 1], [3, 2], [2, 3], [4, 0]], [PRO, ANTI, ANTI, PRO, ANTI], id="repeats"),
+        pytest.param(4, np.empty((0, 2), dtype=np.int64), None, id="no-edges"),
+        pytest.param(8, [[2, 5], [4, 3], [3, 2]], [ANTI, PRO] * 4, id="isolated"),
+        pytest.param(1200, [[0, 9], [10, 9], [99, 10], [100, 99], [999, 1000], [1199, 5]], None, id="label-widths"),
+        pytest.param(100_000, many, None, id="many-blocks"),
+    ]
+
+
+@pytest.mark.parametrize(("n", "pairs", "opinions"), _edge_array_cases())
+def test_edge_array_writer_writes_the_bytes_of_the_built_graph(tmp_path, n, pairs, opinions):
+    # the f-string writer's files of from_edge_array's graph, and its edge count
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    opinions = None if opinions is None else np.array(opinions, dtype=np.uint8)
+    g = AnnotatedGraph.from_edge_array(n, pairs, opinions)
+    assert save_edge_array(n, pairs.copy(), tmp_path / "e.csv", tmp_path / "a.csv", opinions) == g.edge_count
+    oracles.fstring_edge_files(g, tmp_path / "e_ref.csv", tmp_path / "a_ref.csv")
+    for name in ("e", "a"):
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    ("pairs", "opinions"),
+    [([[0, 3]], None), ([[-1, 2]], None), ([[0, 1], [2, 2]], None), ([[0, 1]], [PRO, ANTI])],
+    ids=["endpoint-high", "endpoint-low", "self-loop", "opinions"],
+)
+def test_edge_array_writer_raises_the_builder_messages(tmp_path, pairs, opinions):
+    pairs = np.array(pairs, dtype=np.int64)
+    opinions = None if opinions is None else np.array(opinions, dtype=np.uint8)
+    with pytest.raises(DataError) as built:
+        AnnotatedGraph.from_edge_array(3, pairs, opinions)
+    with pytest.raises(DataError) as written:
+        save_edge_array(3, pairs, tmp_path / "e.csv", tmp_path / "a.csv", opinions)
+    assert str(written.value) == str(built.value)
+    assert not any(tmp_path.iterdir())
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_save_load_round_trip_property(data):
@@ -393,6 +437,11 @@ def test_save_load_round_trip_property(data):
         assert e_path.read_bytes() == edge_text.encode("utf-8")
         assert a_path.read_bytes() == attr_text.encode("utf-8")
         g2 = load_edge_list(e_path, a_path)
+        # the edge array writer labels node i as i
+        save_edge_array(n, np.array(edges, dtype=np.int64).reshape(-1, 2), e_path, a_path, g.opinions)
+        edge_text, attr_text = oracles.reference_edge_files(edges, range(n), opinions)
+        assert e_path.read_bytes() == edge_text.encode("utf-8")
+        assert a_path.read_bytes() == attr_text.encode("utf-8")
     assert structurally_equal(g, g2)
     assert np.array_equal(g.labels, g2.labels)
 
