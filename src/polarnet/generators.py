@@ -15,25 +15,26 @@ whole numpy arrays:
   resolving them over the endpoint list in rounds; a node that draws a
   target twice draws on alone until its targets are distinct.
 
+:class:`GeneratorSpec` alone checks the parameters and draws the edges; the
+four public functions describe their graph by one and build it, so a library
+call and a config file raise the same messages.
+
 Memory: each generator fills one preallocated ``(k, 2)`` int64 edge array in
-place, with no stacked or concatenated copies of it: ER and two-community
-decode their flat indices into it in blocks, WS writes its lattice columns
-by one ``divmod`` and BA writes its targets into it. While the array is
-filled, the generator's own index arrays live beside it: ER's flat indices,
-two-community's three blocks of them, WS's kept and rewired edges. At high
-``p_rewire``, WS's rewiring loop keeps its events in Python lists that
-outweigh the edge array. :meth:`GeneratorSpec.edges` returns the array; the
-public functions and :meth:`GeneratorSpec.build` hand it to
+place, beside only its own index arrays (ER's flat indices, two-community's
+three blocks of them, WS's kept and rewired edges; at high ``p_rewire``,
+WS's rewiring loop keeps its events in Python lists that outweigh the edge
+array). :meth:`GeneratorSpec.edges` returns the array, and
+:meth:`GeneratorSpec.build` hands it to
 :meth:`AnnotatedGraph.from_edge_array` as its only reference, so the build
 frees it before its sort (from CPython 3.11; 3.10 keeps a call's arguments
-alive until it returns), and ``polarnet generate`` hands it to
-:func:`~polarnet.graph.save_edge_array`, which keeps one sorted int64 key
-per edge in its place and never builds the graph.
+alive until it returns); ``polarnet generate`` hands it to
+:func:`~polarnet.graph.save_edge_array`, which never builds the graph.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,33 +45,6 @@ from .graph import AnnotatedGraph, Opinion
 
 # most nodes of a generated graph: every pair index n(n-1)/2 then fits in int64
 MAX_NODES = 2**31 - 1
-
-
-def _check_counts(**counts) -> None:
-    """Raise ConfigError unless each count (the seed too) is an integer and
-    the node count, n or n_pro + n_anti, is at most MAX_NODES."""
-    require_integers(*counts.items())
-    nodes = [("n", counts.get("n"))]
-    if "n_pro" in counts and "n_anti" in counts:
-        nodes.append(("n_pro + n_anti", int(counts["n_pro"]) + int(counts["n_anti"])))
-    for key, value in nodes:
-        if value is not None and value > MAX_NODES:
-            raise ConfigError(f"{key} must be <= {MAX_NODES}, got {value}")
-
-
-def _rng(seed) -> np.random.Generator:
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return np.random.Generator(np.random.PCG64(seed))
-
-
-def _graph(draw, *args) -> AnnotatedGraph:
-    """The graph of the ``(n, edges, opinions)`` that ``draw(*args)``
-    returns: the ``_draw_*`` function of a kind checks its parameters and
-    draws its edges. The edge array goes to the build as its only
-    reference."""
-    n, *edges, opinions = draw(*args)
-    return AnnotatedGraph.from_edge_array(n, edges.pop(), opinions)
 
 
 _CHUNK = 1 << 18  # most skips drawn per rng.random call
@@ -138,20 +112,6 @@ def _erdos_renyi_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray
     """Edges of G(n, p), each pair decoded from its kept flat index."""
     q = _bernoulli_indices(n * (n - 1) // 2, p, rng)
     return _pair_from_triangular(q, np.empty((q.size, 2), dtype=np.int64))
-
-
-def _draw_er(n: int, p: float, seed):
-    _check_counts(seed=seed, n=n)
-    if n < 2:
-        raise ConfigError("erdos_renyi requires n >= 2")
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError("edge probability must lie in [0, 1]")
-    return n, _erdos_renyi_edges(n, p, _rng(seed)), None
-
-
-def erdos_renyi(n: int, p: float, seed) -> AnnotatedGraph:
-    """G(n, p): each unordered pair is an edge independently with prob p."""
-    return _graph(_draw_er, n, p, seed)
 
 
 def _watts_strogatz_edges(n: int, k_ring: int, p_rewire: float, rng: np.random.Generator) -> np.ndarray:
@@ -300,46 +260,6 @@ def _barabasi_albert_edges(n: int, m: int, rng: np.random.Generator) -> np.ndarr
     return edges
 
 
-def _draw_ws(n: int, k_ring: int, p_rewire: float, seed):
-    _check_counts(seed=seed, n=n, k_ring=k_ring)
-    if k_ring < 2 or k_ring % 2 != 0:
-        raise ConfigError("k_ring must be a positive even integer")
-    if k_ring >= n:
-        raise ConfigError("k_ring must be smaller than n")
-    if not 0.0 <= p_rewire <= 1.0:
-        raise ConfigError("rewiring probability must lie in [0, 1]")
-    return n, _watts_strogatz_edges(n, k_ring, p_rewire, _rng(seed)), None
-
-
-def watts_strogatz(n: int, k_ring: int, p_rewire: float, seed) -> AnnotatedGraph:
-    """Ring lattice of degree k_ring with independent edge rewiring.
-
-    For each lattice edge (taken ring by ring, as in the original scheme)
-    the far endpoint is replaced, with probability p_rewire, by a uniform
-    target that creates neither a self-loop nor a duplicate edge.
-    """
-    return _graph(_draw_ws, n, k_ring, p_rewire, seed)
-
-
-def _draw_ba(n: int, m: int, seed):
-    _check_counts(seed=seed, n=n, m=m)
-    if m < 1:
-        raise ConfigError("barabasi_albert requires m >= 1")
-    if n <= m:
-        raise ConfigError("barabasi_albert requires n > m")
-    return n, _barabasi_albert_edges(n, m, _rng(seed)), None
-
-
-def barabasi_albert(n: int, m: int, seed) -> AnnotatedGraph:
-    """Preferential attachment from an m-clique seed.
-
-    Each new node attaches to m distinct existing nodes chosen with
-    probability proportional to degree; duplicate targets are resolved by
-    rejection sampling, keeping the graph simple.
-    """
-    return _graph(_draw_ba, n, m, seed)
-
-
 def _two_community_edges(n_pro: int, n_anti: int, p_in: float, p_out: float, rng: np.random.Generator) -> np.ndarray:
     """Edges among the pro nodes [0, n_pro), among the anti nodes, then
     across, each block drawn by skip sampling over its pair indices."""
@@ -357,42 +277,27 @@ def _two_community_edges(n_pro: int, n_anti: int, p_in: float, p_out: float, rng
     return edges
 
 
-def _draw_two_community(n_pro: int, n_anti: int, p_in: float, p_out: float, seed):
-    _check_counts(seed=seed, n_pro=n_pro, n_anti=n_anti)
-    if n_pro < 1 or n_anti < 1:
-        raise ConfigError("both communities need at least one node")
-    if not (0.0 <= p_out <= 1.0 and 0.0 <= p_in <= 1.0):
-        raise ConfigError("connection probabilities must lie in [0, 1]")
-    if p_in < p_out:
-        raise ConfigError("two_community requires p_in >= p_out")
-    n = n_pro + n_anti
-    opinions = np.empty(n, dtype=np.uint8)
-    opinions[:n_pro] = Opinion.PRO
-    opinions[n_pro:] = Opinion.ANTI
-    return n, _two_community_edges(n_pro, n_anti, p_in, p_out, _rng(seed)), opinions
 
 
-def two_community(
-    n_pro: int, n_anti: int, p_in: float, p_out: float, seed
-) -> AnnotatedGraph:
-    """Planted two-block graph with opinions assigned by block.
-
-    Within-community pairs connect with probability p_in, cross-community
-    pairs with p_out <= p_in (equality gives the random-mixing control).
-    Nodes [0, n_pro) are pro, the rest anti.
-    """
-    return _graph(_draw_two_community, n_pro, n_anti, p_in, p_out, seed)
-
-
-# each generator kind: the function that checks its parameters and draws
-# its edges, and the parameters it takes, in that function's order
+# each generator kind: its edge function, the parameters that function takes
+# before its rng, and the kind's own rules as (holds, message) pairs
 _KINDS = {
-    "er": (_draw_er, ("n", "p")),
-    "ws": (_draw_ws, ("n", "k_ring", "p_rewire")),
-    "ba": (_draw_ba, ("n", "m")),
-    "two-community": (_draw_two_community, ("n_pro", "n_anti", "p_in", "p_out")),
+    "er": (_erdos_renyi_edges, ("n", "p"), ((lambda g: g.n >= 2, "erdos_renyi requires n >= 2"),)),
+    "ws": (_watts_strogatz_edges, ("n", "k_ring", "p_rewire"), (
+        (lambda g: g.k_ring >= 2 and g.k_ring % 2 == 0, "k_ring must be a positive even integer"),
+        (lambda g: g.k_ring < g.n, "k_ring must be smaller than n"),
+    )),
+    "ba": (_barabasi_albert_edges, ("n", "m"), (
+        (lambda g: g.m >= 1, "barabasi_albert requires m >= 1"),
+        (lambda g: g.n > g.m, "barabasi_albert requires n > m"),
+    )),
+    "two-community": (_two_community_edges, ("n_pro", "n_anti", "p_in", "p_out"), (
+        (lambda g: g.n_pro >= 1 and g.n_anti >= 1, "both communities need at least one node"),
+        (lambda g: g.p_in >= g.p_out, "two_community requires p_in >= p_out"),
+    )),
 }
 GENERATOR_KINDS = tuple(_KINDS)
+_COUNTS = ("n", "k_ring", "m", "n_pro", "n_anti")
 
 
 @dataclass(frozen=True)
@@ -413,14 +318,18 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ConfigError(
-                f"unknown generator kind {self.kind!r}; expected one of {GENERATOR_KINDS}"
-            )
+            raise ConfigError(f"unknown generator kind {self.kind!r}; expected one of {GENERATOR_KINDS}")
         unused = [k for k, v in vars(self).items() if v is not None and k not in ("kind", "seed", *_KINDS[self.kind][1])]
         if unused:
             raise ConfigError(f"generator {self.kind!r} takes no parameter(s): {', '.join(unused)}")
-        counts = {key: getattr(self, key) for key in ("n", "k_ring", "m", "n_pro", "n_anti")}
-        _check_counts(graph_seed=self.seed, **{key: v for key, v in counts.items() if v is not None})
+        counts = [(key, getattr(self, key)) for key in _COUNTS if getattr(self, key) is not None]
+        require_integers(("graph_seed", self.seed), *counts)
+        sizes = [("n", self.n)]
+        if self.n_pro is not None and self.n_anti is not None:
+            sizes.append(("n_pro + n_anti", int(self.n_pro) + int(self.n_anti)))
+        for key, value in sizes:
+            if value is not None and value > MAX_NODES:
+                raise ConfigError(f"{key} must be <= {MAX_NODES}, got {value}")
         for key in ("p", "p_rewire", "p_in", "p_out"):
             value = getattr(self, key)
             if value is not None and not 0.0 <= value <= 1.0:
@@ -431,14 +340,62 @@ class GeneratorSpec:
     def edges(self) -> tuple[int, np.ndarray, np.ndarray | None]:
         """(node count, the ``(k, 2)`` int64 edge array, each node's Opinion
         value or None for all pro) of the described graph, drawn after its
-        generator's parameter checks."""
-        draw, names = _KINDS[self.kind]
+        kind's rules from ``PCG64(seed)``."""
+        draw, names, rules = _KINDS[self.kind]
         missing = [name for name in names if getattr(self, name) is None]
         if missing:
-            raise ConfigError(
-                f"generator {self.kind!r} needs parameter(s): {', '.join(missing)}"
-            )
-        return draw(*(getattr(self, name) for name in names), self.seed)
+            raise ConfigError(f"generator {self.kind!r} needs parameter(s): {', '.join(missing)}")
+        for holds, message in rules:
+            if not holds(self):
+                raise ConfigError(message)
+        # Python ints: a numpy integer size would overflow in its own width
+        args = [operator.index(getattr(self, name)) if name in _COUNTS else getattr(self, name) for name in names]
+        if self.n is not None:
+            n, opinions = operator.index(self.n), None
+        else:  # two blocks: nodes [0, n_pro) are pro, the rest anti
+            blocks = operator.index(self.n_pro), operator.index(self.n_anti)
+            n, opinions = sum(blocks), np.repeat(np.uint8([Opinion.PRO, Opinion.ANTI]), blocks)
+        return n, draw(*args, np.random.Generator(np.random.PCG64(operator.index(self.seed)))), opinions
 
     def build(self) -> AnnotatedGraph:
-        return _graph(self.edges)
+        """The described graph; the edge array goes to the build as its only
+        reference."""
+        n, *edges, opinions = self.edges()
+        return AnnotatedGraph.from_edge_array(n, edges.pop(), opinions)
+
+
+def erdos_renyi(n: int, p: float, seed) -> AnnotatedGraph:
+    """G(n, p): each unordered pair is an edge independently with prob p."""
+    return GeneratorSpec("er", seed, n=n, p=p).build()
+
+
+def watts_strogatz(n: int, k_ring: int, p_rewire: float, seed) -> AnnotatedGraph:
+    """Ring lattice of degree k_ring with independent edge rewiring.
+
+    For each lattice edge (taken ring by ring, as in the original scheme)
+    the far endpoint is replaced, with probability p_rewire, by a uniform
+    target that creates neither a self-loop nor a duplicate edge.
+    """
+    return GeneratorSpec("ws", seed, n=n, k_ring=k_ring, p_rewire=p_rewire).build()
+
+
+def barabasi_albert(n: int, m: int, seed) -> AnnotatedGraph:
+    """Preferential attachment from an m-clique seed.
+
+    Each new node attaches to m distinct existing nodes chosen with
+    probability proportional to degree; duplicate targets are resolved by
+    rejection sampling, keeping the graph simple.
+    """
+    return GeneratorSpec("ba", seed, n=n, m=m).build()
+
+
+def two_community(
+    n_pro: int, n_anti: int, p_in: float, p_out: float, seed
+) -> AnnotatedGraph:
+    """Planted two-block graph with opinions assigned by block.
+
+    Within-community pairs connect with probability p_in, cross-community
+    pairs with p_out <= p_in (equality gives the random-mixing control).
+    Nodes [0, n_pro) are pro, the rest anti.
+    """
+    return GeneratorSpec("two-community", seed, n_pro=n_pro, n_anti=n_anti, p_in=p_in, p_out=p_out).build()

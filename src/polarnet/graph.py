@@ -49,13 +49,22 @@ class Opinion(IntEnum):
         return "pro" if self is Opinion.PRO else "anti"
 
 
-def _check_pairs(n: int, edges: np.ndarray) -> None:
-    """Raise a DataError unless every endpoint of the (k, 2) ``edges`` lies
-    in [0, n) and no pair joins a node to itself."""
+def _check_pairs(n: int, edges) -> np.ndarray:
+    """The ``(k, 2)`` int64 view of ``edges`` (a copy only if their dtype
+    differs); raises a DataError unless every endpoint lies in [0, n) and no
+    pair joins a node to itself."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise DataError("edge endpoint out of range")
     if np.any(edges[:, 0] == edges[:, 1]):
         raise DataError("self-loops are not allowed")
+    return edges
+
+
+def _drop_repeats(keys: np.ndarray) -> np.ndarray:
+    """The sorted ``keys`` without repeats: ``keys`` itself if it has none."""
+    fresh = keys[1:] != keys[:-1]
+    return keys if fresh.all() else keys[np.concatenate(([True], fresh))]
 
 
 @dataclass(eq=False)
@@ -102,8 +111,7 @@ class AnnotatedGraph:
         ``(n,)``; the graph keeps copies of them, so the caller's arrays stay
         writable and its own.
         """
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        _check_pairs(n, edges)
+        edges = _check_pairs(n, edges)
         u, v = edges[:, 0], edges[:, 1]
         opinions = np.full(n, Opinion.PRO, dtype=np.uint8) if opinions is None else np.array(opinions, dtype=np.uint8)
         if labels is not None:
@@ -119,10 +127,7 @@ class AnnotatedGraph:
         arcs[k:] += u
         del edges, u, v  # a caller's temporary pairs are freed here, before validate
         arcs.sort()
-        fresh = arcs[1:] != arcs[:-1]
-        if not fresh.all():
-            arcs = arcs[np.concatenate(([True], fresh))]
-        del fresh
+        arcs = _drop_repeats(arcs)
         # row i starts at the first arc from i; the buffer then becomes the neighbour ids
         indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)
         arcs %= n
@@ -491,8 +496,7 @@ def save_edge_array(n: int, pairs: np.ndarray, path, attr_path, opinions: np.nda
     before the sort, so one key per edge stands in for the build's two arcs
     per edge and its validation's arc-sized copies.
     """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    _check_pairs(n, pairs)
+    pairs = _check_pairs(n, pairs)
     opinions = np.full(n, Opinion.PRO, dtype=np.uint8) if opinions is None else np.asarray(opinions, dtype=np.uint8)
     if opinions.shape != (n,):
         raise DataError("opinions array must have one entry per node")
@@ -501,10 +505,7 @@ def save_edge_array(n: int, pairs: np.ndarray, path, attr_path, opinions: np.nda
     keys += pairs[:, 1]
     del pairs
     keys.sort()
-    fresh = keys[1:] != keys[:-1]
-    if not fresh.all():
-        keys = keys[np.concatenate(([True], fresh))]
-    del fresh
+    keys = _drop_repeats(keys)
     blocks = (np.divmod(keys[lo : lo + _SAVE_BLOCK], n) for lo in range(0, keys.size, _SAVE_BLOCK))
     _write_files(path, attr_path, _label_bytes(np.arange(n, dtype=np.int64)), opinions, blocks)
     return keys.size

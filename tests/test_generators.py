@@ -405,7 +405,7 @@ def test_generators_reject_negative_seed():
         lambda: barabasi_albert(10, 2, -1),
         lambda: two_community(5, 5, 0.2, 0.0, -1),
     ):
-        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        with pytest.raises(ConfigError, match=re.escape("key 'graph_seed' (generate --seed) must be >= 0, got -1")):
             build()
 
 
@@ -413,12 +413,12 @@ def test_generators_reject_negative_seed():
     ("build", "args", "message"),
     [
         (erdos_renyi, (10.5, 0.1, 0), "key 'n' must be an integer, got 10.5"),
-        (erdos_renyi, (10, 0.1, 1.5), "key 'seed' must be an integer, got 1.5"),
+        (erdos_renyi, (10, 0.1, 1.5), "key 'graph_seed' must be an integer, got 1.5"),
         (barabasi_albert, (20, 2.5, 0), "key 'm' must be an integer, got 2.5"),
         (watts_strogatz, (20.0, 4, 0.1, 0), "key 'n' must be an integer, got 20.0"),
         (watts_strogatz, (20, True, 0.1, 0), "key 'k_ring' must be an integer, got True"),
         (two_community, (5.5, 5, 0.2, 0.0, 0), "key 'n_pro' must be an integer, got 5.5"),
-        (two_community, (5, 5, 0.2, 0.0, 1.5), "key 'seed' must be an integer, got 1.5"),
+        (two_community, (5, 5, 0.2, 0.0, 1.5), "key 'graph_seed' must be an integer, got 1.5"),
         # once numpy's bare TypeError above, and here an allocation of more
         # than 17 GB in from_edge_array
         (erdos_renyi, (MAX_NODES + 1, 0.0, 0), "n must be <= 2147483647, got 2147483648"),
@@ -430,6 +430,65 @@ def test_generators_reject_negative_seed():
 def test_generators_check_counts_before_drawing(build, args, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         build(*args)
+
+
+PUBLIC = {"er": erdos_renyi, "ws": watts_strogatz, "ba": barabasi_albert, "two-community": two_community}
+
+
+@pytest.mark.parametrize(
+    ("kind", "fields", "message"),
+    [
+        # each kind's own rules
+        ("er", {"n": 1, "p": 0.5}, "erdos_renyi requires n >= 2"),
+        ("ws", {"n": 10, "k_ring": 3, "p_rewire": 0.1}, "k_ring must be a positive even integer"),
+        ("ws", {"n": 10, "k_ring": 0, "p_rewire": 0.1}, "k_ring must be a positive even integer"),
+        ("ws", {"n": 10, "k_ring": 10, "p_rewire": 0.1}, "k_ring must be smaller than n"),
+        ("ba", {"n": 5, "m": 0}, "barabasi_albert requires m >= 1"),
+        ("ba", {"n": 5, "m": 5}, "barabasi_albert requires n > m"),
+        ("two-community", {"n_pro": 0, "n_anti": 10, "p_in": 0.1, "p_out": 0.0},
+         "both communities need at least one node"),
+        ("two-community", {"n_pro": 10, "n_anti": 10, "p_in": 0.1, "p_out": 0.2}, "two_community requires p_in >= p_out"),
+        # the checks every kind shares
+        ("er", {"n": 10, "p": math.nan}, "p must lie in [0, 1], got nan"),
+        ("ws", {"n": 10, "k_ring": 4, "p_rewire": 1.5}, "p_rewire must lie in [0, 1], got 1.5"),
+        ("two-community", {"n_pro": 5, "n_anti": 5, "p_in": math.nan, "p_out": 0.0}, "p_in must lie in [0, 1], got nan"),
+        ("ba", {"n": 10, "m": 2, "seed": -1}, "key 'graph_seed' (generate --seed) must be >= 0, got -1"),
+        ("er", {"n": 10, "p": 0.1, "seed": 1.5}, "key 'graph_seed' must be an integer, got 1.5"),
+        ("ws", {"n": 20, "k_ring": 4.0, "p_rewire": 0.1}, "key 'k_ring' must be an integer, got 4.0"),
+        ("two-community", {"n_pro": 5, "n_anti": True, "p_in": 0.2, "p_out": 0.0},
+         "key 'n_anti' must be an integer, got True"),
+        ("ba", {"n": MAX_NODES + 1, "m": 2}, "n must be <= 2147483647, got 2147483648"),
+        ("two-community", {"n_pro": 2**30, "n_anti": 2**30, "p_in": 0.0, "p_out": 0.0},
+         "n_pro + n_anti must be <= 2147483647, got 2147483648"),
+    ],
+)
+def test_library_calls_and_specs_raise_one_message(kind, fields, message):
+    fields = {"seed": 0, **fields}
+    with pytest.raises(ConfigError) as public:
+        PUBLIC[kind](**fields)
+    with pytest.raises(ConfigError) as spec:
+        GeneratorSpec(kind, **fields).edges()
+    assert str(public.value) == str(spec.value) == message
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize(
+    ("kind", "fields"),
+    [
+        # ER's and two-community's pair counts and WS's ring keys overflow
+        # int32 at these sizes; BA's arithmetic does not, and is held alike
+        ("er", {"n": 70_000, "p": 2e-5}),
+        ("ws", {"n": 70_000, "k_ring": 4, "p_rewire": 0.1}),
+        ("ba", {"n": 70_000, "m": 2}),
+        ("two-community", {"n_pro": 50_000, "n_anti": 50_000, "p_in": 2e-5, "p_out": 1e-7}),
+    ],
+)
+def test_numpy_integer_sizes_give_the_python_int_graph(kind, fields, dtype):
+    want = PUBLIC[kind](**fields, seed=0)
+    sized = {key: dtype(value) if isinstance(value, int) else value for key, value in fields.items()}
+    assert want.edge_count > 40_000
+    assert structurally_equal(PUBLIC[kind](**sized, seed=dtype(0)), want)
+    assert structurally_equal(GeneratorSpec(kind, dtype(0), **sized).build(), want)
 
 
 def test_generator_spec_dispatch_and_validation():
