@@ -30,10 +30,11 @@ for a target of status s, ``c_s`` = 1 unvaccinated and 1 - vei vaccinated.
 Determinism contract (fixed so optimized and reference implementations can
 share one random stream):
 
-1. Seeding: one ``rng.choice(pool, size=count, replace=False)`` call for
-   the ``Seeding``'s pool and count, then one uniform per *vaccinated* index
-   case in ascending node order for the transmitter flag u > vet (skipped in
-   ``vet_mode="daily"``).
+1. Seeding: one ``rng.choice(pool, size=count, replace=False)`` call, pool
+   n (drawing as ``np.arange(n)``) for ``"all"`` and the ascending
+   unvaccinated nodes for ``"unvaccinated"``, then one uniform per
+   *vaccinated* index case in ascending node order for the transmitter
+   flag u > vet (skipped in ``vet_mode="daily"``).
 2. A step from day d draws for the transmitters infected on day d, if any:
    a. ``vet_mode="daily"`` only: one (m, T) uniform array for its m
       vaccinated members, ascending; a member is active on day t of its
@@ -284,8 +285,12 @@ def status_on(day_infected: np.ndarray, day, max_infectious_days: int) -> np.nda
 def _new_cases(state: SimulationState, days: int) -> np.ndarray:
     """(runs, 2, days) agents infected per run, unvaccinated then vaccinated, per day."""
     runs = len(state.rngs)
-    cases = np.flatnonzero(state.day_infected >= 0)
-    key = (cases // state.n * 2 + state.vaccinated[cases]) * days + state.day_infected[cases]
+    key = np.flatnonzero(state.day_infected >= 0)  # the cases' flat indices, made their keys in place
+    day, vaccinated = state.day_infected[key], state.vaccinated[key]
+    key //= state.n
+    key *= 2 * days
+    key += day
+    np.add(key, days, out=key, where=vaccinated)  # (run * 2 + vaccinated) * days + day
     return np.bincount(key, minlength=runs * 2 * days).reshape(runs, 2, days)
 
 
@@ -348,10 +353,11 @@ def seed_infections(
     n, count, chosen = state.n, seeding.count, []
     for b, rng in enumerate(state.rngs):
         own = state.vaccinated[b * n : (b + 1) * n]
-        candidates = np.arange(n) if seeding.pool == "all" else np.flatnonzero(~own)
-        if count > candidates.size:
-            raise DataError(f"seed pool has {candidates.size} agent(s), cannot seed {count}")
-        chosen.append(np.sort(rng.choice(candidates, size=count, replace=False)) + b * n)
+        pool = n if seeding.pool == "all" else np.flatnonzero(~own)  # choice(n) draws as choice(np.arange(n))
+        size = pool if seeding.pool == "all" else pool.size
+        if count > size:
+            raise DataError(f"seed pool has {size} agent(s), cannot seed {count}")
+        chosen.append(np.sort(rng.choice(pool, size=count, replace=False)) + b * n)
     infect(state, np.concatenate(chosen), params)
     return state
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -109,10 +109,15 @@ def _fractions(cases: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return daily
 
 
+def usable_cpus() -> int | None:
+    """CPUs this process may run on: its affinity where reported, else the CPU count; None if unknown."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
 def resolve_threads(threads: int, n_batches: int, arc_count: int) -> int:
-    """Worker threads for ``n_batches`` batches of runs, at most ``n_batches``
-    and the CPU count; 0 is "auto"."""
-    cpus = os.cpu_count() or 1
+    """Worker threads, the calling thread among them, for ``n_batches``
+    batches of runs: at most ``n_batches`` and :func:`usable_cpus`; 0 is "auto"."""
+    cpus = usable_cpus() or 1
     if threads == 0:
         threads = cpus if arc_count >= AUTO_THREADS_MIN_ARCS else 1
     return max(1, min(threads, cpus, n_batches))
@@ -129,9 +134,10 @@ def _ensemble(
 ) -> EnsembleSummary:
     """``cfg.n_runs`` runs of ``strategy``, run i on child i + 1 of ``seed``.
 
-    Runs are stepped in batches of up to ``BATCH_NODES // g.n`` runs, and a
-    batch is the thread pool's unit of work; each run keeps its own stream,
-    so neither changes a result.
+    Runs are stepped in batches of up to ``BATCH_NODES // g.n`` runs, handed
+    out in index order to the calling thread and ``workers - 1`` helpers; a
+    failed batch stops the hand-out and is raised once every worker is done.
+    Each run keeps its own stream, so neither changes a result.
 
     Homogeneous allocations are redrawn every run by default so ensemble
     variance includes allocation randomness; ``cfg.homogeneous_redraw=False``
@@ -158,11 +164,27 @@ def _ensemble(
         return record.cases, record.lengths  # no (runs, n) infection days outlive the job
 
     workers = resolve_threads(cfg.threads, len(batches), g.indices.size)
-    if workers == 1:
-        parts = [job(b) for b in batches]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(job, batches))
+    parts, todo, lock, failures = [None] * len(batches), iter(enumerate(batches)), threading.Lock(), []
+
+    def work() -> None:  # runs batches until none is left or one has failed
+        try:
+            while not failures:
+                with lock:
+                    i, batch = next(todo, (0, None))
+                if batch is None:
+                    break
+                parts[i] = job(batch)
+        except BaseException as exc:  # raised below, once every worker is done
+            failures.append(exc)
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
     stacks, lengths = zip(*parts)
     cases = np.zeros((cfg.n_runs, 2, max(stack.shape[2] for stack in stacks)), dtype=np.int64)
     for batch, stack in zip(batches, stacks):

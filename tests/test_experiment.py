@@ -1,10 +1,14 @@
 import os
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import complete_edges, graph_from_edges
+from polarnet import experiment
 from polarnet.config import RunConfig
 from polarnet.epidemic import EpidemicParams, Seeding, run_batch
 from polarnet.experiment import (
@@ -15,6 +19,7 @@ from polarnet.experiment import (
     compare_scenarios,
     resolve_threads,
     run_ensemble,
+    usable_cpus,
     _fractions,
 )
 from polarnet.errors import DataError
@@ -123,7 +128,7 @@ def test_single_run_ensemble_equals_its_run():
 
 def test_resolve_threads(monkeypatch):
     # explicit counts are clamped to the batch count and to the CPU count
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(experiment, "usable_cpus", lambda: 64)
     assert resolve_threads(1, 100, 10**9) == 1
     assert resolve_threads(3, 2, 10) == 2
     assert resolve_threads(10**9, 4, 10**9) == 4
@@ -133,9 +138,100 @@ def test_resolve_threads(monkeypatch):
     assert resolve_threads(0, 100, AUTO_THREADS_MIN_ARCS) == 64
     assert resolve_threads(0, 8, AUTO_THREADS_MIN_ARCS) == 8
     assert resolve_threads(0, 100, AUTO_THREADS_MIN_ARCS - 1) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # CPU count unknown
+    monkeypatch.setattr(experiment, "usable_cpus", lambda: None)  # CPU count unknown
     assert resolve_threads(0, 100, AUTO_THREADS_MIN_ARCS) == 1
     assert resolve_threads(3, 100, 10**9) == 1
+
+
+def test_usable_cpus_is_the_affinity_where_the_platform_reports_one(monkeypatch):
+    # pinned to one CPU of two (``taskset -c 0``): explicit and auto counts start one thread
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert usable_cpus() == 1
+    assert resolve_threads(2, 12, 10) == 1
+    assert resolve_threads(0, 12, AUTO_THREADS_MIN_ARCS) == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # no affinity: the CPU count
+    assert usable_cpus() == 2
+    assert resolve_threads(2, 12, 10) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cpus() is None
+
+
+def _recorded_ensemble(monkeypatch, threads, fail):
+    """Run 12 one-run batches on ``threads`` threads of 2 CPUs, the first
+    batch to start raising MemoryError if ``fail``; returns the thread that
+    started each batch, in start order, and the ensemble or the error."""
+    g = two_community(40_000, 30_000, 2e-5, 1e-6, seed=1)
+    assert BATCH_NODES // g.n == 1  # one run per batch
+    started, lock = [], threading.Lock()
+
+    def recorded(*args):
+        with lock:
+            started.append(threading.current_thread())
+            first = len(started) == 1
+        if fail and first:
+            raise MemoryError("injected")
+        time.sleep(0.02)  # the failure is recorded before a batch started beside it ends
+        return run_batch(*args)
+
+    monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiment, "run_batch", recorded)
+    cfg = RunConfig(params=EpidemicParams(horizon=10), n_runs=12, threads=threads)
+    try:
+        return started, run_ensemble(g, cfg)
+    except MemoryError as exc:
+        return started, exc
+
+
+def test_calling_thread_runs_batches_beside_its_helpers(monkeypatch):
+    before, ensembles = threading.active_count(), []
+    for threads in (1, 2):
+        started, ens = _recorded_ensemble(monkeypatch, threads, fail=False)
+        assert len(started) == 12
+        assert threading.current_thread() in started  # the calling thread runs batches
+        assert len(set(started)) <= threads
+        assert threading.active_count() == before  # every helper has ended
+        ensembles.append(ens)
+    one, two = ensembles
+    assert np.array_equal(one.daily, two.daily) and np.array_equal(one.lengths, two.lengths)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failed_batch_stops_the_hand_out(monkeypatch, threads):
+    before = threading.active_count()
+    started, error = _recorded_ensemble(monkeypatch, threads, fail=True)
+    assert isinstance(error, MemoryError) and str(error) == "injected"
+    assert 1 <= len(started) <= threads  # of 12 batches, none starts after the failure
+    assert threading.active_count() == before
+
+
+def test_hand_out_under_stress_runs_each_batch_once(monkeypatch):
+    # 8 threads on at most 2 cores, switching every microsecond, taking 1,000
+    # one-run batches of a 20-node graph: a batch handed out twice or never
+    # would change the call count or the results
+    g = two_community(10, 10, 0.3, 0.05, seed=1)
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return run_batch(*args)
+
+    monkeypatch.setattr(experiment, "BATCH_NODES", 1)
+    monkeypatch.setattr(experiment, "usable_cpus", lambda: 8)
+    monkeypatch.setattr(experiment, "run_batch", counted)
+    cfg = RunConfig(params=EpidemicParams(horizon=5), n_runs=1000, strategy="homogeneous", threads=1)
+    want, got = run_ensemble(g, cfg), []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=lambda: got.append(run_ensemble(g, replace(cfg, threads=8))))
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive() and len(got) == 1
+    assert len(calls) == 2 * 1000
+    assert np.array_equal(got[0].daily, want.daily) and np.array_equal(got[0].lengths, want.lengths)
 
 
 def test_ensemble_deterministic_and_thread_invariant():
