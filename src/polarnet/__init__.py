@@ -25,9 +25,9 @@ from .errors import (
     SingleGroupError,
 )
 from .experiment import (
+    Allocation,
     Comparison,
     EnsembleSummary,
-    allocate_vaccines,
     compare_scenarios,
     run_ensemble,
 )

@@ -19,8 +19,7 @@ from .graph import Opinion, load_edge_list, save_edge_array
 from .metrics import metrics_report
 from .output import CurveGroup, emit_svg_plot, write_curves_csv, write_metrics_csv, write_summary_csv
 
-_POLARIZED_COLOR = "#c62828"
-_HOMOGENEOUS_COLOR = "#757575"
+_COLORS = {"polarized": "#c62828", "homogeneous": "#757575"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,17 +91,12 @@ def cmd_compare(args) -> int:
     comparison = compare_scenarios(g, cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_curves_csv(comparison.polarized, out_dir / "curves_polarized.csv")
-    write_curves_csv(comparison.homogeneous, out_dir / "curves_homogeneous.csv")
+    for ens in comparison:
+        write_curves_csv(ens, out_dir / f"curves_{ens.allocation.strategy}.csv")
     write_summary_csv(comparison, out_dir / "summary.csv")
     for row, subpop in enumerate(SUBPOPS):
-        groups = [
-            CurveGroup(name, color, ensemble.series(row))
-            for name, color, ensemble in (
-                ("polarized", _POLARIZED_COLOR, comparison.polarized),
-                ("homogeneous", _HOMOGENEOUS_COLOR, comparison.homogeneous),
-            )
-        ]
+        groups = [CurveGroup(ens.allocation.strategy, _COLORS[ens.allocation.strategy], ens.series(row))
+                  for ens in comparison]
         emit_svg_plot(groups, f"Daily new infections among {subpop}", out_dir / f"curves_{subpop}.svg")
     ratio = comparison.ar_ratio["unvaccinated"]
     print(f"wrote {out_dir}/summary.csv (unvaccinated AR ratio {ratio:.3f})")

@@ -23,6 +23,8 @@ from .graph import AnnotatedGraph, load_edge_list, text_lines
 # most runs of one ensemble: spawning their seeds alone takes about a second
 MAX_RUNS = 100_000
 
+STRATEGIES = ("polarized", "homogeneous")  # the allocations in compare's order (experiment.Allocation.of)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -35,7 +37,7 @@ class RunConfig:
     seeding: Seeding = field(default_factory=Seeding)
     n_runs: int = 100
     master_seed: int = 0
-    strategy: str = "polarized"
+    strategy: str = STRATEGIES[0]
     homogeneous_redraw: bool = True
     out_dir: str = "."
     threads: int = 0
@@ -43,7 +45,7 @@ class RunConfig:
     def __post_init__(self):
         require_integers(("n_runs", self.n_runs), ("master_seed", self.master_seed), ("threads", self.threads))
         for key, valid, rule in (
-            ("strategy", self.strategy in ("polarized", "homogeneous"), "'polarized' or 'homogeneous'"),
+            ("strategy", self.strategy in STRATEGIES, " or ".join(map(repr, STRATEGIES))),
             ("n_runs", 1 <= self.n_runs <= MAX_RUNS, f"in [1, {MAX_RUNS}]"),
             ("master_seed", self.master_seed >= 0, ">= 0"),
             ("threads", self.threads >= 0, ">= 0 (0 = auto)"),

@@ -1,8 +1,8 @@
-"""Vaccine-allocation scenarios and Monte Carlo ensembles.
+"""Vaccine allocations and Monte Carlo ensembles.
 
-Two allocations are compared at equal dose counts on the same graph:
-``"polarized"`` vaccinates exactly the pro-opinion nodes, ``"homogeneous"``
-spreads the same number of doses uniformly at random over all nodes.
+An :class:`Allocation` is a vaccination share per opinion plus its draw. Those
+of ``config.STRATEGIES`` give equal dose counts: ``"polarized"`` vaccinates
+the pro-opinion nodes, ``"homogeneous"`` as many nodes uniformly at random.
 :func:`run_ensemble` runs the strategy of a :class:`RunConfig` and
 :func:`compare_scenarios` runs both; each takes every other setting from the
 config. Ensembles derive one independent RNG stream per run from the master
@@ -16,10 +16,11 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import RunConfig
+from .config import STRATEGIES, RunConfig
 from .epidemic import delay_table, run_batch
 from .errors import DataError
 from .graph import AnnotatedGraph, Opinion
@@ -35,16 +36,29 @@ AUTO_THREADS_MIN_ARCS = 1_000_000
 BATCH_NODES = 2**17
 
 
-def allocate_vaccines(g: AnnotatedGraph, strategy: str, rng) -> np.ndarray:
-    """Per-node vaccination flags of the ``"polarized"`` or ``"homogeneous"``
-    strategy; dose count always equals the pro count."""
-    pro = g.opinions == int(Opinion.PRO)
-    if strategy == "polarized":
-        return pro.copy()
-    doses = int(pro.sum())
-    flags = np.zeros(g.n, dtype=bool)
-    flags[np.random.default_rng(rng).choice(g.n, size=doses, replace=False)] = True
-    return flags
+@dataclass(frozen=True)
+class Allocation:
+    """Vaccination probability ``shares[o]`` of opinion o; every draw gives ``doses`` doses."""
+
+    strategy: str  # its name in config.STRATEGIES
+    shares: tuple[float, float]  # (v_anti, v_pro)
+    doses: int
+
+    @classmethod
+    def of(cls, g: AnnotatedGraph, strategy: str) -> Allocation:
+        """``strategy`` on ``g``: shares (0, 1) or (phi, phi), phi the pro fraction; doses the pro count."""
+        doses = int(np.count_nonzero(g.opinions == int(Opinion.PRO)))
+        phi = doses / max(g.n, 1)
+        return cls(strategy, dict(zip(STRATEGIES, ((0.0, 1.0), (phi, phi))))[strategy], doses)
+
+    def draw(self, g: AnnotatedGraph, rng) -> np.ndarray:
+        """Per-node flags. Unequal shares (0 or 1) give a fixed opinion set, drawing nothing; equal
+        shares take ``doses`` nodes by one ``rng.choice``, made even of all or none to keep the stream."""
+        if self.shares[0] != self.shares[1]:
+            return (np.array(self.shares) == 1)[g.opinions]
+        flags = np.zeros(g.n, dtype=bool)
+        flags[np.random.default_rng(rng).choice(g.n, size=self.doses, replace=False)] = True
+        return flags
 
 
 @dataclass(frozen=True)
@@ -55,11 +69,11 @@ class EnsembleSummary:
     ``daily[r, i]`` is run r's daily new infections in subpopulation
     ``SUBPOPS[i]`` divided by its size ``sizes[i]``, all zeros for an empty
     subpopulation and zero-padded past the run's ``lengths[r]`` days, so a
-    run's attack rate is its row sum. Both strategies give every run exactly
-    the pro count of doses, so the sizes are one row for all runs.
+    run's attack rate is its row sum. Every run of ``allocation`` gives its
+    ``doses``, so the sizes are one row for all runs.
     """
 
-    strategy: str
+    allocation: Allocation
     daily: np.ndarray  # (runs, 3, days) daily new-infection fractions
     lengths: np.ndarray  # (runs,) days of each run
     sizes: np.ndarray  # (3,) subpopulation sizes
@@ -126,29 +140,24 @@ def resolve_threads(threads: int, n_batches: int, arc_count: int) -> int:
 def run_ensemble(g: AnnotatedGraph, cfg: RunConfig) -> EnsembleSummary:
     """``cfg.n_runs`` independent runs of ``cfg.strategy``, with per-run seeds
     derived from ``cfg.master_seed``."""
-    return _ensemble(g, cfg, cfg.strategy, np.random.SeedSequence(cfg.master_seed))
+    return _ensemble(g, cfg, Allocation.of(g, cfg.strategy), np.random.SeedSequence(cfg.master_seed))
 
 
 def _ensemble(
-    g: AnnotatedGraph, cfg: RunConfig, strategy: str, seed: np.random.SeedSequence
+    g: AnnotatedGraph, cfg: RunConfig, allocation: Allocation, seed: np.random.SeedSequence
 ) -> EnsembleSummary:
-    """``cfg.n_runs`` runs of ``strategy``, run i on child i + 1 of ``seed``.
+    """``cfg.n_runs`` runs of ``allocation``, run i on child i + 1 of ``seed``.
 
     Runs are stepped in batches of up to ``BATCH_NODES // g.n`` runs, handed
     out in index order to the calling thread and ``workers - 1`` helpers; a
     failed batch stops the hand-out and is raised once every worker is done.
     Each run keeps its own stream, so neither changes a result.
 
-    Homogeneous allocations are redrawn every run by default so ensemble
-    variance includes allocation randomness; ``cfg.homogeneous_redraw=False``
-    freezes a single random allocation (from child 0) for the whole ensemble
-    instead.
+    Each run draws its own allocation, so ensemble variance includes its randomness,
+    unless ``cfg.homogeneous_redraw`` is false: then one draw from child 0 serves all runs.
     """
     children = seed.spawn(cfg.n_runs + 1)
-    fixed = None
-    if strategy == "polarized" or not cfg.homogeneous_redraw:
-        # one allocation shared by every run: the pro set, or one draw from child 0
-        fixed = allocate_vaccines(g, strategy, children[0])
+    fixed = None if cfg.homogeneous_redraw else allocation.draw(g, children[0])
 
     table = delay_table(g, cfg.params)
     size = max(1, min(cfg.n_runs, BATCH_NODES // max(g.n, 1)))
@@ -156,10 +165,7 @@ def _ensemble(
 
     def job(batch: range) -> tuple[np.ndarray, np.ndarray]:
         rngs = [np.random.default_rng(children[i + 1]) for i in batch]
-        if fixed is not None:
-            vaccinated = fixed
-        else:
-            vaccinated = np.array([allocate_vaccines(g, strategy, rng) for rng in rngs])
+        vaccinated = fixed if fixed is not None else np.array([allocation.draw(g, rng) for rng in rngs])
         record = run_batch(g, cfg.params, cfg.seeding, rngs, vaccinated, table)
         return record.cases, record.lengths  # no (runs, n) infection days outlive the job
 
@@ -189,14 +195,12 @@ def _ensemble(
     cases = np.zeros((cfg.n_runs, 2, max(stack.shape[2] for stack in stacks)), dtype=np.int64)
     for batch, stack in zip(batches, stacks):
         cases[batch.start : batch.stop, :, : stack.shape[2]] = stack
-    pro = int((g.opinions == int(Opinion.PRO)).sum())  # the dose count of either strategy
-    sizes = np.array([g.n - pro, pro, g.n])
-    return EnsembleSummary(strategy, _fractions(cases, sizes), np.concatenate(lengths), sizes)
+    sizes = np.array([g.n - allocation.doses, allocation.doses, g.n])
+    return EnsembleSummary(allocation, _fractions(cases, sizes), np.concatenate(lengths), sizes)
 
 
-@dataclass(frozen=True)
-class Comparison:
-    """Paired polarized-vs-homogeneous ensembles on one graph."""
+class Comparison(NamedTuple):
+    """Paired ensembles on one graph, in ``config.STRATEGIES`` order."""
 
     polarized: EnsembleSummary
     homogeneous: EnsembleSummary
@@ -219,5 +223,5 @@ def compare_scenarios(g: AnnotatedGraph, cfg: RunConfig) -> Comparison:
     for opinion in Opinion:
         if not (g.opinions == int(opinion)).any():
             raise DataError(f"compare needs pro and anti nodes, but the graph has no {opinion} node")
-    pol_ss, hom_ss = np.random.SeedSequence(cfg.master_seed).spawn(2)
-    return Comparison(_ensemble(g, cfg, "polarized", pol_ss), _ensemble(g, cfg, "homogeneous", hom_ss))
+    seeds = np.random.SeedSequence(cfg.master_seed).spawn(len(STRATEGIES))
+    return Comparison(*(_ensemble(g, cfg, Allocation.of(g, s), seed) for s, seed in zip(STRATEGIES, seeds)))

@@ -35,10 +35,10 @@ def write_curves_csv(summary: EnsembleSummary, path) -> None:
 def write_summary_csv(comparison: Comparison, path) -> None:
     """One row per (scenario, subpopulation): mean attack rate and peak day."""
     lines = ["scenario,subpop,attack_rate,t_peak"]
-    for name, ens in (("polarized", comparison.polarized), ("homogeneous", comparison.homogeneous)):
+    for ens in comparison:
         for subpop in SUBPOPS:
             lines.append(
-                f"{name},{subpop},{ens.mean_attack_rate[subpop]:.6f},{ens.mean_t_peak[subpop]:.6f}"
+                f"{ens.allocation.strategy},{subpop},{ens.mean_attack_rate[subpop]:.6f},{ens.mean_t_peak[subpop]:.6f}"
             )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from helpers import edge_array
 from polarnet.epidemic import infectiousness_integral
+from polarnet.graph import Opinion
 
 
 # -- structural metrics ----------------------------------------------------
@@ -474,3 +475,18 @@ def first_passage_run(
         day = nxt
         if day >= horizon or "I" not in status:
             return new_unvacc, new_vacc, status, day_infected
+
+
+# -- vaccine allocation (the string-branching allocator it replaced) ----------
+
+
+def reference_allocation(g, strategy: str, rng) -> np.ndarray:
+    """Per-node vaccination flags of the ``"polarized"`` or ``"homogeneous"``
+    strategy; dose count always equals the pro count."""
+    pro = g.opinions == int(Opinion.PRO)
+    if strategy == "polarized":
+        return pro.copy()
+    doses = int(pro.sum())
+    flags = np.zeros(g.n, dtype=bool)
+    flags[np.random.default_rng(rng).choice(g.n, size=doses, replace=False)] = True
+    return flags

@@ -399,10 +399,11 @@ def test_readme_library_example_runs(tmp_path):
     out = subprocess.run(
         [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, check=True
     )
-    ratio, assortativity = map(float, out.stdout.split())
+    ratio, assortativity, shares = out.stdout.splitlines()
     # the figures the example's comments quote
-    assert ratio == pytest.approx(12.3, abs=0.05)
-    assert assortativity == pytest.approx(0.95, abs=0.005)
+    assert float(ratio) == pytest.approx(12.3, abs=0.05)
+    assert float(assortativity) == pytest.approx(0.95, abs=0.005)
+    assert shares == "(0.5, 0.5)"
 
 
 # SHA-256 of every file the commands below write, pinned so that changes to

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from helpers import complete_edges, graph_from_edges
+from oracles import reference_allocation
 from polarnet import experiment
-from polarnet.config import RunConfig
+from polarnet.config import STRATEGIES, RunConfig
 from polarnet.epidemic import EpidemicParams, Seeding, run_batch
 from polarnet.experiment import (
     AUTO_THREADS_MIN_ARCS,
     BATCH_NODES,
+    Allocation,
     EnsembleSummary,
-    allocate_vaccines,
     compare_scenarios,
     resolve_threads,
     run_ensemble,
@@ -30,22 +31,22 @@ from polarnet.metrics import assortativity, mixing_matrix
 
 def test_polarized_allocation_is_the_pro_set():
     g = two_community(40, 60, 0.1, 0.01, seed=1)
-    flags = allocate_vaccines(g, "polarized", rng=0)
+    flags = Allocation.of(g, "polarized").draw(g, 0)
     assert np.array_equal(flags, g.opinions == int(Opinion.PRO))
     assert int(flags.sum()) == 40
 
 
 def test_homogeneous_allocation_count_and_all_pro_graph():
     g = two_community(40, 60, 0.1, 0.01, seed=1)
-    flags = allocate_vaccines(g, "homogeneous", rng=3)
+    flags = Allocation.of(g, "homogeneous").draw(g, 3)
     assert int(flags.sum()) == 40  # same dose count as the pro community
     all_pro = graph_from_edges(5, complete_edges(5), [1] * 5)
-    assert allocate_vaccines(all_pro, "homogeneous", rng=3).all()
+    assert Allocation.of(all_pro, "homogeneous").draw(all_pro, 3).all()
 
 
 def test_polarized_status_mixing_equals_opinion_mixing():
     g = two_community(50, 50, 0.15, 0.02, seed=4)
-    flags = allocate_vaccines(g, "polarized", rng=0)
+    flags = Allocation.of(g, "polarized").draw(g, 0)
     assert np.allclose(
         mixing_matrix(g, flags.astype(np.uint8)), mixing_matrix(g, g.opinions)
     )
@@ -53,18 +54,32 @@ def test_polarized_status_mixing_equals_opinion_mixing():
 
 def test_homogeneous_allocation_near_zero_assortativity():
     g = two_community(1000, 1000, 0.008, 0.00008, seed=2)
-    values = []
+    allocation, values = Allocation.of(g, "homogeneous"), []
     for s in range(30):
-        flags = allocate_vaccines(g, "homogeneous", rng=s)
+        flags = allocation.draw(g, s)
         values.append(assortativity(mixing_matrix(g, flags.astype(np.uint8))))
     assert float(np.mean(np.abs(values))) < 0.05
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_allocation_draws_as_the_reference_allocator(strategy):
+    # the same flags and the same next draw from the stream on 100 seeds; on
+    # the all-pro graph homogeneous draws every node, and must still draw
+    graphs = [two_community(40, 60, 0.1, 0.01, seed=1)]
+    graphs += [graph_from_edges(5, complete_edges(5), [opinion] * 5) for opinion in (1, 0)]
+    for g in graphs:
+        allocation = Allocation.of(g, strategy)
+        for seed in range(100):
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(allocation.draw(g, got_rng), reference_allocation(g, strategy, want_rng))
+            assert got_rng.random() == want_rng.random()
 
 
 def _summary(cases, lengths, n_unvacc, n_vacc):
     """The ensemble of hand-built (runs, 2, days) case counts and run lengths."""
     sizes = np.array([n_unvacc, n_vacc, n_unvacc + n_vacc])
     daily = _fractions(np.array(cases, dtype=np.int64), sizes)
-    return EnsembleSummary("polarized", daily, np.array(lengths), sizes)
+    return EnsembleSummary(Allocation("polarized", (0.0, 1.0), n_vacc), daily, np.array(lengths), sizes)
 
 
 def _summary_from_counts(new_unvacc, new_vacc, n_unvacc, n_vacc):
@@ -260,8 +275,7 @@ def test_batched_ensemble_equals_per_run_records_for_any_threads():
         records = []
         for child in children[1:]:
             rng = np.random.Generator(np.random.PCG64(child))
-            alloc_rng = rng if strategy == "homogeneous" else 0
-            vaccinated = allocate_vaccines(g, strategy, alloc_rng)
+            vaccinated = Allocation.of(g, strategy).draw(g, rng)  # polarized draws nothing
             records.append(run_batch(g, params, seeding, [rng], vaccinated))
         lengths = np.concatenate([r.lengths for r in records])
         cases = np.zeros((len(records), 2, lengths.max()), dtype=np.int64)
@@ -282,7 +296,7 @@ def test_batched_ensemble_equals_per_run_records_for_any_threads():
 def test_ensemble_aggregation_order_invariant():
     g = two_community(60, 60, 0.08, 0.01, seed=9)
     ens = run_ensemble(g, RunConfig(n_runs=6, master_seed=5))
-    again = EnsembleSummary(ens.strategy, ens.daily[::-1], ens.lengths[::-1], ens.sizes)
+    again = EnsembleSummary(ens.allocation, ens.daily[::-1], ens.lengths[::-1], ens.sizes)
     for s in ("unvaccinated", "vaccinated", "all"):
         assert np.allclose(ens.mean_curves[s], again.mean_curves[s])
         assert ens.mean_attack_rate[s] == pytest.approx(again.mean_attack_rate[s])
@@ -308,11 +322,18 @@ def test_homogeneous_redraw_toggle():
 @pytest.mark.parametrize("strategy", ["polarized", "homogeneous"])
 def test_ensemble_sizes_are_the_pro_dose_split(strategy, redraw):
     # both allocations give every run exactly the pro count of doses, so one
-    # (unvaccinated, vaccinated, all) row holds for the whole ensemble
+    # (unvaccinated, vaccinated, all) row holds for the whole ensemble; the
+    # shares are (0, 1) polarized and (phi, phi) homogeneous
     g = two_community(30, 50, 0.1, 0.01, seed=8)
+    allocation = Allocation.of(g, strategy)
+    phi = allocation.shares[0]
+    assert allocation.shares == ((0.0, 1.0) if strategy == "polarized" else (phi, phi))
+    assert allocation.doses == 30
+    assert strategy == "polarized" or round(phi * g.n) == allocation.doses
     cfg = RunConfig(n_runs=3, master_seed=4, strategy=strategy, homogeneous_redraw=redraw)
     ens = run_ensemble(g, cfg)
-    assert ens.sizes.tolist() == [g.n - 30, 30, g.n]
+    assert ens.allocation == allocation
+    assert ens.sizes.tolist() == [g.n - allocation.doses, allocation.doses, g.n] == [g.n - 30, 30, g.n]
 
 
 def test_compare_no_effect_when_vaccine_useless():
