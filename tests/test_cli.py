@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,52 @@ def test_compare_outputs_and_determinism(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     summary = (out1 / "summary.csv").read_text().strip().splitlines()
     assert len(summary) == 7
+
+
+def test_compare_from_files_equals_compare_from_the_generator(tmp_path):
+    # the files generate writes load to the graph the generator keys build, so
+    # compare from the edges/attrs keys writes the same six files
+    edges, attrs = tmp_path / "edges.csv", tmp_path / "attrs.csv"
+    assert run_cli(
+        "generate", "--kind", "two-community", "--n-pro", "300", "--n-anti", "200", "--p-in", "0.03",
+        "--p-out", "0.003", "--seed", "1", "--out-edges", str(edges), "--out-attrs", str(attrs),
+    ) == 0
+    sources = {
+        "files": f"edges={edges}\nattrs={attrs}\n",
+        "generator": "generator=two-community\nn_pro=300\nn_anti=200\np_in=0.03\np_out=0.003\ngraph_seed=1\n",
+    }
+    for name, source in sources.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(source + "n_runs=300\nseed_count=3\n")
+        assert run_cli("compare", "--config", str(cfg), "--out", str(tmp_path / name)) == 0
+    written = {f.name: f.read_bytes() for f in (tmp_path / "files").iterdir()}
+    assert len(written) == 6
+    assert written == {f.name: f.read_bytes() for f in (tmp_path / "generator").iterdir()}
+
+
+def test_compare_with_immune_vaccinated_draws_a_flat_chart(tmp_path):
+    # VEI=1 and seeds drawn from the unvaccinated: no vaccinated node is ever
+    # infected, so every vaccinated series is zero and the y axis runs to 1
+    cfg = _write_config(tmp_path, "VEI=1.0\nseed_pool=unvaccinated\nn_runs=50\n")
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", str(cfg), "--out", str(out)) == 0
+    ns = "{http://www.w3.org/2000/svg}"
+    root = ET.fromstring((out / "curves_vaccinated.svg").read_text())  # strict XML parse
+    assert [t.text for t in root.findall(f"{ns}text") if t.get("text-anchor") == "end"] == [
+        "0", "0.2", "0.4", "0.6", "0.8", "1",
+    ]
+    y_axis = root.findall(f"{ns}line")[1]
+    assert y_axis.get("x1") == y_axis.get("x2")
+    polylines = root.findall(f"{ns}polyline")
+    assert len(polylines) == 2 * 50
+    for polyline in polylines:
+        points = [p.split(",") for p in polyline.get("points").split()]
+        assert points[0] == [y_axis.get("x1"), y_axis.get("y1")]  # the origin
+        assert {y for _, y in points} == {y_axis.get("y1")}
+    rows = (out / "summary.csv").read_text().splitlines()
+    assert [r for r in rows if ",vaccinated," in r] == [
+        "polarized,vaccinated,0.000000,nan", "homogeneous,vaccinated,0.000000,nan",
+    ]
 
 
 def test_simulate_wires_all_engine_options(tmp_path):

@@ -180,6 +180,12 @@ def test_seed_infections_pool_too_small():
         seed_infections(state, Seeding(2, "unvaccinated"), EpidemicParams())
 
 
+def test_run_batch_rejects_flags_beyond_the_nodes():
+    g = graph_from_edges(5, path_edges(5))
+    with pytest.raises(DataError, match="vaccinated flags must cover every node"):
+        run_batch(g, EpidemicParams(), Seeding(1, "all"), [1], np.zeros(g.n + 1, dtype=bool))
+
+
 def test_seed_infections_deterministic():
     a = initial_state(50, None, [9])
     b = initial_state(50, None, [np.random.default_rng(9)])

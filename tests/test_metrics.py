@@ -42,6 +42,12 @@ def test_density_edgeless_and_errors():
         density(graph_from_edges(1, []))
 
 
+@pytest.mark.parametrize("metric", [metrics.mean_degree, metrics.clustering_coefficients])
+def test_metric_of_the_empty_graph_is_a_data_error(metric):
+    with pytest.raises(DataError, match="undefined for the empty graph"):
+        metric(graph_from_edges(0, []))
+
+
 def test_degree_distribution_known():
     assert degree_distribution(graph_from_edges(3, complete_edges(3))).counts == {2: 3}
     assert degree_distribution(graph_from_edges(5, star_edges(4))).counts == {1: 4, 4: 1}

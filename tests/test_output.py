@@ -125,6 +125,16 @@ def test_svg_comparison_has_one_polyline_per_run(tmp_path):
     assert [t.text for t in legend] == ["polarized", "homogeneous"]
 
 
+def test_svg_skips_an_empty_series_beside_a_drawn_one(tmp_path):
+    # the empty series draws nothing and moves neither axis
+    drawn = [np.full(5, 0.5), np.arange(8) / 10]
+    emit_svg_plot([CurveGroup("g", "#c62828", drawn)], "t", tmp_path / "drawn.svg")
+    emit_svg_plot([CurveGroup("g", "#c62828", [drawn[0], np.array([]), drawn[1]])], "t", tmp_path / "gap.svg")
+    root = ET.fromstring((tmp_path / "gap.svg").read_text())
+    assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 2
+    assert (tmp_path / "gap.svg").read_bytes() == (tmp_path / "drawn.svg").read_bytes()
+
+
 def test_svg_rejects_empty_input(tmp_path):
     with pytest.raises(DataError):
         emit_svg_plot([CurveGroup("x", "#000000", [np.array([])])], "t", tmp_path / "x.svg")
