@@ -11,7 +11,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .config import RunConfig, parse_config, scalar_fields
+from .config import STRATEGIES, RunConfig, parse_config, scalar_fields
 from .errors import ConfigError, PolarnetError
 from .experiment import SUBPOPS, compare_scenarios, run_ensemble
 from .generators import GENERATOR_KINDS, GeneratorSpec
@@ -47,13 +47,28 @@ def _load_run_config(args) -> RunConfig:
     return replace(cfg, **{key: value for key, value in flags.items() if value is not None})
 
 
+def _refuse_overwrite(outputs: dict, inputs: dict) -> None:
+    """Raise a ConfigError if an output resolves to an input (None: unset) or
+    to another output, so no command writes over a file it reads or wrote."""
+    paths = [(name, Path(path).resolve()) for name, path in {**outputs, **inputs}.items() if path is not None]
+    for i, (name, path) in enumerate(paths[: len(outputs)]):
+        for other, other_path in paths[i + 1 :]:
+            if path == other_path:
+                raise ConfigError(f"{name} and {other} name the same file: {path}")
+
+
+def _run_outputs(cfg: RunConfig, args, *names: str) -> dict[str, Path]:
+    """The path of each output file name in ``cfg.out_dir``, none of them an input."""
+    out = {name: Path(cfg.out_dir) / name for name in names}
+    _refuse_overwrite({str(path): path for path in out.values()},
+                      {"edges": cfg.edges, "attrs": cfg.attrs, "--config": args.config})
+    return out
+
+
 def cmd_metrics(args) -> int:
     if args.kmin < 1:
         raise ConfigError("--kmin must be >= 1")
-    target = Path(args.out).resolve()
-    for flag, path in (("--edges", args.edges), ("--attrs", args.attrs)):
-        if target == Path(path).resolve():
-            raise ConfigError(f"--out and {flag} name the same file: {target}")
+    _refuse_overwrite({"--out": args.out}, {"--edges": args.edges, "--attrs": args.attrs})
     g = load_edge_list(args.edges, args.attrs, Opinion.parse(args.subgraph) if args.subgraph else None)
     report = metrics_report(g, k_min=args.kmin)
     write_metrics_csv(report, args.out)
@@ -62,9 +77,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    target = Path(args.out_edges).resolve()
-    if target == Path(args.out_attrs).resolve():
-        raise ConfigError(f"--out-edges and --out-attrs name the same file: {target}")
+    _refuse_overwrite({"--out-edges": args.out_edges, "--out-attrs": args.out_attrs}, {})
     spec = GeneratorSpec(**{f.name: getattr(args, f.name) for f in fields(GeneratorSpec)})
     # the edge array goes to the writer as its only reference, so it can free it
     n, *pairs, opinions = spec.edges()
@@ -75,11 +88,10 @@ def cmd_generate(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_run_config(args)
+    curves = _run_outputs(cfg, args, "curves.csv")["curves.csv"]
     g = cfg.resolve_graph()
     summary = run_ensemble(g, cfg)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    curves = out_dir / "curves.csv"
+    curves.parent.mkdir(parents=True, exist_ok=True)
     write_curves_csv(summary, curves)
     print(f"wrote {curves}")
     return 0
@@ -87,17 +99,19 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _load_run_config(args)
+    out_dir = Path(cfg.out_dir)
+    out = _run_outputs(cfg, args, *(f"curves_{s}.csv" for s in STRATEGIES), "summary.csv",
+                       *(f"curves_{s}.svg" for s in SUBPOPS))
     g = cfg.resolve_graph()
     comparison = compare_scenarios(g, cfg)
-    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for ens in comparison:
-        write_curves_csv(ens, out_dir / f"curves_{ens.allocation.strategy}.csv")
-    write_summary_csv(comparison, out_dir / "summary.csv")
+        write_curves_csv(ens, out[f"curves_{ens.allocation.strategy}.csv"])
+    write_summary_csv(comparison, out["summary.csv"])
     for row, subpop in enumerate(SUBPOPS):
         groups = [CurveGroup(ens.allocation.strategy, _COLORS[ens.allocation.strategy], ens.series(row))
                   for ens in comparison]
-        emit_svg_plot(groups, f"Daily new infections among {subpop}", out_dir / f"curves_{subpop}.svg")
+        emit_svg_plot(groups, f"Daily new infections among {subpop}", out[f"curves_{subpop}.svg"])
     ratio = comparison.ar_ratio["unvaccinated"]
     print(f"wrote {out_dir}/summary.csv (unvaccinated AR ratio {ratio:.3f})")
     return 0

@@ -165,7 +165,11 @@ def _ensemble(
 
     def job(batch: range) -> tuple[np.ndarray, np.ndarray]:
         rngs = [np.random.default_rng(children[i + 1]) for i in batch]
-        vaccinated = fixed if fixed is not None else np.array([allocation.draw(g, rng) for rng in rngs])
+        vaccinated = fixed
+        if fixed is None:  # each run's draw fills its row: no list of draws lives beside the stack
+            vaccinated = np.empty((len(batch), g.n), dtype=bool)
+            for row, rng in zip(vaccinated, rngs):
+                row[:] = allocation.draw(g, rng)
         record = run_batch(g, cfg.params, cfg.seeding, rngs, vaccinated, table)
         return record.cases, record.lengths  # no (runs, n) infection days outlive the job
 

@@ -195,41 +195,36 @@ def row_blocks(bounds: np.ndarray, size: int):
         lo = hi
 
 
-def _renumbering(opinions: np.ndarray, opinion: Opinion) -> tuple[np.ndarray, np.ndarray]:
-    """(the ids of the nodes holding ``opinion``, each node's int32 id among
-    them or -1). The new ids keep the order of the old."""
+def _forward(g: AnnotatedGraph, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(int32 sources, targets) of the arcs of rows ``lo..hi-1`` whose
+    source is the lower end: each of their edges once, in CSR order."""
+    src = np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(g.indptr[lo : hi + 1]))
+    dst = g.indices[g.indptr[lo] : g.indptr[hi]]
+    forward = src < dst
+    return src[forward], dst[forward]
+
+
+def _community(pairs: np.ndarray, labels: np.ndarray, opinions: np.ndarray, opinion: Opinion) -> AnnotatedGraph:
+    """The graph of the ``(k, 2)`` id ``pairs`` whose ends both hold
+    ``opinion``, on those nodes renumbered in order. A caller handing over
+    its only reference to ``pairs`` lets them be freed before the build."""
     keep = np.flatnonzero(opinions == int(opinion))
     remap = np.full(opinions.size, -1, dtype=np.int32)
     remap[keep] = np.arange(keep.size, dtype=np.int32)
-    return keep, remap
+    ids = remap[pairs]
+    del pairs, remap
+    kept = [ids[(ids >= 0).all(axis=1)]]
+    del ids
+    return AnnotatedGraph.from_edge_array(keep.size, kept.pop(), opinions=opinions[keep], labels=labels[keep])
 
 
 def subgraph_by_opinion(g: AnnotatedGraph, opinion: Opinion) -> AnnotatedGraph:
     """Induced subgraph on the nodes holding ``opinion``, ids re-densified.
 
-    The renumbering keeps the order of the kept nodes, so the kept arcs,
-    taken in CSR order, are already the subgraph's sorted rows. It holds
-    two int32 arrays of the arc count and the kept arcs' int64 ids; to
-    report on one community of a file, ``load_edge_list`` with an
-    ``opinion`` builds the same graph without building the whole one.
+    The graph's forward arcs go through the one cut that ``load_edge_list``
+    with an ``opinion`` runs on a file's pairs, so both give the same graph.
     """
-    keep, remap = _renumbering(g.opinions, opinion)
-    src, dst = np.repeat(remap, g.degrees), remap[g.indices]
-    inside = (src >= 0) & (dst >= 0)
-    src, dst = src[inside], dst[inside]
-    del inside
-    indptr = np.searchsorted(src, np.arange(keep.size + 1, dtype=np.int32))
-    indices = dst.astype(np.int64)
-    del src, dst
-    sub = AnnotatedGraph(
-        n=int(keep.size),
-        indptr=indptr,
-        indices=indices,
-        opinions=np.full(keep.size, int(opinion), dtype=np.uint8),
-        labels=g.labels[keep],
-    )
-    sub.validate()
-    return sub
+    return _community(np.column_stack(_forward(g, 0, g.n)), g.labels, g.opinions, opinion)
 
 
 # -- file formats ---------------------------------------------------------
@@ -394,12 +389,10 @@ def load_edge_list(path, attr_path, opinion: Opinion | None = None) -> Annotated
     a log warning. Nodes present only in the attribute file are kept as
     isolated nodes. Every node appearing in an edge must be annotated.
 
-    With an ``opinion``, the result is ``subgraph_by_opinion`` of the whole
-    graph, array for array, but only that community is built. Every line is
-    still read and every edge mapped, so the errors and the warning do not
-    change; the edges whose ends both hold ``opinion`` are then kept as
-    int32 ids in label order, and the int64 pairs are freed before the
-    community is built. Its peak stays below the unfiltered load's.
+    With an ``opinion``, only that community is built: every line is still
+    read and every edge mapped, so the errors and the warning do not change,
+    and the pairs go through ``subgraph_by_opinion``'s cut, giving its graph.
+    Its peak stays below the unfiltered load's.
     """
     edges = _read_rows(path, *_EDGE_ROWS)
     loops = edges["src"] == edges["dst"]
@@ -413,11 +406,7 @@ def load_edge_list(path, attr_path, opinion: Opinion | None = None) -> Annotated
     pairs = [_dense_ids(edges, labels)]
     del edges
     if opinion is not None:
-        keep, remap = _renumbering(opinions, opinion)
-        ids = remap[pairs.pop()]
-        pairs.append(ids[(ids >= 0).all(axis=1)])
-        del ids
-        labels, opinions = labels[keep], opinions[keep]
+        return _community(pairs.pop(), labels, opinions, opinion)
     return AnnotatedGraph.from_edge_array(labels.size, pairs.pop(), opinions=opinions, labels=labels)
 
 
@@ -469,17 +458,8 @@ def save_edge_list(g: AnnotatedGraph, path, attr_path) -> None:
     adjacency rows of about ``_SAVE_BLOCK`` arcs (a longer row is a block of
     its own), so no array the size of the edge list is built.
     """
-    indptr, indices = g.indptr, g.indices
-
-    def blocks():
-        for lo, hi in row_blocks(indptr, _SAVE_BLOCK):
-            src = np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(indptr[lo : hi + 1]))
-            dst = indices[indptr[lo] : indptr[hi]]
-            forward = src < dst
-            src, dst = src[forward], dst[forward]
-            yield src, dst
-
-    _write_files(path, attr_path, _label_bytes(g.labels), g.opinions, blocks())
+    blocks = (_forward(g, lo, hi) for lo, hi in row_blocks(g.indptr, _SAVE_BLOCK))
+    _write_files(path, attr_path, _label_bytes(g.labels), g.opinions, blocks)
 
 
 def save_edge_array(n: int, pairs: np.ndarray, path, attr_path, opinions: np.ndarray | None = None) -> int:

@@ -111,6 +111,30 @@ def test_metrics_out_naming_an_input_exit_code_1(tmp_path, capsys, subgraph, fla
     assert {path: path.read_bytes() for path in inputs.values()} == before
 
 
+@pytest.mark.parametrize(
+    "command, name, key",
+    [("simulate", "curves.csv", "edges"), ("compare", "summary.csv", "attrs"), ("compare", "summary.csv", "--config")],
+)
+def test_run_output_naming_an_input_exit_code_1(tmp_path, capsys, command, name, key):
+    # once simulate wrote its curves over the edge list it read, and the next run failed on that file
+    out = tmp_path / "out"
+    out.mkdir()
+    paths = {"edges": tmp_path / "e.csv", "attrs": tmp_path / "a.csv", "--config": tmp_path / "run.cfg"}
+    paths[key] = out / name
+    assert run_cli(
+        "generate", "--kind", "two-community", "--n-pro", "60", "--n-anti", "40", "--p-in", "0.1", "--p-out", "0.01",
+        "--seed", "4", "--out-edges", str(paths["edges"]), "--out-attrs", str(paths["attrs"]),
+    ) == 0
+    paths["--config"].write_text(f"edges={paths['edges']}\nattrs={paths['attrs']}\nn_runs=2\n")
+    before = {path: path.read_bytes() for path in paths.values()}
+    capsys.readouterr()
+    assert run_cli(command, "--config", str(paths["--config"]), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{name} and {key} name the same file" in err
+    assert {path: path.read_bytes() for path in paths.values()} == before
+    assert [path.name for path in out.iterdir()] == [name]  # nothing was written
+
+
 def _write_config(tmp_path, extra=""):
     # a key set in ``extra`` replaces the base line of that key
     base = (

@@ -13,6 +13,7 @@ import oracles
 from helpers import (
     complete_edges,
     degree,
+    edge_array,
     graph_from_edges,
     memory_test_graph,
     neighbors,
@@ -635,22 +636,30 @@ def test_subgraph_excludes_cross_edges():
     assert anti.n == 2 and anti.edge_count == 0
 
 
-def test_subgraph_matches_brute_force_filter():
-    rng = np.random.default_rng(17)
-    n = 50
-    edges = random_edges(rng, n, 0.12)
-    opinions = (rng.random(n) < 0.5).astype(np.uint8)
-    g = graph_from_edges(n, edges, opinions)
-    for op in (Opinion.PRO, Opinion.ANTI):
-        sub = subgraph_by_opinion(g, op)
-        keep = [i for i in range(n) if opinions[i] == int(op)]
-        kept_edges = [
-            (u, v) for u, v in edges if opinions[u] == int(op) and opinions[v] == int(op)
-        ]
-        assert sub.n == len(keep)
-        assert sub.edge_count == len(kept_edges)
-        # label traceability: subgraph labels are the original node ids
-        assert sub.labels.tolist() == keep
+def test_subgraph_matches_brute_force_filter(tmp_path):
+    # an independent reference for the one cut that both callers run: a
+    # mixed graph, and an all-pro one whose anti cut is empty
+    for pro_share in (0.5, 1.0):
+        rng = np.random.default_rng(17)
+        n = 50
+        edges = random_edges(rng, n, 0.12)
+        opinions = (rng.random(n) < pro_share).astype(np.uint8)
+        labels = np.sort(rng.choice(np.arange(-500, 500), size=n, replace=False))
+        g = AnnotatedGraph.from_edge_array(n, np.array(edges), opinions=opinions, labels=labels)
+        paths = tmp_path / f"edges_{pro_share}.csv", tmp_path / f"attrs_{pro_share}.csv"
+        save_edge_list(g, *paths)
+        for op in (Opinion.PRO, Opinion.ANTI):
+            keep = [i for i in range(n) if opinions[i] == int(op)]
+            kept_edges = sorted(
+                (int(labels[u]), int(labels[v])) for u, v in edges if opinions[u] == int(op) and opinions[v] == int(op)
+            )
+            for sub in (subgraph_by_opinion(g, op), load_edge_list(*paths, op)):
+                assert sub.n == len(keep)
+                # label traceability: subgraph labels are the kept nodes' labels
+                assert sub.labels.tolist() == labels[keep].tolist()
+                assert sub.opinions.tolist() == [int(op)] * len(keep)
+                assert sorted(map(tuple, sub.labels[edge_array(sub)].tolist())) == kept_edges
+        assert pro_share < 1 or sub.n == sub.edge_count == 0  # the empty anti cut, loaded last
 
 
 # -- loading one community: the same graph as loading all and cutting -------
