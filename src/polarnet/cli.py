@@ -10,7 +10,7 @@ import argparse
 import errno
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from .config import STRATEGIES, RunConfig, parse_config, scalar_fields
@@ -43,10 +43,12 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _load_run_config(args) -> RunConfig:
-    cfg = parse_config(args.config) if args.config else RunConfig()
     flags = {"edges": args.edges, "attrs": args.attrs, "master_seed": args.seed,
              "out_dir": args.out, "threads": args.threads}
-    return replace(cfg, **{key: value for key, value in flags.items() if value is not None})
+    flags = {key: value for key, value in flags.items() if value is not None}
+    cfg = parse_config(args.config, **flags) if args.config else RunConfig(**flags)
+    cfg.require_graph()
+    return cfg
 
 
 def _refuse_overwrite(outputs: dict, inputs: dict, make_dir: bool = False) -> None:

@@ -5,8 +5,8 @@ study defaults. Each key sets the field of its name (or the one ``ALIASES``
 names) of :class:`RunConfig`, its ``GeneratorSpec`` or its ``EpidemicParams``
 (transmission constants and index cases alike); each of these validates
 itself when built, and the ensemble functions take the whole ``RunConfig``.
-Exactly one graph source must be configured before a simulation can run:
-either ``edges``+``attrs`` files or a ``generator`` with its parameters.
+A config names at most one graph source, either ``edges``+``attrs`` files or
+a ``generator`` with its parameters, and a simulation needs one.
 """
 
 from __future__ import annotations
@@ -51,18 +51,20 @@ class RunConfig:
         ):
             if not valid:
                 raise ConfigError(f"key {key!r} must be {rule}")
-
-    def resolve_graph(self) -> AnnotatedGraph:
-        """Build or load the configured graph (exactly one source allowed)."""
         if (self.edges is None) != (self.attrs is None):
             raise ConfigError("edges and attrs must be configured together")
-        if self.edges is not None:
-            if self.graph is not None:
-                raise ConfigError("configure either edge/attr files or a generator, not both")
-            return load_edge_list(self.edges, self.attrs)
-        if self.graph is None:
+        if self.edges is not None and self.graph is not None:
+            raise ConfigError("configure either edge/attr files or a generator, not both")
+
+    def require_graph(self) -> None:
+        """Raise a ConfigError if no graph source is configured."""
+        if self.edges is None and self.graph is None:
             raise ConfigError("no graph source configured (edges/attrs or generator)")
-        return self.graph.build()
+
+    def resolve_graph(self) -> AnnotatedGraph:
+        """Build or load the configured graph."""
+        self.require_graph()
+        return self.graph.build() if self.edges is None else load_edge_list(self.edges, self.attrs)
 
 
 def scalar_fields(cls, skip=()):
@@ -109,8 +111,9 @@ def _convert(key: str, raw: str, target_type, lineno: int):
         ) from None
 
 
-def parse_config(path) -> RunConfig:
-    """Parse and validate a config file, applying defaults for unset keys."""
+def parse_config(path, **overrides) -> RunConfig:
+    """Parse and validate a config file, applying defaults for unset keys;
+    ``overrides`` set :class:`RunConfig` fields over the file's keys."""
     values: dict[type, dict] = {cls: {} for cls in _SECTIONS}
     for lineno, raw in text_lines(path, lambda message, line: ConfigError(f"line {line}: {message}")):
         line = raw.split("#", 1)[0].strip()
@@ -131,7 +134,7 @@ def parse_config(path) -> RunConfig:
         keys = ", ".join(_KEY_OF.get(name, name) for name in graph)
         raise ConfigError(f"key(s) {keys} set without key 'generator'")
     return RunConfig(graph=GeneratorSpec(**graph) if graph else None,
-                     params=EpidemicParams(**values[EpidemicParams]), **values[RunConfig])
+                     params=EpidemicParams(**values[EpidemicParams]), **{**values[RunConfig], **overrides})
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -43,18 +43,19 @@ share one random stream):
       susceptible at the start of the step, transmitters ascending, arcs in
       adjacency order. The arc's delay is the least k with u < F_s(k) (in
       daily mode through the source's active days), none if u >= F_s(T);
-      the target's tentative day becomes the least of its own and d + k.
-   c. The step moves to the least tentative day, never past ``horizon``
+      the target's pending day becomes the least of its own and d + k.
+   c. The step moves to the least pending day, never past ``horizon``
       unless d is there; with nothing pending it moves to the horizon (or
-      d + 1 past it). The nodes whose tentative day it is are infected, and
-      each vaccinated one, ascending, draws a uniform for its transmitter
-      flag (once mode).
+      d + 1 past it). The nodes pending on that day are infected, and each
+      vaccinated one, ascending, draws a uniform for its transmitter flag
+      (once mode).
 
-A node's whole history is its infection day d: Susceptible before it,
-Infected on days d..d + T, Recovered after; :func:`status_on` derives the
-status from it. Nothing is drawn or written on a recovery day, so the steps
-land only on infection days and finally on the horizon. A run still ends on
-its first day with nobody infected, or on day ``horizon``: it lasts
+A node's whole history is its infection day d: Susceptible before it, Infected
+on days d..d + T, Recovered after; :func:`status_on` derives the status from
+it. One int32 a node holds d, and before it -1, or ``d - NEVER`` once drawn
+arcs give the node day d. Nothing is drawn or written on a recovery day, so the
+steps land only on infection days and finally on the horizon. A run still ends
+on its first day with nobody infected, or on day ``horizon``: it lasts
 ``min(horizon, last infection day + T + 1) + 1`` days, derived from its
 infection days, and cases still in their window at the horizon stay Infected.
 
@@ -82,7 +83,7 @@ SUSCEPTIBLE, INFECTED, RECOVERED = 0, 1, 2
 
 VET_MODES = ("once", "daily")
 SEED_POOLS = ("all", "unvaccinated")
-NEVER = np.iinfo(np.int32).max  # tentative day of a node no arc reaches
+NEVER = np.iinfo(np.int32).max  # delay of an arc that never transmits; day d pending is d - NEVER
 # longest infectious window, one year: the P(t) table and, in daily mode, each
 # vaccinated infector's draws grow with it
 MAX_INFECTIOUS_DAYS = 365
@@ -133,7 +134,7 @@ class EpidemicParams:
                 raise ConfigError(f"{key} must lie in [{lo:g}, {hi:g}], got {value}")
         if not 1 <= self.max_infectious_days <= MAX_INFECTIOUS_DAYS:
             raise ConfigError(f"t_max_infectious must lie in [1, {MAX_INFECTIOUS_DAYS}]")
-        # every day d + k and run end d + T + 1 must stay below NEVER (int32)
+        # every day d + k and run end d + T + 1 must stay below NEVER - 1, the day code -1 would name
         last = NEVER - self.max_infectious_days - 2
         if not 1 <= self.horizon <= last:
             raise ConfigError(f"horizon must lie in [1, {last}]")
@@ -243,17 +244,16 @@ class SimulationState:
     Node ``v`` of run ``b`` sits at flat index ``b * n + v`` of every array;
     a single run is the batch of one. ``day`` is the batch's common day. A
     node's infection day is all of its history: ``status_on(day_infected,
-    day, T)`` is its status, and a node is susceptible while it is -1.
-    ``sources`` are the transmitters infected on ``day``, the only cases the
-    next step draws for.
+    day, T)`` is its status; a susceptible reads -1, or ``d - NEVER`` once
+    the arcs drawn to it give it day d. ``sources`` are the transmitters
+    infected on ``day``, the only cases the next step draws for.
     """
 
     n: int
     day: int
-    day_infected: np.ndarray  # int32, -1 while susceptible
+    day_infected: np.ndarray  # int32: infection day, else -1 or a pending day's d - NEVER
     vaccinated: np.ndarray  # bool, fixed for the whole run
     rngs: list[np.random.Generator]  # one per run
-    tentative: np.ndarray  # int32: least day d + k drawn for a susceptible, else NEVER
     sources: np.ndarray  # flat indices, ascending, set by infect
 
     @property
@@ -303,7 +303,6 @@ def initial_state(n: int, vaccinated: np.ndarray | None, rngs: list) -> Simulati
         day_infected=np.full(size, -1, dtype=np.int32),
         vaccinated=vaccinated,
         rngs=rngs,
-        tentative=np.full(size, NEVER, dtype=np.int32),
         sources=np.empty(0, dtype=np.intp),
     )
 
@@ -381,11 +380,10 @@ def step_day(
             cdf = 1.0 - np.cumprod(1.0 - table.hazard[row[masked].astype(np.intp)] * active[slot], axis=1)
             delay[masked] = table.delays[(u[masked, None] >= cdf).sum(axis=1)]
         hit = delay < NEVER
-        np.minimum.at(state.tentative, targets[hit], day + delay[hit])
+        np.minimum.at(state.day_infected, targets[hit], (day - NEVER) + delay[hit])
 
-    nxt = min(int(state.tentative.min()), max(params.horizon, day + 1))  # contract 2c
-    newly = np.flatnonzero(state.tentative == nxt)
-    state.tentative[newly] = NEVER
+    nxt = min(int(state.day_infected.min()) + NEVER, max(params.horizon, day + 1))  # contract 2c
+    newly = np.flatnonzero(state.day_infected == nxt - NEVER)
     state.day = nxt
     infect(state, newly, params)
     return state
@@ -432,5 +430,6 @@ def run_batch(
         step_day(g, state, params, table)
     # every run lasts min(horizon, last infection day + T + 1) + 1 days
     day = state.day_infected.reshape(len(state.rngs), g.n)
+    np.maximum(day, -1, out=day)  # days drawn past the horizon stay unreached
     end = np.minimum(params.horizon, day.max(axis=1) + params.max_infectious_days + 1)
     return RunRecord(_new_cases(state, int(end.max()) + 1), end + 1, day)

@@ -300,7 +300,8 @@ _COUNTS = ("n", "k_ring", "m", "n_pro", "n_anti")
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Parsed description of a synthetic graph to build."""
+    """Parsed description of a synthetic graph to build, checked against
+    its kind's rules when made, so :meth:`edges` only draws."""
 
     kind: str
     seed: int = 0
@@ -334,18 +335,19 @@ class GeneratorSpec:
                 raise ConfigError(f"{key} must lie in [0, 1], got {value}")
         if self.seed < 0:
             raise ConfigError(f"key 'graph_seed' (generate --seed) must be >= 0, got {self.seed}")
-
-    def edges(self) -> tuple[int, np.ndarray, np.ndarray | None]:
-        """(node count, the ``(k, 2)`` int64 edge array, each node's Opinion
-        value or None for all pro) of the described graph, drawn after its
-        kind's rules from ``PCG64(seed)``."""
-        draw, names, rules = _KINDS[self.kind]
+        names, rules = _KINDS[self.kind][1:]
         missing = [name for name in names if getattr(self, name) is None]
         if missing:
             raise ConfigError(f"generator {self.kind!r} needs parameter(s): {', '.join(missing)}")
         for holds, message in rules:
             if not holds(self):
                 raise ConfigError(message)
+
+    def edges(self) -> tuple[int, np.ndarray, np.ndarray | None]:
+        """(node count, the ``(k, 2)`` int64 edge array, each node's Opinion
+        value or None for all pro) of the described graph, drawn from
+        ``PCG64(seed)``."""
+        draw, names = _KINDS[self.kind][:2]
         # Python ints: a numpy integer size would overflow in its own width
         args = [operator.index(getattr(self, name)) if name in _COUNTS else getattr(self, name) for name in names]
         if self.n is not None:

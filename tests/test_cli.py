@@ -170,6 +170,39 @@ def test_unwritable_output_exit_code_2_before_the_work(tmp_path, capsys, monkeyp
     assert (tmp_path / "afile").read_bytes() == b""
 
 
+@pytest.mark.parametrize(
+    "command, argv, message",
+    [
+        ("generate", ["--kind", "ws", "--n", "4", "--k-ring", "6", "--p-rewire", "0.1",
+                      "--out-edges", "nodir/e.csv", "--out-attrs", "nodir/a.csv"], "k_ring must be smaller than n"),
+        ("compare", ["--config", "run.cfg", "--out", "afile"], "no graph source configured (edges/attrs or generator)"),
+        ("simulate", ["--config", "run.cfg", "--out", "afile"], "no graph source configured (edges/attrs or generator)"),
+    ],
+    ids=["generate-missing-dir", "compare-file", "simulate-file"],
+)
+def test_config_fault_exit_code_1_before_an_output_fault(tmp_path, capsys, monkeypatch, command, argv, message):
+    # once the unwritable output was found first and the command exited 2
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "run.cfg").write_text("n_runs=2\n")
+    capsys.readouterr()
+    assert run_cli(command, *argv) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["afile", "run.cfg"]
+    assert (tmp_path / "afile").read_bytes() == b""
+
+
+def test_flags_complete_the_config_files_pair(tmp_path):
+    # the file's keys and the flags are checked as one config, so --attrs pairs with the file's edges key
+    save_edge_list(GeneratorSpec("two-community", 1, n_pro=60, n_anti=40, p_in=0.1, p_out=0.01).build(),
+                   tmp_path / "e.csv", tmp_path / "a.csv")
+    (tmp_path / "run.cfg").write_text(f"edges={tmp_path / 'e.csv'}\nn_runs=2\nseed_count=2\n")
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(tmp_path / "run.cfg"), "--attrs", str(tmp_path / "a.csv"),
+                   "--out", str(out)) == 0
+    assert (out / "curves.csv").read_text().startswith("day,new_unvacc")
+
+
 def _write_config(tmp_path, extra=""):
     # a key set in ``extra`` replaces the base line of that key
     base = (

@@ -97,12 +97,10 @@ def test_round_trip_property(tmp_path_factory, r, vei, runs, seed, seed_count, s
 
 
 def test_graph_source_exclusivity(tmp_path):
-    cfg = parse_config(write(tmp_path, "edges=e.csv\n"))
     with pytest.raises(ConfigError, match="together"):
-        cfg.resolve_graph()
-    both = parse_config(write(tmp_path, "edges=e.csv\nattrs=a.csv\ngenerator=er\nn=10\np=0.1\n"))
+        parse_config(write(tmp_path, "edges=e.csv\n"))
     with pytest.raises(ConfigError, match="not both"):
-        both.resolve_graph()
+        parse_config(write(tmp_path, "edges=e.csv\nattrs=a.csv\ngenerator=er\nn=10\np=0.1\n"))
     neither = parse_config(write(tmp_path, "R=4\n"))
     with pytest.raises(ConfigError, match="no graph source"):
         neither.resolve_graph()
@@ -212,9 +210,9 @@ def test_config_with_a_byte_order_mark_parses(tmp_path):
         (RunConfig, "n_runs", 2.5, "n_runs"),
         (RunConfig, "master_seed", 1.5, "master_seed"),
         (RunConfig, "threads", 1.5, "threads"),
-        (partial(GeneratorSpec, "er"), "n", 10.5, "n"),
-        (partial(GeneratorSpec, "ba"), "m", 2.5, "m"),
-        (partial(GeneratorSpec, "er"), "seed", 1.5, "graph_seed"),
+        (partial(GeneratorSpec, "er", p=0.1), "n", 10.5, "n"),
+        (partial(GeneratorSpec, "ba", n=10), "m", 2.5, "m"),
+        (partial(GeneratorSpec, "er", n=10, p=0.1), "seed", 1.5, "graph_seed"),
     ],
 )
 def test_integer_settings_reject_non_integers(cls, name, value, key):

@@ -19,6 +19,7 @@ from polarnet.epidemic import (
     NEVER,
     RECOVERED,
     SUSCEPTIBLE,
+    DelayTable,
     EpidemicParams,
     delay_table,
     infect,
@@ -251,6 +252,19 @@ def test_step_day_hand_trace_on_path():
     assert _status(state, params).tolist() == [2, 2, 2, 2, 2]
     assert state.cases[0, 0].tolist() == [1, 2, 2] + [0] * 8
 
+    # a table that delays every arc into a vaccinated node by 2 days: node 3,
+    # vaccinated, is reached on day 0 for day 2 and stays susceptible on day 1
+    keys = np.array([1, 1, 1, 1, 2], dtype=np.int64) << 53  # F_0 = (1, 1), F_1 = (0, 1)
+    slow = DelayTable(table.hazard, keys, table.delays)
+    state = initial_state(5, np.arange(5) == 3, [0])
+    infect(state, np.array([2]), params)
+    step_day(g, state, params, slow)
+    assert state.day == 1 and state.sources.tolist() == [1]
+    assert state.day_infected[3] == 2 - NEVER < -1
+    assert _status(state, params).tolist() == [0, 1, 1, 0, 0]
+    step_day(g, state, params, slow)  # day 2: 1 infects 0, and 3's drawn day comes
+    assert state.day == 2 and state.day_infected.tolist() == [2, 1, 0, 2, -1]
+
 
 def test_contact_probability_from_mean_degree():
     params = EpidemicParams()  # I_bar = 2
@@ -426,13 +440,31 @@ def test_run_batch_equals_per_run_records(vet_mode, pool, horizon):
         assert max(ends) == horizon and max(last) > horizon - params.max_infectious_days - 1
 
 
+def test_run_batch_records_days_drawn_past_the_horizon_as_never():
+    # the horizon cuts these runs while arcs drawn from their last cases
+    # point past it: the state holds those days as codes below -1, and the
+    # record holds only -1 (never infected) and infection days
+    g = two_community(200, 200, 0.05, 0.005, 1)
+    params = EpidemicParams(horizon=4, seed_count=5)
+    state = seed_infections(initial_state(g.n, None, [3, 4]), params)
+    table = delay_table(g, params)
+    while state.day < params.horizon:
+        step_day(g, state, params, table)
+    assert (state.day_infected < -1).any()
+    record = run_batch(g, params, [3, 4])
+    assert ((record.day_infected == -1) | (record.day_infected >= 0)).all()
+    assert np.array_equal(record.day_infected.ravel(), np.maximum(state.day_infected, -1))
+
+
 def test_run_batch_allocates_at_most_twice_its_state():
-    """Bound: 2.0x ``runs * n * 9`` bytes, the state's int32 infection and
-    tentative days and its bool vaccination flags, for one run on 50,000
-    nodes. The case count builds its key in place in the array of the cases'
-    flat indices, and seeding passes ``n`` to ``rng.choice``, not an int64
-    ``np.arange(n)``; with five case-sized int64 temporaries and that array
-    the run peaked at 2.48x.
+    """Bound: 2.0x ``runs * n * 9`` bytes for one run on 50,000 nodes, set
+    when the state held a second int32 day array. The state is now 5 bytes
+    a node, its int32 day and its bool vaccination flags, and the run peaks
+    at 2.3x that (about 0.58 MB, 1.28x the 9 bytes; 1.73x with the second
+    array). The case count builds its key in place in the array of the
+    cases' flat indices, and seeding passes ``n`` to ``rng.choice``, not an
+    int64 ``np.arange(n)``; with five case-sized int64 temporaries and that
+    array the run peaked at 2.48x the 9 bytes.
 
     CPython 3.10 keeps a call's arguments alive until the call returns; the
     engine frees none of its arguments early, so that should not matter
