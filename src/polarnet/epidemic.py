@@ -146,6 +146,12 @@ class EpidemicParams:
         if self.seed_count < 1:
             raise ConfigError("key 'seed_count' must be >= 1")
 
+    def check_pool(self, size: int) -> None:
+        """Raise a DataError unless ``seed_count`` distinct agents can be
+        drawn from a seed pool of ``size`` agents."""
+        if self.seed_count > size:
+            raise DataError(f"seed pool has {size} agent(s), cannot seed {self.seed_count}")
+
 
 def infectiousness_integral(t: int, curve_mean: float, curve_sd: float) -> float:
     """Mass of the gamma infectiousness density on [t-1, t]; 0 for t <= 0.
@@ -336,14 +342,12 @@ def infect(state: SimulationState, nodes: np.ndarray, params: EpidemicParams) ->
 def seed_infections(state: SimulationState, params: EpidemicParams) -> SimulationState:
     """Infect ``seed_count`` distinct agents of each run, drawn uniformly
     from its ``seed_pool``, on day 0: step 1 of the determinism contract."""
-    n, count, chosen = state.n, params.seed_count, []
+    n, chosen = state.n, []
     for b, rng in enumerate(state.rngs):
         own = state.vaccinated[b * n : (b + 1) * n]
         pool = n if params.seed_pool == "all" else np.flatnonzero(~own)  # choice(n) draws as choice(np.arange(n))
-        size = pool if params.seed_pool == "all" else pool.size
-        if count > size:
-            raise DataError(f"seed pool has {size} agent(s), cannot seed {count}")
-        chosen.append(np.sort(rng.choice(pool, size=count, replace=False)) + b * n)
+        params.check_pool(pool if params.seed_pool == "all" else pool.size)
+        chosen.append(np.sort(rng.choice(pool, size=params.seed_count, replace=False)) + b * n)
     infect(state, np.concatenate(chosen), params)
     return state
 

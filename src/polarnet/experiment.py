@@ -155,7 +155,12 @@ def _ensemble(
 
     Each run draws its own allocation, so ensemble variance includes its randomness,
     unless ``cfg.homogeneous_redraw`` is false: then one draw from child 0 serves all runs.
+
+    Every draw gives ``allocation.doses`` doses, so each run's seed pool is
+    known before any draw, and a seed count larger than it raises the
+    engine's DataError before any run starts.
     """
+    cfg.params.check_pool(g.n if cfg.params.seed_pool == "all" else g.n - allocation.doses)
     children = seed.spawn(cfg.n_runs + 1)
     fixed = None if cfg.homogeneous_redraw else allocation.draw(g, children[0])
 

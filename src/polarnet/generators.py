@@ -2,7 +2,7 @@
 
 Every generator is deterministic given its parameters and a non-negative
 seed, draws by ``Generator.random`` and ``Generator.integers`` alone, and
-returns a validated :class:`~polarnet.graph.AnnotatedGraph`. Each works over
+returns an :class:`~polarnet.graph.AnnotatedGraph`. Each works over
 whole numpy arrays:
 
 - random-graph and two-community edges by geometric skip sampling, so cost
@@ -40,11 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, require_integers
-from .graph import AnnotatedGraph, Opinion
-
-
-# most nodes of a generated graph: every pair index n(n-1)/2 then fits in int64
-MAX_NODES = 2**31 - 1
+from .graph import MAX_NODES, AnnotatedGraph, Opinion
 
 
 _CHUNK = 1 << 18  # most skips drawn per rng.random call

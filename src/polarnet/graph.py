@@ -16,12 +16,18 @@ import logging
 import re
 from dataclasses import dataclass, field
 from enum import IntEnum
+from numbers import Integral
 
 import numpy as np
 
 from .errors import AnnotationError, DataError, GraphFormatError
 
 log = logging.getLogger(__name__)
+
+# most nodes of a graph: every node id fits in int32, as the engine, the
+# metrics and the community cut store them, and every pair index of a
+# generator, n(n-1)/2, in int64
+MAX_NODES = 2**31 - 1
 
 _MAX_REPORTED_OFFENDERS = 20
 
@@ -47,6 +53,14 @@ class Opinion(IntEnum):
 
     def __str__(self) -> str:
         return "pro" if self is Opinion.PRO else "anti"
+
+
+def _node_count(n) -> int:
+    """``n`` as an int; a DataError unless it is an integer (a bool is
+    none) in [0, MAX_NODES]."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or not 0 <= n <= MAX_NODES:
+        raise DataError(f"node count must be an integer in [0, {MAX_NODES}], got {n!r}")
+    return int(n)
 
 
 def _check_pairs(n: int, edges) -> np.ndarray:
@@ -122,19 +136,26 @@ class AnnotatedGraph:
         opinions: np.ndarray | None = None,
         labels: np.ndarray | None = None,
     ) -> "AnnotatedGraph":
-        """Build a validated graph from an (k, 2) array of node-id pairs.
+        """Build a graph from an (k, 2) array of node-id pairs.
 
-        Duplicate pairs (in either orientation) collapse to a single edge.
-        Self-loops are rejected; callers that ingest dirty data must strip
-        them first. ``opinions`` and ``labels``, when given, must have shape
-        ``(n,)``, each opinion 0 (anti) or 1 (pro); the graph keeps copies of
-        them, so the caller's arrays stay writable and its own.
+        Everything given is checked before the build, each fault a DataError:
+        ``n`` must be an integer in [0, MAX_NODES] and every pair join two
+        distinct nodes of [0, n). Duplicate pairs (in either orientation)
+        collapse to a single edge; callers that ingest dirty data must strip
+        self-loops first. ``opinions`` and ``labels``, when given, must have
+        shape ``(n,)``, each opinion 0 (anti) or 1 (pro); the graph keeps
+        copies of them, so the caller's arrays stay writable and its own.
+        The CSR arrays are then sorted, simple and symmetric by construction,
+        so the build does not re-scan them (``validate`` would pass).
         """
+        n = _node_count(n)
         edges = _check_pairs(n, edges)
         u, v = edges[:, 0], edges[:, 1]
         opinions = _opinion_codes(n, opinions)
         if labels is not None:
             labels = np.array(labels, dtype=np.int64)
+            if labels.shape != (n,):
+                raise DataError("labels array must have one entry per node")
 
         # both arcs of every pair as src * n + dst in one buffer, sorted in
         # place: the CSR order. Equal arcs are the same edge given twice.
@@ -144,20 +165,19 @@ class AnnotatedGraph:
         arcs[:k] += v
         np.multiply(v, n, out=arcs[k:])
         arcs[k:] += u
-        del edges, u, v  # a caller's temporary pairs are freed here, before validate
+        del edges, u, v  # a caller's temporary pairs are freed here, before the sort
         arcs.sort()
         arcs = _drop_repeats(arcs)
         # row i starts at the first arc from i; the buffer then becomes the neighbour ids
         indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)
         arcs %= n
 
-        g = cls(n=n, indptr=indptr, indices=arcs, opinions=opinions, labels=labels)
-        g.validate()
-        return g
+        return cls(n=n, indptr=indptr, indices=arcs, opinions=opinions, labels=labels)
 
     def validate(self) -> None:
         """Full-scan structural check: simple, symmetric, consistent counts,
-        one opinion (0 or 1) and one label per node."""
+        one opinion (0 or 1) and one label per node. It is the check for CSR
+        arrays assembled by hand; ``from_edge_array`` builds graphs that pass it."""
         n = self.n
         indptr = self.indptr
         if indptr.shape != (n + 1,) or indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1]):
@@ -399,7 +419,7 @@ def _dense_ids(edges: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def load_edge_list(path, attr_path, opinion: Opinion | None = None) -> AnnotatedGraph:
-    """Load and validate an annotated graph from an edge + attribute file.
+    """Load an annotated graph from an edge + attribute file.
 
     External labels are remapped to dense ids (ascending label order).
     Duplicate edges collapse silently; self-loops are dropped and counted in
@@ -484,16 +504,16 @@ def save_edge_array(n: int, pairs: np.ndarray, path, attr_path, opinions: np.nda
     ``save_edge_list`` writes it, byte for byte, without building the
     graph; returns its edge count. Node i is labelled i.
 
-    The pairs and opinions get the build's checks and DataError messages
-    before any file is opened. Each pair is then ordered in place and
+    The node count, pairs and opinions get the build's checks and DataError
+    messages before any file is opened. Each pair is then ordered in place and
     replaced by one int64 key ``lower * n + higher``; the keys are sorted and
     repeated keys dropped, as the build collapses duplicate edges, and the
     edge lines are formatted from blocks of ``_SAVE_BLOCK`` keys. A caller
     that hands over its only reference to ``pairs`` (as ``load_edge_list``
     does to the build) lets them be freed before the sort, so one key per
-    edge stands in for the build's two arcs per edge and its validation's
-    arc-sized copies.
+    edge stands in for the build's two arcs per edge.
     """
+    n = _node_count(n)
     pairs = _check_pairs(n, pairs)
     opinions = _opinion_codes(n, opinions)
     pairs.sort(axis=1)

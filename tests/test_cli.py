@@ -431,6 +431,23 @@ def test_compare_on_a_single_opinion_graph_exit_code_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_compare_with_more_seeds_than_the_pool_exit_code_2_before_any_run(tmp_path, capsys, monkeypatch):
+    # the CI graph: 300 pro and 200 anti nodes, so 200 unvaccinated in either allocation
+    def no_run(*args):
+        raise AssertionError("run_batch was called")
+
+    monkeypatch.setattr(polarnet.experiment, "run_batch", no_run)
+    cfg = tmp_path / "compare.cfg"
+    cfg.write_text(
+        "generator=two-community\nn_pro=300\nn_anti=200\np_in=0.03\np_out=0.003\ngraph_seed=1\n"
+        "n_runs=300\nseed_count=201\nseed_pool=unvaccinated\n"
+    )
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: seed pool has 200 agent(s), cannot seed 201\n"
+    assert not out.exists()
+
+
 def test_missing_file_exit_code_2(tmp_path):
     assert run_cli(
         "metrics", "--edges", str(tmp_path / "nope.csv"),

@@ -362,6 +362,37 @@ def test_compare_rejects_a_single_opinion_graph(g, missing):
         compare_scenarios(g, RunConfig(n_runs=2, master_seed=1))
 
 
+@pytest.mark.parametrize(
+    "run, pool, count, size",
+    [
+        (compare_scenarios, "unvaccinated", 201, 200),  # 300 pro and 200 anti nodes: 300 doses
+        (compare_scenarios, "all", 501, 500),
+        (run_ensemble, "unvaccinated", 201, 200),
+        (run_ensemble, "all", 501, 500),
+    ],
+)
+def test_a_seed_count_above_its_pool_is_refused_before_any_run(monkeypatch, run, pool, count, size):
+    # once the first batch of runs failed on it inside run_batch
+    def no_run(*args):
+        raise AssertionError("run_batch was called")
+
+    g = two_community(300, 200, 0.03, 0.003, seed=1)
+    monkeypatch.setattr(experiment, "run_batch", no_run)
+    before = threading.active_count()
+    cfg = RunConfig(params=EpidemicParams(seed_count=count, seed_pool=pool), n_runs=300, threads=2)
+    for redraw in (True, False):
+        with pytest.raises(DataError, match=rf"^seed pool has {size} agent\(s\), cannot seed {count}$"):
+            run(g, replace(cfg, homogeneous_redraw=redraw, strategy="homogeneous"))
+    assert threading.active_count() == before
+
+
+def test_a_seed_count_equal_to_its_pool_runs():
+    g = two_community(30, 20, 0.1, 0.01, seed=1)
+    comp = compare_scenarios(g, RunConfig(params=EpidemicParams(seed_count=20, seed_pool="unvaccinated"), n_runs=2))
+    for ens in comp:  # every unvaccinated node is an index case
+        assert ens.sizes[0] == 20 and ens.mean_attack_rate["unvaccinated"] == 1.0
+
+
 def test_compare_runs_on_a_two_community_graph_with_a_small_group():
     g = two_community(100, 3, 0.05, 0.01, seed=4)
     comp = compare_scenarios(g, RunConfig(n_runs=2, master_seed=1))
