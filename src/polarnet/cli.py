@@ -128,8 +128,9 @@ def cmd_compare(args) -> int:
         groups = [CurveGroup(ens.allocation.strategy, _COLORS[ens.allocation.strategy], ens.series(row))
                   for ens in comparison]
         emit_svg_plot(groups, f"Daily new infections among {subpop}", out[f"curves_{subpop}.svg"])
-    ratio = comparison.ar_ratio["unvaccinated"]
-    print(f"wrote {out_dir}/summary.csv (unvaccinated AR ratio {ratio:.3f})")
+    ratio = comparison.ar_ratio
+    print(f"wrote {out_dir}/summary.csv (unvaccinated AR ratio {ratio['unvaccinated']:.3f}, "
+          f"whole-population AR ratio {ratio['all']:.3f})")
     return 0
 
 

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 
+from polarnet import experiment
+from polarnet.epidemic import run_batch
 from polarnet.generators import two_community
 from polarnet.graph import AnnotatedGraph
 
@@ -31,6 +35,32 @@ def traced_peak(fn, *args):
         return fn(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def spy_on_batches(monkeypatch, batch_nodes, cpus=4) -> list:
+    """Patch ``experiment`` so an ensemble on an n-node graph steps batches of
+    ``batch_nodes // n`` runs on at most ``cpus`` threads, whatever this
+    machine's CPU count; returns the list to which each batch appends the
+    thread that started it."""
+    started, lock = [], threading.Lock()
+
+    def recorded(*args):
+        with lock:
+            started.append(threading.current_thread())
+        time.sleep(0.005)  # hands the GIL to a waiting helper, so every thread takes a batch
+        return run_batch(*args)
+
+    monkeypatch.setattr(experiment, "BATCH_NODES", batch_nodes)
+    monkeypatch.setattr(experiment, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(experiment, "run_batch", recorded)
+    return started
+
+
+def threads_per_ensemble(started, batches) -> list[int]:
+    """How many threads started batches in each ensemble, of the ensembles of
+    ``batches`` batches each that ran one after another and filled ``started``."""
+    assert started and len(started) % batches == 0, f"{len(started)} batches, not ensembles of {batches}"
+    return [len(set(started[i : i + batches])) for i in range(0, len(started), batches)]
 
 
 def degree(g: AnnotatedGraph, i: int) -> int:

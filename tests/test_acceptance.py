@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import complete_edges, graph_from_edges, random_edges
+from helpers import complete_edges, graph_from_edges, random_edges, spy_on_batches, threads_per_ensemble
 from polarnet.cli import main as cli_main
 from polarnet.config import RunConfig
 from polarnet.epidemic import (
@@ -243,7 +243,8 @@ def test_criterion_06_polarization_screening(screening_comparison):
         6,
         ok,
         f"unvaccinated AR {ar_pol:.3f} vs {ar_hom:.3f} (ratio {ratio:.2f}, need >= 1.5); "
-        f"vaccinated AR {vacc_pol:.3f} vs {vacc_hom:.3f}; {elapsed:.0f}s",
+        f"vaccinated AR {vacc_pol:.3f} vs {vacc_hom:.3f}; whole-population AR ratio "
+        f"{comp.ar_ratio['all']:.3f}; {elapsed:.0f}s",
     )
     assert elapsed < 300.0
     assert vacc_pol <= vacc_hom
@@ -293,7 +294,10 @@ _COMPARE_FILES = (
 )
 
 
-def test_criterion_09_compare_determinism(tmp_path):
+def test_criterion_09_compare_determinism(tmp_path, monkeypatch):
+    # 6 runs of 300 nodes in batches of 600 // 300 = 2 runs: 3 batches an
+    # allocation, so --threads 3 starts helpers on any machine
+    started = spy_on_batches(monkeypatch, batch_nodes=600)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "generator=two-community\nn_pro=150\nn_anti=150\np_in=0.03\np_out=0.001\n"
@@ -302,10 +306,13 @@ def test_criterion_09_compare_determinism(tmp_path):
     outs = []
     for name, threads in (("a", 1), ("b", 1), ("c", 3)):
         out = tmp_path / name
+        started.clear()
         code = cli_main(
             ["compare", "--config", str(cfg), "--out", str(out), "--threads", str(threads)]
         )
         assert code == 0
+        used = threads_per_ensemble(started, 3)  # threads that ran each allocation
+        assert used == [1, 1] if threads == 1 else min(used) >= 2
         outs.append(out)
     mismatched = [
         f

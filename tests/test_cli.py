@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 import polarnet
+from helpers import spy_on_batches, threads_per_ensemble
 from polarnet.cli import main
 from polarnet.config import RunConfig, parse_config
 from polarnet.experiment import compare_scenarios, run_ensemble
 from polarnet.generators import GeneratorSpec
-from polarnet.graph import save_edge_list
-from polarnet.output import write_curves_csv, write_summary_csv
+from polarnet.graph import Opinion, load_edge_list, save_edge_list, subgraph_by_opinion
+from polarnet.metrics import metrics_report
+from polarnet.output import write_curves_csv, write_metrics_csv, write_summary_csv
 
 
 def run_cli(*argv):
@@ -81,12 +83,15 @@ def test_metrics_subgraph_flag(tmp_path):
         "--p-in", "0.004", "--p-out", "0.0005", "--seed", "1",
         "--out-edges", str(edges), "--out-attrs", str(attrs),
     )
-    out = tmp_path / "anti.csv"
-    assert run_cli(
-        "metrics", "--edges", str(edges), "--attrs", str(attrs),
-        "--subgraph", "anti", "--out", str(out),
-    ) == 0
-    assert out.exists()
+    # --subgraph loads one community: the same report as the library's cut of the whole graph
+    for name in ("pro", "anti"):
+        out, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
+        assert run_cli(
+            "metrics", "--edges", str(edges), "--attrs", str(attrs),
+            "--subgraph", name, "--out", str(out),
+        ) == 0
+        write_metrics_csv(metrics_report(subgraph_by_opinion(load_edge_list(edges, attrs), Opinion.parse(name))), ref)
+        assert out.read_bytes() == ref.read_bytes()
 
 
 @pytest.mark.parametrize("subgraph", [[], ["--subgraph", "pro"]])
@@ -237,6 +242,44 @@ def test_compare_outputs_and_determinism(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     summary = (out1 / "summary.csv").read_text().strip().splitlines()
     assert len(summary) == 7
+
+
+def test_compare_prints_the_unvaccinated_and_whole_population_ratios(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", str(cfg), "--out", str(out)) == 0
+    rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
+    ar = {(scenario, subpop): float(rate) for scenario, subpop, rate, _ in rows}
+    printed = capsys.readouterr().out
+    for subpop, label in (("unvaccinated", "unvaccinated"), ("all", "whole-population")):
+        ratio = ar["polarized", subpop] / ar["homogeneous", subpop]
+        assert f"{label} AR ratio {ratio:.3f}" in printed
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("compare", ""), ("compare", "vet_mode=daily\nhomogeneous_redraw=false\n"), ("simulate", "strategy=homogeneous\n")],
+    ids=["compare", "compare-daily-frozen", "simulate-homogeneous"],
+)
+def test_outputs_byte_identical_on_one_and_two_threads(tmp_path, monkeypatch, command, extra):
+    # 12 runs of 500 nodes in batches of 1000 // 500 = 2 runs: 6 batches an
+    # ensemble, so --threads 2 starts a helper on any machine
+    started = spy_on_batches(monkeypatch, batch_nodes=1000)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "generator=two-community\nn_pro=300\nn_anti=200\np_in=0.03\np_out=0.003\ngraph_seed=1\n"
+        "n_runs=12\nseed_count=3\n" + extra
+    )
+    ensembles, names = (2, 6) if command == "compare" else (1, 1)
+    written = []
+    for threads in (1, 2):
+        started.clear()
+        out = tmp_path / f"threads{threads}"
+        assert run_cli(command, "--config", str(cfg), "--threads", str(threads), "--out", str(out)) == 0
+        assert threads_per_ensemble(started, 6) == [threads] * ensembles
+        written.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert len(written[0]) == names
+    assert written[0] == written[1]
 
 
 def test_compare_from_files_equals_compare_from_the_generator(tmp_path):
@@ -555,9 +598,10 @@ def test_readme_library_example_runs(tmp_path):
     out = subprocess.run(
         [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, check=True
     )
-    ratio, assortativity, shares = out.stdout.splitlines()
+    ratio, whole_population_ratio, assortativity, shares = out.stdout.splitlines()
     # the figures the example's comments quote
     assert float(ratio) == pytest.approx(12.3, abs=0.05)
+    assert float(whole_population_ratio) == pytest.approx(7.96, abs=0.005)
     assert float(assortativity) == pytest.approx(0.95, abs=0.005)
     assert shares == "(0.5, 0.5)"
 

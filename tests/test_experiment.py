@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import complete_edges, graph_from_edges
+from helpers import complete_edges, graph_from_edges, spy_on_batches, threads_per_ensemble
 from oracles import reference_allocation
 from polarnet import experiment
 from polarnet.config import STRATEGIES, RunConfig
@@ -249,14 +249,21 @@ def test_hand_out_under_stress_runs_each_batch_once(monkeypatch):
     assert np.array_equal(got[0].daily, want.daily) and np.array_equal(got[0].lengths, want.lengths)
 
 
-def test_ensemble_deterministic_and_thread_invariant():
+def test_ensemble_deterministic_and_thread_invariant(monkeypatch):
+    # 8 runs of 200 nodes in batches of 400 // 200 = 2 runs: 4 batches, so
+    # threads=4 starts helpers on any machine
+    started = spy_on_batches(monkeypatch, batch_nodes=400)
     g = two_community(100, 100, 0.05, 0.005, seed=6)
     cfg = RunConfig(
         params=EpidemicParams(seed_count=3), n_runs=8, master_seed=99, strategy="homogeneous", threads=1
     )
     a = run_ensemble(g, cfg)
     b = run_ensemble(g, cfg)
+    assert threads_per_ensemble(started, 4) == [1, 1]
+    started.clear()
     c = run_ensemble(g, replace(cfg, threads=4))
+    [threads] = threads_per_ensemble(started, 4)
+    assert threads >= 2
     for other in (b, c):
         for s in ("unvaccinated", "vaccinated", "all"):
             assert np.array_equal(a.mean_curves[s], other.mean_curves[s])
