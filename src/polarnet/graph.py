@@ -272,10 +272,15 @@ def subgraph_by_opinion(g: AnnotatedGraph, opinion: Opinion) -> AnnotatedGraph:
 # optional sign. Spaces around fields and blank lines are ignored; there is
 # no comment syntax. An optional header is detected by a non-numeric first
 # field on the first non-blank line.
+#
+# An attribute file whose every opinion is spelled exactly `pro` or `anti` is
+# read as bytes in one numpy call, without a Python call per row; any other
+# file is read the general way, so the shortcut changes no result or error.
 
 _LABEL = re.compile(r"[+-]?[0-9]+")
 _INT64 = np.iinfo(np.int64)
 _SAVE_BLOCK = 1 << 16  # adjacency arcs formatted per write
+_NUL_BLOCK = 1 << 16  # bytes read at a time by the NUL scan
 
 
 def _is_int(text: str) -> bool:
@@ -304,7 +309,10 @@ def _opinion_code(text: str) -> int:
 
 # structured row type and per-field parsers of each file
 _EDGE_ROWS = (np.dtype([("src", np.int64), ("dst", np.int64)]), (_label, _label))
-_ATTR_ROWS = (np.dtype([("node", np.int64), ("opinion", np.uint8)]), (_label, _opinion_code))
+_ATTR_DTYPE = np.dtype([("node", np.int64), ("opinion", np.uint8)])
+# attribute rows as numpy reads them without a converter: five bytes hold
+# either spelling and show any longer field as a different one
+_ATTR_BYTES = np.dtype([("node", np.int64), ("opinion", "S5")])
 
 
 def text_lines(path, error):
@@ -339,6 +347,14 @@ def _data_lines(path):
         yield lineno, fields
 
 
+def _loadtxt(path, dtype: np.dtype, first_line: int, converters=None) -> np.ndarray:
+    """numpy's C parse of a 2-column CSV from its first data line on."""
+    return np.loadtxt(
+        path, dtype=dtype, delimiter=",", comments=None, converters=converters,
+        skiprows=first_line - 1, ndmin=1, encoding="utf-8-sig",
+    )
+
+
 def _read_rows(path, dtype: np.dtype, parsers) -> np.ndarray:
     """Data rows of a 2-column CSV as a structured array of ``dtype``.
 
@@ -353,10 +369,7 @@ def _read_rows(path, dtype: np.dtype, parsers) -> np.ndarray:
         return np.empty(0, dtype=dtype)
     converters = {i: parse for i, parse in enumerate(parsers) if parse is not _label}
     try:
-        return np.loadtxt(
-            path, dtype=dtype, delimiter=",", comments=None, converters=converters,
-            skiprows=first[0] - 1, ndmin=1, encoding="utf-8-sig",
-        )
+        return _loadtxt(path, dtype, first[0], converters)
     except ValueError:
         pass
     rows = []
@@ -368,18 +381,50 @@ def _read_rows(path, dtype: np.dtype, parsers) -> np.ndarray:
     return np.array(rows, dtype=dtype)
 
 
+def _has_nul(path) -> bool:
+    """Whether the file holds a NUL byte; read in blocks of _NUL_BLOCK."""
+    with open(path, "rb") as fh:
+        return any(b"\0" in block for block in iter(functools.partial(fh.read, _NUL_BLOCK), b""))
+
+
+def _canonical_rows(attr_path) -> tuple[np.ndarray, np.ndarray] | None:
+    """(label, Opinion code) of each data row of an attribute file whose
+    every opinion is spelled exactly ``pro`` or ``anti``, read as bytes by
+    one numpy call; None for any other file.
+
+    A first data line spelled otherwise (``PRO``) gives up before the file
+    is read again. numpy drops a field's trailing NULs, so a file holding a
+    NUL byte is never read this way: ``pro\\0`` stays an error.
+    """
+    first = next(_data_lines(attr_path), None)
+    if first is None or first[1][1] not in ("pro", "anti") or _has_nul(attr_path):
+        return None
+    try:
+        rows = _loadtxt(attr_path, _ATTR_BYTES, first[0])
+    except ValueError:
+        return None
+    pro = rows["opinion"] == b"pro"
+    if not (pro | (rows["opinion"] == b"anti")).all():
+        return None
+    return rows["node"], pro.view(np.uint8)
+
+
 def _annotations(attr_path) -> tuple[np.ndarray, np.ndarray]:
     """(labels ascending, the opinion of each) of an attribute file.
 
     A label may repeat with the same opinion; two opinions for one label
     raise an AnnotationError.
     """
-    attrs = _read_rows(attr_path, *_ATTR_ROWS)
-    labels, first, inverse = np.unique(attrs["node"], return_index=True, return_inverse=True)
-    opinions = attrs["opinion"][first]
-    clash = np.flatnonzero(attrs["opinion"] != opinions[inverse])
+    rows = _canonical_rows(attr_path)
+    if rows is None:  # any other spelling, or a bad line to name
+        attrs = _read_rows(attr_path, _ATTR_DTYPE, (_label, _opinion_code))
+        rows = attrs["node"], attrs["opinion"]
+    nodes, codes = rows
+    labels, first, inverse = np.unique(nodes, return_index=True, return_inverse=True)
+    opinions = codes[first]
+    clash = np.flatnonzero(codes != opinions[inverse])
     if clash.size:
-        node = int(attrs["node"][clash[0]])
+        node = int(nodes[clash[0]])
         raise AnnotationError(f"conflicting opinions for node {node}", offenders=[node])
     return labels, opinions
 
@@ -430,6 +475,11 @@ def load_edge_list(path, attr_path, opinion: Opinion | None = None) -> Annotated
     read and every edge mapped, so the errors and the warning do not change,
     and the pairs go through ``subgraph_by_opinion``'s cut, giving its graph.
     Its peak stays below the unfiltered load's.
+
+    An attribute file whose opinions are all spelled exactly ``pro`` or
+    ``anti`` is read as bytes; any other spelling goes through a parser
+    call per row. The arrays, and each error's type, message, offenders and
+    line, are the same either way.
     """
     edges = _read_rows(path, *_EDGE_ROWS)
     loops = edges["src"] == edges["dst"]

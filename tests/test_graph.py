@@ -310,6 +310,126 @@ def test_load_accepts_int64_extremes_signs_and_zeros(tmp_path):
     assert g.opinions.tolist() == [ANTI, PRO, PRO, ANTI, PRO]
 
 
+# -- the loader's shortcut: canonical opinions read as bytes ---------------
+
+
+def _load_outcome(edges, attrs, opinion=None):
+    """The arrays (with their dtypes) of the loaded graph, or the type,
+    message, offenders and line of the error the load raises."""
+    logging.disable(logging.WARNING)
+    try:
+        g = load_edge_list(edges, attrs, opinion)
+    except DataError as exc:
+        return type(exc), str(exc), getattr(exc, "offenders", None), getattr(exc, "line", None)
+    finally:
+        logging.disable(logging.NOTSET)
+    return g.n, [(a.dtype, a.tolist()) for a in (g.indptr, g.indices, g.opinions, g.labels)]
+
+
+def _general_outcome(edges, attrs, opinion=None):
+    """``_load_outcome`` with the bytes read switched off: every opinion
+    through ``_opinion_code``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_canonical_rows", lambda attr_path: None)
+        return _load_outcome(edges, attrs, opinion)
+
+
+SPELLINGS = {PRO: ["pro", "PRO", "Pro", " pro", "pro "], ANTI: ["anti", "ANTI", "Anti", " anti", "anti\t"]}
+BAD_OPINIONS = ["maybe", "pro\x00", "anti\x00\x00", "antii", "", "pr"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_load_gives_the_arrays_and_errors_of_the_general_path(data):
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=10**6)))
+    n = data.draw(st.integers(min_value=1, max_value=25))
+    spread = data.draw(st.sampled_from([1, 3, 1_000_003]))
+    labels = [int(x) * spread - 37 for x in rng.choice(3 * n, size=n, replace=False)]
+    if data.draw(st.booleans()):
+        labels[0], labels[-1] = INT64_MIN, INT64_MAX
+    opinions = rng.random(n) < data.draw(st.floats(min_value=0.0, max_value=1.0))
+    canonical = data.draw(st.booleans(), label="canonical spelling")
+
+    def spelled(op: int) -> str:
+        return SPELLINGS[op][0 if canonical else rng.integers(len(SPELLINGS[op]))]
+
+    # every annotated label once, some twice (equal or, rarely, conflicting)
+    annotated = rng.random(n) >= data.draw(st.sampled_from([0.0, 0.0, 0.2, 0.5]))
+    rows = [(label, int(op)) for label, op, keep in zip(labels, opinions, annotated) if keep]
+    extra = rng.integers(n, size=data.draw(st.integers(min_value=0, max_value=8)))
+    conflict = data.draw(st.sampled_from([0.0, 0.0, 0.2]))
+    rows += [(labels[i], int(opinions[i]) ^ int(rng.random() < conflict)) for i in extra]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    attr_lines = [f"{label},{spelled(op)}" for label, op in rows]
+    if attr_lines and data.draw(st.integers(min_value=0, max_value=5)) == 0:
+        bad = int(rng.integers(len(attr_lines)))
+        attr_lines[bad] = f"{rows[bad][0]},{data.draw(st.sampled_from(BAD_OPINIONS))}"
+    pairs = rng.integers(0, n, size=(data.draw(st.integers(min_value=0, max_value=40)), 2))
+    edge_lines = [f"{labels[u]},{labels[v]}" for u, v in pairs]  # loops and duplicates included
+    if data.draw(st.booleans()):
+        edge_lines.insert(0, "src,dst")
+    if data.draw(st.booleans()):
+        attr_lines.insert(0, "node,opinion")
+    opinion = data.draw(st.sampled_from([None, Opinion.PRO, Opinion.ANTI]))
+    with tempfile.TemporaryDirectory() as tmp:
+        edges, attrs = write_files(Path(tmp), edge_lines, attr_lines)
+        assert _load_outcome(edges, attrs, opinion) == _general_outcome(edges, attrs, opinion)
+
+
+def _count_opinion_parses(monkeypatch) -> list:
+    """Patch ``_opinion_code`` to record each text it parses."""
+    parsed = []
+    parse = graph._opinion_code
+
+    def spy(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(graph, "_opinion_code", spy)
+    return parsed
+
+
+def test_load_parses_no_canonical_opinion_in_python(tmp_path, monkeypatch):
+    parsed = _count_opinion_parses(monkeypatch)
+    edges, attrs = write_files(tmp_path, ["0,1", "1,2"], ["node,opinion", "0,pro", "1,anti", "2,pro"])
+    assert load_edge_list(edges, attrs).opinions.tolist() == [PRO, ANTI, PRO]
+    assert parsed == []
+    edges, attrs = write_files(tmp_path, ["0,1", "1,2"], ["node,opinion", "0,pro", "1,anti", "2,PRO"])
+    assert load_edge_list(edges, attrs).opinions.tolist() == [PRO, ANTI, PRO]
+    assert "PRO" in parsed
+
+
+def test_load_reads_no_bytes_when_the_first_opinion_is_not_canonical(tmp_path, monkeypatch):
+    # a file spelled PRO/ANTI goes straight to the parser, without the NUL
+    # scan and the bytes read
+    parsed = _count_opinion_parses(monkeypatch)
+    monkeypatch.setattr(graph, "_has_nul", lambda path: pytest.fail("the NUL scan ran"))
+    edges, attrs = write_files(tmp_path, ["0,1", "1,2"], ["node,opinion", "0,PRO", "1,anti", "2,pro"])
+    assert load_edge_list(edges, attrs).opinions.tolist() == [PRO, ANTI, PRO]
+    assert parsed[0] == "PRO"
+
+
+@pytest.mark.parametrize(
+    "annotated, endpoint",
+    [
+        pytest.param(range(INT64_MAX - 3, INT64_MAX + 1), INT64_MIN, id="labels-at-the-top"),
+        pytest.param(range(INT64_MIN, INT64_MIN + 4), INT64_MAX, id="labels-at-the-bottom"),
+    ],
+)
+def test_load_names_an_endpoint_at_the_far_end_of_int64(tmp_path, annotated, endpoint):
+    # the endpoint is as far from the labels as int64 allows: the
+    # unannotated endpoint's error, not an IndexError or a wrong mapping
+    labels = list(annotated)
+    edges, attrs = write_files(
+        tmp_path, [f"{labels[0]},{labels[1]}", f"{labels[2]},{endpoint}"], [f"{label},pro" for label in labels]
+    )
+    with pytest.raises(AnnotationError) as err:
+        load_edge_list(edges, attrs)
+    assert str(err.value) == f"1 node(s) in edges lack an opinion: {endpoint}"
+    assert err.value.offenders == [endpoint]
+    assert _load_outcome(edges, attrs) == _general_outcome(edges, attrs)
+
+
 def _same_bytes_as_fstring_writer(g, tmp_path) -> bool:
     save_edge_list(g, tmp_path / "e.csv", tmp_path / "a.csv")
     oracles.fstring_edge_files(g, tmp_path / "e_ref.csv", tmp_path / "a_ref.csv")
