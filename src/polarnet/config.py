@@ -138,14 +138,16 @@ def parse_config(path, **overrides) -> RunConfig:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Render a config that parses back to an equal RunConfig."""
+    """Render a config that parses back to an equal RunConfig; a ConfigError
+    names a key whose value the syntax cannot hold (it has no escape)."""
     owners = {GeneratorSpec: cfg.graph, EpidemicParams: cfg.params, RunConfig: cfg}
     lines = []
     for key, (cls, name, target_type) in CONFIG_KEYS.items():
         value = None if owners[cls] is None else getattr(owners[cls], name)
         if value is None:
             continue
-        if target_type is bool:
-            value = "true" if value else "false"
+        value = ("true" if value else "false") if target_type is bool else str(value)
+        if value != value.strip() or any(c in value for c in "#\n\r"):
+            raise ConfigError(f"key {key!r} cannot hold {value!r}: a '#', a line break or surrounding whitespace")
         lines.append(f"{key}={value}")
     return "\n".join(lines) + "\n"

@@ -269,13 +269,14 @@ def subgraph_by_opinion(g: AnnotatedGraph, opinion: Opinion) -> AnnotatedGraph:
 # Edge file: UTF-8 CSV, one `src,dst` pair of node labels per line.
 # Attribute file: `node,opinion` with opinion in {pro, anti}, case-insensitive.
 # A node label is an ASCII decimal integer in the int64 range with an
-# optional sign. Spaces around fields and blank lines are ignored; there is
-# no comment syntax. An optional header is detected by a non-numeric first
-# field on the first non-blank line.
+# optional sign. Whitespace around fields (any, a tab or NBSP too) and blank
+# lines are ignored; there is no comment syntax. An optional header is
+# detected by a non-numeric first field on the first non-blank line.
 #
-# An attribute file whose every opinion is spelled exactly `pro` or `anti` is
-# read as bytes in one numpy call, without a Python call per row; any other
-# file is read the general way, so the shortcut changes no result or error.
+# Opinions are read as bytes, each distinct spelling parsed once. A NUL, a
+# field filling the byte width (it may have been cut) or a bad spelling
+# sends the file to the line parser, which names the bad line: no result or
+# error depends on the path.
 
 _LABEL = re.compile(r"[+-]?[0-9]+")
 _INT64 = np.iinfo(np.int64)
@@ -302,17 +303,11 @@ def _label(text: str) -> int:
     raise ValueError(f"node label {text!r} is not a decimal integer in the int64 range")
 
 
-@functools.lru_cache(maxsize=64)
-def _opinion_code(text: str) -> int:
-    return int(Opinion.parse(text))
-
-
-# structured row type and per-field parsers of each file
-_EDGE_ROWS = (np.dtype([("src", np.int64), ("dst", np.int64)]), (_label, _label))
+# row types; numpy reads an opinion as its first eight characters, a byte
+# each (latin-1: it refuses any character beyond)
+_EDGE_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64)])
 _ATTR_DTYPE = np.dtype([("node", np.int64), ("opinion", np.uint8)])
-# attribute rows as numpy reads them without a converter: five bytes hold
-# either spelling and show any longer field as a different one
-_ATTR_BYTES = np.dtype([("node", np.int64), ("opinion", "S5")])
+_ATTR_BYTES = np.dtype([("node", np.int64), ("opinion", "S8")])
 
 
 def text_lines(path, error):
@@ -347,31 +342,26 @@ def _data_lines(path):
         yield lineno, fields
 
 
-def _loadtxt(path, dtype: np.dtype, first_line: int, converters=None) -> np.ndarray:
-    """numpy's C parse of a 2-column CSV from its first data line on."""
-    return np.loadtxt(
-        path, dtype=dtype, delimiter=",", comments=None, converters=converters,
-        skiprows=first_line - 1, ndmin=1, encoding="utf-8-sig",
-    )
-
-
-def _read_rows(path, dtype: np.dtype, parsers) -> np.ndarray:
-    """Data rows of a 2-column CSV as a structured array of ``dtype``.
-
-    numpy's C parser reads the whole file from its first data line on,
-    labels included. Only when it refuses the file does the line parser
-    read it again: it raises a GraphFormatError naming the first bad line,
-    or returns the rows of a file the format allows and numpy does not
-    (lines of only whitespace).
-    """
+def _bulk_rows(path, dtype: np.dtype) -> np.ndarray | None:
+    """Data rows of a 2-column CSV as a structured array of ``dtype``, read
+    by numpy's C parser from the first data line on, labels included; None
+    when numpy refuses the file."""
     first = next(_data_lines(path), None)
     if first is None:  # no data lines: numpy would warn
         return np.empty(0, dtype=dtype)
-    converters = {i: parse for i, parse in enumerate(parsers) if parse is not _label}
     try:
-        return _loadtxt(path, dtype, first[0], converters)
+        return np.loadtxt(
+            path, dtype=dtype, delimiter=",", comments=None,
+            skiprows=first[0] - 1, ndmin=1, encoding="utf-8-sig",
+        )
     except ValueError:
-        pass
+        return None
+
+
+def _line_rows(path, dtype: np.dtype, parsers) -> np.ndarray:
+    """The line parser: ``_bulk_rows`` with each field through its parser,
+    a GraphFormatError naming the first bad line. It also reads what the
+    format allows and numpy refuses (lines of only whitespace)."""
     rows = []
     for lineno, fields in _data_lines(path):
         try:
@@ -387,39 +377,40 @@ def _has_nul(path) -> bool:
         return any(b"\0" in block for block in iter(functools.partial(fh.read, _NUL_BLOCK), b""))
 
 
-def _canonical_rows(attr_path) -> tuple[np.ndarray, np.ndarray] | None:
-    """(label, Opinion code) of each data row of an attribute file whose
-    every opinion is spelled exactly ``pro`` or ``anti``, read as bytes by
-    one numpy call; None for any other file.
-
-    A first data line spelled otherwise (``PRO``) gives up before the file
-    is read again. numpy drops a field's trailing NULs, so a file holding a
-    NUL byte is never read this way: ``pro\\0`` stays an error.
-    """
-    first = next(_data_lines(attr_path), None)
-    if first is None or first[1][1] not in ("pro", "anti") or _has_nul(attr_path):
-        return None
-    try:
-        rows = _loadtxt(attr_path, _ATTR_BYTES, first[0])
-    except ValueError:
-        return None
-    pro = rows["opinion"] == b"pro"
-    if not (pro | (rows["opinion"] == b"anti")).all():
-        return None
-    return rows["node"], pro.view(np.uint8)
+def _spelled_codes(text: np.ndarray) -> np.ndarray | None:
+    """The Opinion code of each opinion field as numpy read it, each
+    spelling other than exactly ``pro`` or ``anti`` parsed once; None if a
+    field fills the byte width (it may have been cut) or spells no opinion."""
+    pro = text == b"pro"
+    other = np.flatnonzero(~pro & (text != b"anti"))
+    codes = pro.view(np.uint8)
+    if other.size:
+        # the eight bytes of a field as one uint64 sort faster than as text
+        spellings, inverse = np.unique(text[other].view(np.uint64), return_inverse=True)
+        spellings = spellings.view(text.dtype)
+        if max(map(len, spellings)) == text.itemsize:
+            return None
+        try:
+            parsed = [Opinion.parse(s.decode("latin-1")) for s in spellings]
+        except ValueError:
+            return None
+        codes[other] = np.array(parsed, dtype=np.uint8)[inverse]
+    return codes
 
 
 def _annotations(attr_path) -> tuple[np.ndarray, np.ndarray]:
     """(labels ascending, the opinion of each) of an attribute file.
 
     A label may repeat with the same opinion; two opinions for one label
-    raise an AnnotationError.
+    raise an AnnotationError. numpy drops a field's trailing NULs, so a
+    file holding a NUL goes to the line parser: ``pro\\0`` stays an error.
     """
-    rows = _canonical_rows(attr_path)
-    if rows is None:  # any other spelling, or a bad line to name
-        attrs = _read_rows(attr_path, _ATTR_DTYPE, (_label, _opinion_code))
-        rows = attrs["node"], attrs["opinion"]
-    nodes, codes = rows
+    rows = None if _has_nul(attr_path) else _bulk_rows(attr_path, _ATTR_BYTES)
+    codes = None if rows is None else _spelled_codes(rows["opinion"])
+    if codes is None:  # the line parser names the bad line, or reads what numpy cannot
+        rows = _line_rows(attr_path, _ATTR_DTYPE, (_label, Opinion.parse))
+        codes = rows["opinion"]
+    nodes = rows["node"]
     labels, first, inverse = np.unique(nodes, return_index=True, return_inverse=True)
     opinions = codes[first]
     clash = np.flatnonzero(codes != opinions[inverse])
@@ -476,12 +467,15 @@ def load_edge_list(path, attr_path, opinion: Opinion | None = None) -> Annotated
     and the pairs go through ``subgraph_by_opinion``'s cut, giving its graph.
     Its peak stays below the unfiltered load's.
 
-    An attribute file whose opinions are all spelled exactly ``pro`` or
-    ``anti`` is read as bytes; any other spelling goes through a parser
-    call per row. The arrays, and each error's type, message, offenders and
-    line, are the same either way.
+    Every opinion is read as bytes and each distinct spelling parsed once;
+    a file holding a NUL, a field that may have been cut (one filling the
+    byte width) or a spelling that is no opinion goes to the line parser,
+    which names the bad line. The arrays, and each error's type, message,
+    offenders and line, are the same either way.
     """
-    edges = _read_rows(path, *_EDGE_ROWS)
+    edges = _bulk_rows(path, _EDGE_DTYPE)
+    if edges is None:  # the line parser names the bad line, or reads what numpy cannot
+        edges = _line_rows(path, _EDGE_DTYPE, (_label, _label))
     loops = edges["src"] == edges["dst"]
     if loops.any():
         log.warning("dropped %d self-loop(s) while loading %s", int(loops.sum()), path)

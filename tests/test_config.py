@@ -96,6 +96,23 @@ def test_round_trip_property(tmp_path_factory, r, vei, runs, seed, seed_count, s
     assert parse_config(path) == cfg
 
 
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        (RunConfig(edges="data/run#1/edges.csv", attrs="a.csv"), "edges"),
+        (RunConfig(out_dir=" out "), "out_dir"),
+        (RunConfig(edges="e.csv", attrs="a\nb.csv"), "attrs"),
+        (RunConfig(out_dir="res\rults"), "out_dir"),
+    ],
+    ids=["hash", "surrounding-space", "newline", "carriage-return"],
+)
+def test_serialize_refuses_a_value_that_would_not_parse_back(cfg, key):
+    # the config syntax has no escape: a '#' starts a comment, a line break
+    # ends the line and the parser strips each value
+    with pytest.raises(ConfigError, match=f"key '{key}' cannot hold"):
+        serialize_config(cfg)
+
+
 def test_graph_source_exclusivity(tmp_path):
     with pytest.raises(ConfigError, match="together"):
         parse_config(write(tmp_path, "edges=e.csv\n"))

@@ -40,8 +40,8 @@ INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 def write_files(tmp_path, edge_lines, attr_lines):
     edges = tmp_path / "edges.csv"
     attrs = tmp_path / "attrs.csv"
-    edges.write_text("\n".join(edge_lines) + "\n")
-    attrs.write_text("\n".join(attr_lines) + "\n")
+    edges.write_text("\n".join(edge_lines) + "\n", encoding="utf-8")
+    attrs.write_text("\n".join(attr_lines) + "\n", encoding="utf-8")
     return edges, attrs
 
 
@@ -310,7 +310,7 @@ def test_load_accepts_int64_extremes_signs_and_zeros(tmp_path):
     assert g.opinions.tolist() == [ANTI, PRO, PRO, ANTI, PRO]
 
 
-# -- the loader's shortcut: canonical opinions read as bytes ---------------
+# -- the loader's bytes read: each distinct opinion spelling parsed once ---
 
 
 def _load_outcome(edges, attrs, opinion=None):
@@ -327,15 +327,20 @@ def _load_outcome(edges, attrs, opinion=None):
 
 
 def _general_outcome(edges, attrs, opinion=None):
-    """``_load_outcome`` with the bytes read switched off: every opinion
-    through ``_opinion_code``."""
+    """``_load_outcome`` with numpy's bulk read switched off: every line of
+    both files through the line parser."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph, "_canonical_rows", lambda attr_path: None)
+        mp.setattr(graph, "_bulk_rows", lambda path, dtype: None)
         return _load_outcome(edges, attrs, opinion)
 
 
-SPELLINGS = {PRO: ["pro", "PRO", "Pro", " pro", "pro "], ANTI: ["anti", "ANTI", "Anti", " anti", "anti\t"]}
-BAD_OPINIONS = ["maybe", "pro\x00", "anti\x00\x00", "antii", "", "pr"]
+# characters that fill an opinion field of the bytes read
+WIDTH = graph._ATTR_BYTES["opinion"].itemsize
+SPELLINGS = {
+    PRO: ["pro", "PRO", "Pro", " pro", "pro ", " pro".ljust(WIDTH), "pro\xa0"],
+    ANTI: ["anti", "ANTI", "Anti", " anti", "anti\t", "anti".rjust(WIDTH)],
+}
+BAD_OPINIONS = ["maybe", "pro\x00", "anti\x00\x00", "antii", "", "pr", "prö", "ＰＲＯ", "pro".ljust(WIDTH) + "x"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -376,37 +381,38 @@ def test_load_gives_the_arrays_and_errors_of_the_general_path(data):
         assert _load_outcome(edges, attrs, opinion) == _general_outcome(edges, attrs, opinion)
 
 
-def _count_opinion_parses(monkeypatch) -> list:
-    """Patch ``_opinion_code`` to record each text it parses."""
+@pytest.mark.parametrize(
+    "spellings",
+    [["pro", "anti"], ["PRO", "Anti"], [" pro ", "anti\t", "Pro  ", " ANTI"]],
+    ids=["exact", "cased", "padded"],
+)
+def test_load_parses_each_distinct_spelling_at_most_once(tmp_path, monkeypatch, spellings):
+    parse = Opinion.parse
     parsed = []
-    parse = graph._opinion_code
 
     def spy(text):
         parsed.append(text)
         return parse(text)
 
-    monkeypatch.setattr(graph, "_opinion_code", spy)
-    return parsed
+    monkeypatch.setattr(Opinion, "parse", spy)
+    n = 60
+    opinions = [spellings[i % len(spellings)] for i in range(n)]
+    edges, attrs = write_files(
+        tmp_path, [f"{i},{i + 1}" for i in range(n - 1)], ["node,opinion"] + [f"{i},{op}" for i, op in enumerate(opinions)]
+    )
+    assert load_edge_list(edges, attrs).opinions.tolist() == [int(parse(op)) for op in opinions]
+    assert len(parsed) <= len(spellings)
 
 
-def test_load_parses_no_canonical_opinion_in_python(tmp_path, monkeypatch):
-    parsed = _count_opinion_parses(monkeypatch)
-    edges, attrs = write_files(tmp_path, ["0,1", "1,2"], ["node,opinion", "0,pro", "1,anti", "2,pro"])
-    assert load_edge_list(edges, attrs).opinions.tolist() == [PRO, ANTI, PRO]
-    assert parsed == []
-    edges, attrs = write_files(tmp_path, ["0,1", "1,2"], ["node,opinion", "0,pro", "1,anti", "2,PRO"])
-    assert load_edge_list(edges, attrs).opinions.tolist() == [PRO, ANTI, PRO]
-    assert "PRO" in parsed
-
-
-def test_load_reads_no_bytes_when_the_first_opinion_is_not_canonical(tmp_path, monkeypatch):
-    # a file spelled PRO/ANTI goes straight to the parser, without the NUL
-    # scan and the bytes read
-    parsed = _count_opinion_parses(monkeypatch)
-    monkeypatch.setattr(graph, "_has_nul", lambda path: pytest.fail("the NUL scan ran"))
-    edges, attrs = write_files(tmp_path, ["0,1", "1,2"], ["node,opinion", "0,PRO", "1,anti", "2,pro"])
-    assert load_edge_list(edges, attrs).opinions.tolist() == [PRO, ANTI, PRO]
-    assert parsed[0] == "PRO"
+def test_load_reads_a_width_filling_opinion_and_names_a_longer_one(tmp_path):
+    edges, attrs = write_raw(tmp_path, "0,1\n", f"0,{' pro'.ljust(WIDTH)}\n1,anti\n")
+    assert load_edge_list(edges, attrs).opinions.tolist() == [PRO, ANTI]
+    # numpy keeps the first WIDTH characters, "pro" and spaces: a cut field
+    # that alone would parse as pro
+    edges, attrs = write_raw(tmp_path, "0,1\n", f"0,anti\n1,{'pro'.ljust(WIDTH)}x\n")
+    with pytest.raises(GraphFormatError, match="opinion must be 'pro' or 'anti'") as err:
+        load_edge_list(edges, attrs)
+    assert err.value.line == 2
 
 
 @pytest.mark.parametrize(
